@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -59,12 +58,25 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _lines(rows):
+    for row in rows:
+        yield ",".join(map(_cell, row)) + "\n"
+
+
+def _density_lines(grid, rho: np.ndarray):
+    """One chunk of (R, P, density) lines per R row; nodes formatted once."""
+    p_cells = [_cell(p) for p in grid.P]
+    for r, row in zip(grid.R, rho):
+        r_cell = _cell(r)
+        yield "".join(f"{r_cell},{p},{v!r}\n"
+                      for p, v in zip(p_cells, row.tolist()))
+
+
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Header plus pre-formatted line chunks (see _lines, _density_lines)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header.split(","))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def _grid_from(cfg: RunConfig):
@@ -94,14 +106,13 @@ def _run_relax(cfg: RunConfig, out_dir: Path):
     outputs = ["relax_trace.csv"]
     _write_csv(out_dir / "relax_trace.csv",
                "time_fs,mean_R_angstrom,T_kin_K,D_KL_nats,cum_success_prob",
-               zip(trace.time_fs, trace.mean_r_angstrom, trace.t_kin_kelvin,
-                   trace.d_kl_nats, trace.cum_success_prob))
-    r_col = np.repeat(grid.R, len(grid.P))
-    p_col = np.tile(grid.P, len(grid.R))
+               _lines(zip(trace.time_fs, trace.mean_r_angstrom,
+                          trace.t_kin_kelvin, trace.d_kl_nats,
+                          trace.cum_success_prob)))
     for step in sorted(snapshots):
         name = f"snapshot_step{step:06d}.csv"
         _write_csv(out_dir / name, "R_bohr,P_au,density",
-                   zip(r_col, p_col, snapshots[step].ravel()))
+                   _density_lines(grid, snapshots[step]))
         outputs.append(name)
 
     derived = {"s": params.s, "t_int_hartree": params.t_int,
@@ -156,7 +167,8 @@ def _run_vdos(cfg: RunConfig, out_dir: Path):
                     for j in range(len(spec.prob)))
         peaks[spec.branch] = {"bin": spec.peak_bin,
                               "omega_cm1": float(omega_cm1[spec.peak_bin])}
-    _write_csv(out_dir / "vdos_spectrum.csv", "omega_cm1,prob,branch", rows)
+    _write_csv(out_dir / "vdos_spectrum.csv", "omega_cm1,prob,branch",
+               _lines(rows))
 
     total = w_plus + w_minus
     meta = {"m": v.m, "tau_au": v.tau_au, "omega_shift_au": v.omega_shift_au,
@@ -187,9 +199,9 @@ def _run_tst(cfg: RunConfig, out_dir: Path):
     fit = arrhenius_sweep(grid, pes, mu, tcfg)
     _write_csv(out_dir / "tst_rates.csv",
                "T_kelvin,inv_T,flux_au,population,k_au,k_per_second,log_k",
-               ((r.t_kelvin, 1.0 / r.t_kelvin, r.flux_au, r.population,
-                 r.k_au, r.k_per_second, math.log(r.k_au))
-                for r in fit.results))
+               _lines((r.t_kelvin, 1.0 / r.t_kelvin, r.flux_au,
+                       r.population, r.k_au, r.k_per_second, math.log(r.k_au))
+                      for r in fit.results))
     outputs = ["tst_rates.csv"]
     derived = {"activation_energy_hartree": fit.activation_energy,
                "ln_prefactor": fit.ln_prefactor,
@@ -202,7 +214,7 @@ def _run_tst(cfg: RunConfig, out_dir: Path):
                                    (grid.r_min, grid.r_max),
                                    dt=t.crossing_dt_au)
         _write_csv(out_dir / "crossing.csv", "N_cross,k_cross,k_min",
-                   [(cross.n_cross, cross.k_cross, cross.k_min)])
+                   _lines([(cross.n_cross, cross.k_cross, cross.k_min)]))
         outputs.append("crossing.csv")
         derived["crossing_t_kelvin"] = t_low
     return EXIT_OK, derived, outputs
@@ -232,7 +244,7 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path):
                      "PASS" if ok else "FAIL"))
     _write_csv(out_dir / "bias_check.csv",
                "s,measured_bias,predicted_half_tanh,product_oracle,"
-               "rel_err_predicted,rel_err_oracle,status", rows)
+               "rel_err_predicted,rel_err_oracle,status", _lines(rows))
     derived = {"n_momentum_nodes": 1 << b.n_p,
                "tolerance_vs_law": BIAS_TOLERANCE_LAW,
                "tolerance_vs_oracle": BIAS_TOLERANCE_ORACLE}
@@ -256,14 +268,14 @@ def _run_oracle(cfg: RunConfig, out_dir: Path):
                               o.record_every)
     t_kin_kelvin = hartree_to_kelvin(np.mean(ens.P ** 2, axis=1) / mu)
     _write_csv(out_dir / "oracle_summary.csv", "t_au,mean_R_bohr,T_kin_K",
-               zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin))
+               _lines(zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin)))
     outputs = ["oracle_summary.csv"]
     if o.dump_trajectories:
         n_rec, n_traj = ens.R.shape
         ids = np.tile(np.arange(n_traj), n_rec)
         times = np.repeat(ens.times, n_traj)
         _write_csv(out_dir / "trajectories.csv", "traj_id,t_au,R_bohr,P_au",
-                   zip(ids, times, ens.R.ravel(), ens.P.ravel()))
+                   _lines(zip(ids, times, ens.R.ravel(), ens.P.ravel())))
         outputs.append("trajectories.csv")
     return EXIT_OK, {"n_records": len(ens.times)}, outputs
 

@@ -100,24 +100,30 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     Records at step 0, every `record_every` steps, and the final step.
     A filter collapse truncates the trace at the last completed step and
     sets the collapsed flag instead of propagating. Snapshot densities
-    are taken at the requested step indices.
+    are taken at the requested step indices. The amplitude table rests
+    in the (k_R, P) basis of the stepping core and is transformed back
+    to (R, P) only where a record or a snapshot reads it.
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
-    stepper = LangevinStepper(initial.grid, pes, params)
-    rho_eq = canonical_reference(initial.grid, pes, params.mu, params.t_phys)
-    cell = initial.grid.cell
+    grid = initial.grid
+    stepper = LangevinStepper(grid, pes, params)
+    rho_eq = canonical_reference(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
     snapshots: dict[int, np.ndarray] = {}
     state = initial
+    a = np.fft.fft(initial.amplitudes, axis=0, norm="ortho")
     log_cum = 0.0
+
+    def to_rp() -> KvnState:
+        return KvnState(np.fft.ifft(a, axis=0, norm="ortho"), Basis.RP, grid)
 
     def record(step: int):
         trace.append(step * params.dt * FS_PER_AU_TIME,
                      bohr_to_angstrom(mean_R(state)),
                      hartree_to_kelvin(kinetic_temperature(state, params.mu)),
-                     kl_divergence(density(state), rho_eq, cell),
+                     kl_divergence(density(state), rho_eq, grid.cell),
                      math.exp(log_cum))
 
     record(0)
@@ -126,14 +132,18 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
         snapshots[0] = density(state)
     for step in range(1, n_steps + 1):
         try:
-            state, report = stepper.step(state)
+            a, report = stepper.advance(a)
         except FilterCollapseError:
             if last_recorded != step - 1:
+                state = to_rp()
                 record(step - 1)
             trace.collapsed = True
             break
         log_cum += report.log_success
-        if step % record_every == 0 or step == n_steps:
+        recording = step % record_every == 0 or step == n_steps
+        if recording or step in snapshot_steps:
+            state = to_rp()
+        if recording:
             record(step)
             last_recorded = step
         if step in snapshot_steps:

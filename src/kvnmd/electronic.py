@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, SingularityError, TableFormatError
 
@@ -131,6 +130,8 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
     consistent with the energy evaluator. A vanishing gap term
     sqrt(b^2 + c^2) <= 1e-12 makes the derivative undefined and raises.
     """
+    from scipy.interpolate import CubicSpline  # slow import, needed here only
+
     sa = CubicSpline(table.R, table.a)
     sb = CubicSpline(table.R, table.b)
     sc = CubicSpline(table.R, table.c)
@@ -167,6 +168,8 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
 
 def raw_pes(path) -> PesModel:
     """PES from a plain (R, V) table; force is minus the spline derivative."""
+    from scipy.interpolate import CubicSpline  # slow import, needed here only
+
     data = _read_table(path, RAW_HEADER, 2)
     spline = CubicSpline(data[:, 0], data[:, 1])
     domain = (float(data[0, 0]), float(data[-1, 0]))

@@ -33,6 +33,10 @@ class FilterCollapseError(KvnError):
     """The momentum filter removed essentially all amplitude."""
 
 
+class NonFiniteAmplitudeError(KvnError):
+    """A state norm or a filter yield came out NaN or infinite."""
+
+
 class ConvergenceError(KvnError):
     """An iterative procedure failed to reach its stopping criterion."""
 

@@ -84,15 +84,6 @@ def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
 
 
-def verlet_trajectory(pes: PesModel, mu: float, r0: float, p0: float,
-                      dt: float, n_steps: int,
-                      omega_ref: float | None = None):
-    """Single reference trajectory: returns (times, R, P) 1-D arrays."""
-    ens = verlet_ensemble(pes, mu, r0, p0, dt, n_steps, record_every=1,
-                          omega_ref=omega_ref)
-    return ens.times, ens.R[:, 0], ens.P[:, 0]
-
-
 def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
                       dt: float, n_steps: int, n_traj: int, seed: int,
                       r0, p0=0.0, record_every: int = 1) -> TrajectoryEnsemble:

@@ -6,7 +6,8 @@ the exact ancilla distribution of textbook phase estimation run against
 powers of the conservative one-step propagator. Because that propagator
 is unitary, the full distribution follows from the autocorrelation
 sequence c_d = <alpha|U^d|alpha> alone, so the sweep over 2^m readout
-bins costs 2^m propagator applications and O(1) state memory.
+bins costs 2^m propagator applications, O(1) state memory and one
+length-2^m FFT.
 
 A classical reference pipeline turns trajectory ensembles into a spectrum
 on the identical bin grid: windowed correlation transform, folding into
@@ -162,45 +163,32 @@ def prepare_branch_states(eq_state: KvnState, omega_ref: float, mu: float):
     return states[0], states[1], (weights[0], weights[1])
 
 
-def qpe_distribution(state: KvnState, step, cfg: QpeConfig) -> np.ndarray:
-    """Exact ancilla distribution for an arbitrary one-power step callable.
+def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
+    """Exact ancilla distribution from the autocorrelation c_d, d < 2^m.
 
-    Uses the unitarity identity P_j = (1/M^2) [M + 2 Re sum_d (M-d)
-    e^{i d (omega_shift tau + 2 pi j / M)} c_d] with the autocorrelation
-    sequence c_d of the stepped state, algebraically equal to
-    accumulating the full weighted sums but without 2^m live registers.
+    c_d = <alpha|U^d|alpha> for the one-power step U. The unitarity
+    identity P_j = (1/M^2) [M c_0 + 2 Re sum_d (M-d) e^{i d theta_j} c_d]
+    with theta_j = omega_shift tau + 2 pi j / M equals accumulating the
+    full weighted sums without 2^m live registers; the sum over d for
+    all j is one length-M inverse FFT of (M-d) c_d e^{i d omega_shift tau}.
     """
-    g = state.grid
     m_bins = cfg.n_bins
-    bra = state.amplitudes.conj()
-    corr = np.empty(m_bins, dtype=complex)
-    corr[0] = np.sum(bra * state.amplitudes) * g.cell
-    st = state.copy()
-    for d in range(1, m_bins):
-        st = step(st)
-        corr[d] = np.sum(bra * st.amplitudes) * g.cell
-
-    d_idx = np.arange(1, m_bins)
-    theta = cfg.omega_shift * cfg.tau + 2.0 * math.pi * np.arange(m_bins) / m_bins
-    phases = np.exp(1j * np.outer(theta, d_idx))
-    prob = (m_bins * corr[0].real
-            + 2.0 * (phases @ ((m_bins - d_idx) * corr[1:])).real) / m_bins ** 2
+    d_idx = np.arange(m_bins)
+    weighted = (m_bins - d_idx) * corr \
+        * np.exp(1j * cfg.omega_shift * cfg.tau * d_idx)
+    weighted[0] = 0.0
+    sums = m_bins * np.fft.ifft(weighted)
+    prob = (m_bins * corr[0].real + 2.0 * sums.real) / m_bins ** 2
     return np.maximum(prob, 0.0)
 
 
 def qpe_spectrum(state: KvnState, pes: PesModel, mu: float,
                  cfg: QpeConfig, branch_weight: float = 1.0) -> SpectrumResult:
     """Readout distribution of the conservative evolution of `state`."""
-    dt = cfg.tau / cfg.inner_steps
-    prop = NvePropagator(state.grid, pes, mu, dt)
-
-    def one_power(st: KvnState) -> KvnState:
-        for _ in range(cfg.inner_steps):
-            st = prop.step(st)
-        return st
-
-    prob = qpe_distribution(state, one_power, cfg)
-    return SpectrumResult(omega_au=cfg.bin_centers(), prob=prob,
+    prop = NvePropagator(state.grid, pes, mu, cfg.tau / cfg.inner_steps)
+    corr = prop.autocorrelation(state.amplitudes, cfg.n_bins, cfg.inner_steps)
+    return SpectrumResult(omega_au=cfg.bin_centers(),
+                          prob=qpe_distribution(corr, cfg),
                           branch=cfg.branch, branch_weight=branch_weight)
 
 
@@ -232,16 +220,7 @@ def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,
     rho = np.abs(eq_state.amplitudes) ** 2
     r_mean = float(np.sum(rho * g.R[:, None]) * g.cell)
     q_amps = (g.R - r_mean)[:, None] * eq_state.amplitudes
-    bra = q_amps.conj()
-
-    prop = NvePropagator(g, pes, mu, dt)
-    series = np.empty(n_t, dtype=complex)
-    series[0] = np.sum(bra * q_amps) * g.cell
-    st = KvnState(q_amps.copy(), Basis.RP, g)
-    for n in range(1, n_t):
-        st = prop.step(st)
-        series[n] = np.sum(bra * st.amplitudes) * g.cell
-    return series
+    return NvePropagator(g, pes, mu, dt).autocorrelation(q_amps, n_t)
 
 
 _WINDOWS = {

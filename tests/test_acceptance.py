@@ -22,12 +22,12 @@ from kvnmd.diagnostics import mean_R, relax
 from kvnmd.electronic import PesModel, morse_pes
 from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
                         norm_squared)
-from kvnmd.oracles import (histogram_density, langevin_ensemble,
-                           verlet_trajectory)
+from kvnmd.oracles import histogram_density, langevin_ensemble
 from kvnmd.propagator import NvePropagator, calibrate
 from kvnmd.tst import TstConfig, arrhenius_sweep, tst_rate
 from kvnmd.vdos import (QpeConfig, fejer_kernel, prepare_branch_states,
                         qpe_distribution)
+from reference_steps import step_autocorrelation, verlet_trajectory
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MU = 918.0
@@ -157,8 +157,10 @@ def test_criterion_4_phase_estimation_kernel_fidelity():
     st = encode_gaussian(grid, 0.5, 0.0, 0.26, 0.5)
     omega = cfg.bin_centers()[19] + 0.31 * cfg.bin_width
     phase = np.exp(-1j * omega * cfg.tau)
-    prob = qpe_distribution(
-        st, lambda s: KvnState(phase * s.amplitudes, s.basis, s.grid), cfg)
+    corr = step_autocorrelation(
+        st, lambda s: KvnState(phase * s.amplitudes, s.basis, s.grid),
+        cfg.n_bins)
+    prob = qpe_distribution(corr, cfg)
     ref = fejer_kernel((omega - cfg.bin_centers()) * cfg.tau,
                        cfg.m) / cfg.n_bins
     np.testing.assert_allclose(prob, ref, atol=1e-10)

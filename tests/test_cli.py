@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kvnmd.cli
 from kvnmd.cli import main
 from kvnmd.config import parse_config
 
@@ -377,6 +378,21 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
         rows = read_csv(out / "bias_check.csv")
         assert rows[0]["status"] == "FAIL"
+
+    def test_nan_amplitude_in_relax_is_exit_3(self, tmp_path, monkeypatch,
+                                               capsys):
+        def poisoned(*args, **kwargs):
+            state = encode(*args, **kwargs)
+            state.amplitudes[3, 5] = np.nan
+            return state
+
+        encode = kvnmd.cli.encode_gaussian
+        monkeypatch.setattr(kvnmd.cli, "encode_gaussian", poisoned)
+        code, out = run_cli(tmp_path, RELAX_SMALL)
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        for path in out.glob("*.csv"):
+            assert "nan" not in path.read_text().lower()
 
     def test_seed_override_changes_sampled_outputs(self, tmp_path):
         cfg = tmp_path / "o.ini"

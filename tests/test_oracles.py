@@ -10,8 +10,8 @@ from kvnmd.errors import SamplerWarning
 from kvnmd.grid import build_grid
 from kvnmd.oracles import (canonical_sampler, cos_filter_stationary_bias,
                            histogram_density, langevin_ensemble,
-                           trajectory_stream, verlet_ensemble,
-                           verlet_trajectory)
+                           trajectory_stream, verlet_ensemble)
+from reference_steps import verlet_trajectory
 
 MORSE = morse_pes(de=0.1744, alpha=1.02764, re=1.40201)
 MU = 918.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,16 +9,16 @@ from kvnmd.constants import kelvin_to_hartree
 from kvnmd.electronic import PesModel, morse_pes
 from kvnmd.errors import (BoundaryLeakWarning, ConfigurationError,
                           ConvergenceError, FilterBandWarning,
-                          FilterCollapseError)
+                          FilterCollapseError, NonFiniteAmplitudeError)
 from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
                         fourier_P, norm_squared)
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               NvePropagator, calibrate,
                               corrected_internal_temperature, diffusion_step,
-                              friction_step, ideal_diffusion_step,
-                              langevin_step, momentum_bias_experiment,
-                              nve_step)
+                              momentum_bias_experiment)
+from reference_steps import (friction_step, ideal_diffusion_step,
+                             langevin_step, nve_step)
 
 
 def linear_pes(slope: float) -> PesModel:
@@ -284,6 +285,32 @@ class TestThermostatedStep:
             log_total += report.log_success
         assert abs(norm_squared(st) - 1.0) < 1e-12
         assert log_total < 0.0  # each postselection loses some mass
+
+    @pytest.mark.parametrize("gamma", [0.02, 0.0])
+    def test_nan_amplitude_raises(self, gamma):
+        # NaN compares False against the collapse floor and the leak
+        # tolerance alike, so only an explicit finiteness check stops it
+        params = dataclasses.replace(
+            calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                      t_phys=kelvin_to_hartree(947.0)), gamma=gamma)
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        st = encode_gaussian(grid, 1.5, 0.0, 0.1, 2.5)
+        st.amplitudes[10, 20] = np.nan
+        with pytest.raises(NonFiniteAmplitudeError):
+            LangevinStepper(grid, pes, params).step(st)
+
+    def test_advance_keeps_its_input(self):
+        # relax records the pre-step table when a step collapses
+        params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                           t_phys=kelvin_to_hartree(947.0))
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        st = encode_gaussian(grid, 1.5, 0.0, 0.1, 2.5)
+        a = np.fft.fft(st.amplitudes, axis=0, norm="ortho")
+        kept = a.copy()
+        LangevinStepper(grid, pes, params).advance(a)
+        np.testing.assert_array_equal(a, kept)
 
 
 class TestMomentumBiasExperiment:

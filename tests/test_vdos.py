@@ -15,6 +15,7 @@ from kvnmd.vdos import (QpeConfig, aimd_reference_spectrum, branch_spectra,
                         fejer_kernel, kvn_autocorrelation,
                         prepare_branch_states, qpe_distribution, qpe_spectrum,
                         reference_frequency)
+from reference_steps import step_autocorrelation
 
 MU = 918.0
 W0 = 0.02
@@ -166,8 +167,9 @@ class TestQpeDistribution:
         cfg = QpeConfig(m=5, tau=2.0)
         grid = build_grid(3, 3, (0.0, 1.0), (-1.0, 1.0))
         st = encode_gaussian(grid, 0.5, 0.0, 0.26, 0.5)
-        prob = qpe_distribution(st, diagonal_step(cfg.bin_centers()[7], 2.0),
-                                cfg)
+        corr = step_autocorrelation(
+            st, diagonal_step(cfg.bin_centers()[7], 2.0), cfg.n_bins)
+        prob = qpe_distribution(corr, cfg)
         assert prob[7] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.delete(prob, 7)) < 1e-12
 
@@ -176,11 +178,29 @@ class TestQpeDistribution:
         grid = build_grid(3, 3, (0.0, 1.0), (-1.0, 1.0))
         st = encode_gaussian(grid, 0.5, 0.0, 0.26, 0.5)
         omega = cfg.bin_centers()[11] + 0.37 * cfg.bin_width
-        prob = qpe_distribution(st, diagonal_step(omega, 2.0), cfg)
+        corr = step_autocorrelation(st, diagonal_step(omega, 2.0), cfg.n_bins)
+        prob = qpe_distribution(corr, cfg)
         ref = fejer_kernel((omega - cfg.bin_centers()) * cfg.tau,
                            cfg.m) / cfg.n_bins
         np.testing.assert_allclose(prob, ref, atol=1e-10)
         assert prob.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_fft_transform_matches_dense_phase_matrix(self, m):
+        cfg = QpeConfig(m=m, tau=3.0, omega_shift=0.17)
+        m_bins = cfg.n_bins
+        rng = np.random.default_rng(m)
+        corr = rng.normal(size=m_bins) + 1j * rng.normal(size=m_bins)
+        corr[0] = m_bins  # keeps the dense probabilities positive
+        d_idx = np.arange(1, m_bins)
+        theta = cfg.omega_shift * cfg.tau \
+            + 2.0 * math.pi * np.arange(m_bins) / m_bins
+        phases = np.exp(1j * np.outer(theta, d_idx))
+        dense = (m_bins * corr[0].real + 2.0 * (
+            phases @ ((m_bins - d_idx) * corr[1:])).real) / m_bins ** 2
+        assert np.all(dense > 0.0)
+        np.testing.assert_allclose(qpe_distribution(corr, cfg), dense,
+                                   rtol=0.0, atol=1e-12)
 
     def test_matches_directly_accumulated_sums(self):
         # brute-force route: keep all 2^m weighted running sums alive
