@@ -3,8 +3,10 @@
 Every invocation executes one mode (relax, vdos, tst, bias-check,
 oracle), writes its data series as plot-ready CSVs plus a manifest.json
 recording the resolved configuration, derived parameters, library
-versions, wall time and a content hash per output file. Reruns with the
-same config and seed reproduce the CSVs byte for byte.
+versions, wall time (in total and per phase: tables, propagate, readout,
+write), the warnings raised (category, count, first message) and a
+content hash per output file. Reruns with the same config and seed
+reproduce the CSVs byte for byte; timings go only into the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -19,6 +21,7 @@ import math
 import platform
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +32,17 @@ from .constants import (WAVENUMBER_PER_HARTREE, angstrom_to_bohr,
                         hartree_to_kelvin, kelvin_to_hartree)
 from .diagnostics import relax
 from .errors import (BasisMismatchError, ConfigurationError, DomainError,
-                     KvnError, ResolutionError, TableFormatError)
+                     KvnError, MemoryBudgetError, ResolutionError,
+                     TableFormatError)
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
     langevin_ensemble, verlet_ensemble
-from .propagator import calibrate, momentum_bias_experiment
+from .propagator import LangevinStepper, calibrate, momentum_bias_experiment
 from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
     crossing_reference
-from .vdos import QpeConfig, aimd_reference_spectrum, prepare_branch_states, \
-    qpe_spectrum, reference_frequency
+from .vdos import QpeConfig, aimd_reference_spectrum, \
+    branch_autocorrelations, readout_propagator, readout_spectrum, \
+    reference_frequency
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,7 +52,25 @@ BIAS_TOLERANCE_LAW = 0.10
 BIAS_TOLERANCE_ORACLE = 0.01
 
 _CONFIG_CLASS_ERRORS = (ConfigurationError, ResolutionError, DomainError,
-                        TableFormatError, BasisMismatchError)
+                        TableFormatError, BasisMismatchError,
+                        MemoryBudgetError)
+PHASES = ("tables", "propagate", "readout", "write")
+
+
+class _PhaseClock:
+    """Wall seconds per run phase, booked lap by lap."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str, readout: float = 0.0) -> None:
+        """Book the time since the last lap to `phase`, less the
+        `readout` seconds spent inside it, which go to readout."""
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._last - readout
+        self.seconds["readout"] += readout
+        self._last = now
 
 
 def _cell(value) -> str:
@@ -90,18 +113,22 @@ def _grid_derived(grid) -> dict:
             "grid_shape": list(grid.shape)}
 
 
-def _run_relax(cfg: RunConfig, out_dir: Path):
+def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     lv = cfg.langevin
     params = calibrate(cfg.pes.mu_au, lv.gamma_au, lv.dt_au,
                        kelvin_to_hartree(lv.t_phys_kelvin), lv.correction)
+    stepper = LangevinStepper(grid, pes, params)  # sized before the state
     initial = encode_gaussian(grid, angstrom_to_bohr(cfg.init.r0_angstrom),
                               cfg.init.p0_au, cfg.init.sigma_r_bohr,
                               cfg.init.sigma_p_au)
+    clock.lap("tables")
     rl = cfg.relax
     trace, _, snapshots = relax(initial, pes, params, rl.n_steps,
-                                rl.record_every, rl.snapshot_steps)
+                                rl.record_every, rl.snapshot_steps,
+                                stepper=stepper)
+    clock.lap("propagate", readout=trace.monitor_seconds)
 
     outputs = ["relax_trace.csv"]
     _write_csv(out_dir / "relax_trace.csv",
@@ -114,10 +141,13 @@ def _run_relax(cfg: RunConfig, out_dir: Path):
         _write_csv(out_dir / name, "R_bohr,P_au,density",
                    _density_lines(grid, snapshots[step]))
         outputs.append(name)
+    clock.lap("write")
 
     derived = {"s": params.s, "t_int_hartree": params.t_int,
                "t_int_kelvin": hartree_to_kelvin(params.t_int),
                "sigma_h_au": params.sigma_h, "collapsed": trace.collapsed,
+               "friction_leak_max": trace.friction_leak_max,
+               "filter_yield_min": trace.success_probability_min,
                **_grid_derived(grid)}
     if trace.collapsed:
         print("numerical failure: filter success probability collapsed; "
@@ -126,29 +156,28 @@ def _run_relax(cfg: RunConfig, out_dir: Path):
     return EXIT_OK, derived, outputs
 
 
-def _run_vdos(cfg: RunConfig, out_dir: Path):
+def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
     v = cfg.vdos
     base = QpeConfig(m=v.m, tau=v.tau_au, omega_shift=v.omega_shift_au,
                      inner_steps=v.inner_steps)
+    prop = readout_propagator(grid, pes, mu, base)  # sized before the state
     eq = analytic_canonical_state(grid, pes, mu,
                                   kelvin_to_hartree(v.t_kelvin))
     omega_ref = (v.omega_ref_au if v.omega_ref_au is not None
                  else reference_frequency(pes, mu, grid.R))
-    alpha_plus, alpha_minus, (w_plus, w_minus) = prepare_branch_states(
-        eq, omega_ref, mu)
+    clock.lap("tables")
+    corr_plus, corr_minus, (w_plus, w_minus) = branch_autocorrelations(
+        eq, prop, omega_ref, base)
+    clock.lap("propagate")
 
     spectra = []
     if v.branch in ("plus", "both"):
-        spectra.append(qpe_spectrum(
-            alpha_plus, pes, mu, dataclasses.replace(base, branch="plus"),
-            branch_weight=w_plus))
+        spectra.append(readout_spectrum(corr_plus, base, "plus", w_plus))
     if v.branch in ("minus", "both"):
-        spectra.append(qpe_spectrum(
-            alpha_minus, pes, mu, dataclasses.replace(base, branch="minus"),
-            branch_weight=w_minus))
+        spectra.append(readout_spectrum(corr_minus, base, "minus", w_minus))
     if v.aimd_reference:
         dt_rec = v.tau_au / 8.0
         r0, p0 = canonical_sampler(pes, mu, kelvin_to_hartree(v.t_kelvin),
@@ -158,6 +187,7 @@ def _run_vdos(cfg: RunConfig, out_dir: Path):
                               record_every=1)
         spectra.append(aimd_reference_spectrum(ens, base,
                                                window=v.aimd_window))
+    clock.lap("readout")
 
     rows = []
     peaks = {}
@@ -182,6 +212,7 @@ def _run_vdos(cfg: RunConfig, out_dir: Path):
             "peaks": peaks}
     (out_dir / "vdos_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    clock.lap("write")
 
     derived = {"omega_ref_au": omega_ref,
                "omega_ref_cm1": omega_ref * WAVENUMBER_PER_HARTREE,
@@ -189,19 +220,22 @@ def _run_vdos(cfg: RunConfig, out_dir: Path):
     return EXIT_OK, derived, ["vdos_spectrum.csv", "vdos_meta.json"]
 
 
-def _run_tst(cfg: RunConfig, out_dir: Path):
+def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
     t = cfg.tst
     tcfg = TstConfig(r_dividing=t.r_dividing_bohr, sigma=t.sigma_bohr,
                      temperatures=t.temperatures_kelvin)
+    clock.lap("tables")
     fit = arrhenius_sweep(grid, pes, mu, tcfg)
+    clock.lap("readout")
     _write_csv(out_dir / "tst_rates.csv",
                "T_kelvin,inv_T,flux_au,population,k_au,k_per_second,log_k",
                _lines((r.t_kelvin, 1.0 / r.t_kelvin, r.flux_au,
                        r.population, r.k_au, r.k_per_second, math.log(r.k_au))
                       for r in fit.results))
+    clock.lap("write")
     outputs = ["tst_rates.csv"]
     derived = {"activation_energy_hartree": fit.activation_energy,
                "ln_prefactor": fit.ln_prefactor,
@@ -213,14 +247,16 @@ def _run_tst(cfg: RunConfig, out_dir: Path):
                                    t.crossing_t_sim_au, cfg.seed, tcfg,
                                    (grid.r_min, grid.r_max),
                                    dt=t.crossing_dt_au)
+        clock.lap("propagate")
         _write_csv(out_dir / "crossing.csv", "N_cross,k_cross,k_min",
                    _lines([(cross.n_cross, cross.k_cross, cross.k_min)]))
         outputs.append("crossing.csv")
+        clock.lap("write")
         derived["crossing_t_kelvin"] = t_low
     return EXIT_OK, derived, outputs
 
 
-def _run_bias_check(cfg: RunConfig, out_dir: Path):
+def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     b = cfg.bias_check
     t_phys = kelvin_to_hartree(b.t_kelvin)
     rows = []
@@ -229,7 +265,9 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path):
         params = calibrate(b.mu_au, gamma=s, dt=1.0, t_phys=t_phys)
         p_max = 8.0 * math.sqrt(b.mu_au * params.t_int)
         grid = build_grid(3, b.n_p, (0.0, 1.0), (-p_max, p_max))
+        clock.lap("tables")
         result = momentum_bias_experiment(grid, params)
+        clock.lap("propagate")
         predicted = 0.5 * math.tanh(s)
         oracle = cos_filter_stationary_bias(s)
         err_law = abs(result.bias - predicted) / predicted
@@ -242,9 +280,11 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path):
               f"[{'PASS' if ok else 'FAIL'}]")
         rows.append((s, result.bias, predicted, oracle, err_law, err_oracle,
                      "PASS" if ok else "FAIL"))
+        clock.lap("readout")
     _write_csv(out_dir / "bias_check.csv",
                "s,measured_bias,predicted_half_tanh,product_oracle,"
                "rel_err_predicted,rel_err_oracle,status", _lines(rows))
+    clock.lap("write")
     derived = {"n_momentum_nodes": 1 << b.n_p,
                "tolerance_vs_law": BIAS_TOLERANCE_LAW,
                "tolerance_vs_oracle": BIAS_TOLERANCE_ORACLE}
@@ -252,11 +292,12 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path):
         ["bias_check.csv"]
 
 
-def _run_oracle(cfg: RunConfig, out_dir: Path):
+def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     o = cfg.oracle
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
     t_ha = kelvin_to_hartree(o.t_kelvin)
+    clock.lap("tables")
     if o.kind == "langevin":
         ens = langevin_ensemble(pes, mu, o.gamma_au, t_ha, o.dt_au,
                                 o.n_steps, o.n_traj, cfg.seed, o.r0_bohr,
@@ -266,7 +307,9 @@ def _run_oracle(cfg: RunConfig, out_dir: Path):
                                    (o.r_min_bohr, o.r_max_bohr))
         ens = verlet_ensemble(pes, mu, r0, p0, o.dt_au, o.n_steps,
                               o.record_every)
+    clock.lap("propagate")
     t_kin_kelvin = hartree_to_kelvin(np.mean(ens.P ** 2, axis=1) / mu)
+    clock.lap("readout")
     _write_csv(out_dir / "oracle_summary.csv", "t_au,mean_R_bohr,T_kin_K",
                _lines(zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin)))
     outputs = ["oracle_summary.csv"]
@@ -277,6 +320,7 @@ def _run_oracle(cfg: RunConfig, out_dir: Path):
         _write_csv(out_dir / "trajectories.csv", "traj_id,t_au,R_bohr,P_au",
                    _lines(zip(ids, times, ens.R.ravel(), ens.P.ravel())))
         outputs.append("trajectories.csv")
+    clock.lap("write")
     return EXIT_OK, {"n_records": len(ens.times)}, outputs
 
 
@@ -298,8 +342,32 @@ def _sha256(path: Path) -> str:
     return f"sha256:{digest}"
 
 
+def _warning_summary(caught) -> list[dict]:
+    """Category, count and first message of the warnings raised."""
+    summary: dict[str, dict] = {}
+    for w in caught:
+        entry = summary.setdefault(w.category.__name__, {
+            "category": w.category.__name__, "count": 0,
+            "first_message": str(w.message)})
+        entry["count"] += 1
+    return list(summary.values())
+
+
+def _reemit(caught) -> None:
+    """Show recorded warnings as the active filters would have.
+
+    One registry for the run keeps the default once-per-location
+    printing of repeats.
+    """
+    registry: dict = {}
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               registry=registry)
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, derived: dict,
-                    outputs: list[str], wall_seconds: float) -> None:
+                    outputs: list[str], wall_seconds: float,
+                    timings: dict, warning_summary: list[dict]) -> None:
     manifest = {
         "mode": cfg.mode,
         "config": _resolved_config(cfg),
@@ -307,6 +375,8 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, derived: dict,
         "versions": {"kvnmd": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "wall_time_seconds": wall_seconds,
+        "timings": timings,
+        "warnings": warning_summary,
         "outputs": {name: _sha256(out_dir / name) for name in outputs},
     }
     (out_dir / "manifest.json").write_text(
@@ -337,16 +407,23 @@ def main(argv=None) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    try:
-        code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir)
-    except _CONFIG_CLASS_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KvnError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    clock = _PhaseClock()
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir, clock)
+        except _CONFIG_CLASS_ERRORS as exc:
+            failure = EXIT_CONFIG, f"config error: {exc}"
+        except KvnError as exc:
+            failure = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    _reemit(caught)
+    if failure is not None:
+        print(failure[1], file=sys.stderr)
+        return failure[0]
     wall = time.perf_counter() - start
-    _write_manifest(out_dir, cfg, derived, outputs, wall)
+    _write_manifest(out_dir, cfg, derived, outputs, wall, clock.seconds,
+                    _warning_summary(caught))
     return code
 
 

@@ -12,6 +12,7 @@ fs/angstrom/kelvin columns ready for plotting.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +72,12 @@ def kl_divergence(rho: np.ndarray, rho_eq: np.ndarray, cell: float) -> float:
 
 @dataclass
 class RelaxationTrace:
-    """Per-record monitor series of one relaxation run."""
+    """Per-record monitor series of one relaxation run.
+
+    Besides the series it keeps the largest friction leak and the
+    smallest filter success probability over all completed steps, and
+    the wall time spent computing the monitors.
+    """
 
     time_fs: list[float] = field(default_factory=list)
     mean_r_angstrom: list[float] = field(default_factory=list)
@@ -79,6 +85,9 @@ class RelaxationTrace:
     d_kl_nats: list[float] = field(default_factory=list)
     cum_success_prob: list[float] = field(default_factory=list)
     collapsed: bool = False
+    friction_leak_max: float = 0.0
+    success_probability_min: float = 1.0
+    monitor_seconds: float = 0.0
 
     def append(self, t_fs, r_ang, t_kin, d_kl, cum_p):
         self.time_fs.append(t_fs)
@@ -93,38 +102,45 @@ class RelaxationTrace:
 
 def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
           n_steps: int, record_every: int = 1,
-          snapshot_steps: tuple[int, ...] = ()) \
+          snapshot_steps: tuple[int, ...] = (),
+          stepper: LangevinStepper | None = None) \
         -> tuple[RelaxationTrace, KvnState, dict[int, np.ndarray]]:
     """Drive the thermostated step and record the relaxation monitors.
 
     Records at step 0, every `record_every` steps, and the final step.
     A filter collapse truncates the trace at the last completed step and
     sets the collapsed flag instead of propagating. Snapshot densities
-    are taken at the requested step indices. The amplitude table rests
-    in the (k_R, P) basis of the stepping core and is transformed back
-    to (R, P) only where a record or a snapshot reads it.
+    are taken at the requested step indices. The amplitude rests in the
+    half-spectrum layout of the stepping core and is transformed back to
+    (R, P) only where a record or a snapshot reads it; a real initial
+    table stays real. `stepper` may be passed prebuilt for (initial.grid,
+    pes, params).
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
     grid = initial.grid
-    stepper = LangevinStepper(grid, pes, params)
+    if stepper is None:
+        stepper = LangevinStepper(grid, pes, params)
     rho_eq = canonical_reference(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
     snapshots: dict[int, np.ndarray] = {}
     state = initial
-    a = np.fft.fft(initial.amplitudes, axis=0, norm="ortho")
+    a = stepper.to_half_spectra(initial.amplitudes)
     log_cum = 0.0
 
     def to_rp() -> KvnState:
-        return KvnState(np.fft.ifft(a, axis=0, norm="ortho"), Basis.RP, grid)
+        return KvnState(stepper.from_half_spectra(a, np.float64), Basis.RP,
+                        grid)
 
     def record(step: int):
+        start = time.perf_counter()
         trace.append(step * params.dt * FS_PER_AU_TIME,
                      bohr_to_angstrom(mean_R(state)),
                      hartree_to_kelvin(kinetic_temperature(state, params.mu)),
                      kl_divergence(density(state), rho_eq, grid.cell),
                      math.exp(log_cum))
+        trace.monitor_seconds += time.perf_counter() - start
 
     record(0)
     last_recorded = 0
@@ -140,6 +156,10 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
             trace.collapsed = True
             break
         log_cum += report.log_success
+        trace.friction_leak_max = max(trace.friction_leak_max,
+                                      report.friction_leak)
+        trace.success_probability_min = min(trace.success_probability_min,
+                                            report.success_probability)
         recording = step % record_every == 0 or step == n_steps
         if recording or step in snapshot_steps:
             state = to_rp()

@@ -37,6 +37,10 @@ class NonFiniteAmplitudeError(KvnError):
     """A state norm or a filter yield came out NaN or infinite."""
 
 
+class MemoryBudgetError(KvnError):
+    """Operator tables and working state would not fit in physical memory."""
+
+
 class ConvergenceError(KvnError):
     """An iterative procedure failed to reach its stopping criterion."""
 

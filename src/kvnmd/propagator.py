@@ -1,11 +1,10 @@
 """One thermostated phase-space step: transport, friction, momentum filter.
 
-The stepping core works on raw complex128 tables that rest in the
-(k_R, P) representation between steps. The conservative part advances
-the amplitude along classical characteristics with a symmetric split
-step: half drift (diagonal in (k_R, P)), full force kick (diagonal in
-(R, k_P)), half drift. Both factors are pure phases, so the step is
-exactly unitary and its splitting error is second order in dt.
+The conservative part advances the amplitude along classical
+characteristics with a symmetric split step: half drift (diagonal in
+(k_R, P)), full force kick (diagonal in (R, k_P)), half drift. Both
+factors are pure phases, so the step is exactly unitary and its
+splitting error is second order in dt.
 
 Friction contracts momentum by rescaling the amplitude's P argument,
 psi(R, P) -> e^{s/2} psi(R, e^s P) with s = gamma*dt, realized by
@@ -20,20 +19,32 @@ relation sigma_H^2 = 2 mu T_int (1 - e^{-2s}), where the internal
 temperature T_int = T_phys / (1 + tanh(s)/2) pre-compensates the
 second-order kinetic bias of the cosine filter.
 
-Friction and the filter act on the momentum axis alone, so they commute
-with the R-axis transform and run directly on the k_R rows. The
-resampling table is stored fused with the P -> k_P transform, which maps
-P rows straight to the k_P rows the filter needs; all transforms are
-orthonormal, so the friction leak and the filter yield are the same in
-every representation. One Langevin step is half drift, ifft_R, fft_P,
-kick, ifft_P, fft_R, half drift, fused friction, filter, ifft_P: five
-FFTs, two of them along the strided R axis. Chains of conservative
-steps fuse adjacent half drifts into full drifts (Strang splitting).
+All three blocks are real operators: they map a real amplitude, such as
+the canonical sqrt(rho), to a real one. For transport this holds on the
+grid only with the zero-phase Nyquist convention: the Nyquist wavenumber
+-pi/d has no partner +pi/d on an even grid, so the drift and kick tables
+use 0 there (multiplier exactly 1), as in spectral differentiation of
+odd order. Transport then commutes with complex conjugation and stays
+exactly unitary. The friction interpolant and the cosine filter are even
+in k and need no such choice.
+
+`NvePropagator` keeps complex full tables for the conservative chains
+behind the spectral readout. `LangevinStepper` works on real tables: a
+real state is a stack of one, a complex one the stack (Re, Im) with one
+shared normalization. Between steps the stack rests as rfft_R half
+spectra, shape (S, N_R//2 + 1, N_P), and a step is half drift, irfft_R,
+rfft_P, kick, irfft_P, rfft_R, half drift, then friction and filter on
+the (Re, Im) planes of those rows: the real P -> P resampling table,
+rfft_P, cosine filter, irfft_P. The half tables are rows (columns)
+0..N/2 of the full ones. All transforms are orthonormal, so norms keep
+their meaning in every representation once the half-spectrum rows carry
+the Hermitian weights 1, 2, ..., 2, 1.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +53,8 @@ import numpy as np
 from .electronic import PesModel, tabulate_pes
 from .errors import (BasisMismatchError, BoundaryLeakWarning,
                      ConfigurationError, ConvergenceError, FilterBandWarning,
-                     FilterCollapseError, NonFiniteAmplitudeError)
+                     FilterCollapseError, MemoryBudgetError,
+                     NonFiniteAmplitudeError)
 from .grid import Basis, KvnState, PhaseSpaceGrid
 
 BOUNDARY_LEAK_TOLERANCE = 1e-3
@@ -100,17 +112,80 @@ def calibrate(mu: float, gamma: float, dt: float, t_phys: float,
                           t_int=t_int, sigma_h=sigma_h, correction=correction)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of the host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _preflight(owner: str, need: int) -> None:
+    """Refuse an operator whose tables and working state cannot fit."""
+    have = _physical_memory()
+    if need > have:
+        raise MemoryBudgetError(
+            f"{owner} needs about {need / 2 ** 30:.1f} GiB for its tables "
+            f"and two working copies of the state, more than the "
+            f"{have / 2 ** 30:.1f} GiB of physical memory; use fewer qubits")
+
+
+def _state_bytes(grid: PhaseSpaceGrid) -> int:
+    """Two working copies of a complex128 (R, P) amplitude table."""
+    n_r, n_p = grid.shape
+    return 2 * 16 * n_r * n_p
+
+
+def _zero_nyquist(k: np.ndarray) -> np.ndarray:
+    """Copy of an FFT-ordered wavenumber axis with its Nyquist entry 0."""
+    k = k.copy()
+    k[len(k) // 2] = 0.0
+    return k
+
+
+def _phase_tables(grid: PhaseSpaceGrid, force: np.ndarray, mu: float,
+                  dt: float, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Half-drift (k_R, P) and kick (R, k_P) phase tables.
+
+    With `half` the tables keep only the rows (columns) 0..N/2 that an
+    rfft along R (P) produces.
+    """
+    k_r, k_p = _zero_nyquist(grid.k_R), _zero_nyquist(grid.k_P)
+    if half:
+        n_r, n_p = grid.shape
+        k_r, k_p = k_r[:n_r // 2 + 1], k_p[:n_p // 2 + 1]
+    return (np.exp(-0.5j * dt * np.outer(k_r, grid.P) / mu),
+            np.exp(-1j * dt * np.outer(force, k_p)))
+
+
+def _hermitian_weights(n: int) -> np.ndarray:
+    """Parseval weights 1, 2, ..., 2, 1 of the n//2 + 1 rfft rows, n even."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _norm2(x: np.ndarray, row_weights: np.ndarray) -> float:
+    """sum_i w_i sum_j |x_ij|^2 over the contiguous P rows x[..., i, :]."""
+    v = x.view(np.float64)  # a complex row reads as (re, im) pairs
+    return float(np.sum(np.einsum("...ij,...ij->...i", v, v) @ row_weights))
+
+
 class NvePropagator:
     """Precomputed phase tables for the conservative step at fixed dt."""
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel, mu: float,
                  dt: float):
+        _preflight("NvePropagator", self.memory_estimate(grid))
         self.grid = grid
         self.mu = mu
         self.dt = dt
         _, self.force = tabulate_pes(pes, grid.R)
-        self.half_drift = np.exp(-0.5j * dt * np.outer(grid.k_R, grid.P) / mu)
-        self.kick = np.exp(-1j * dt * np.outer(self.force, grid.k_P))
+        self.half_drift, self.kick = _phase_tables(grid, self.force, mu, dt,
+                                                   half=False)
+
+    @staticmethod
+    def memory_estimate(grid: PhaseSpaceGrid) -> int:
+        """Bytes of the two complex phase tables plus the working state."""
+        n_r, n_p = grid.shape
+        return 2 * 16 * n_r * n_p + _state_bytes(grid)
 
     def _kick(self, a: np.ndarray) -> None:
         """Force kick on a (k_R, P) table, in place."""
@@ -161,13 +236,14 @@ class NvePropagator:
         return corr
 
 
-def _friction_norm(b: np.ndarray, cell: float) -> tuple[float, float]:
-    """Squared norm and boundary leak |1 - norm^2| of a dilated table.
+def _friction_norm(b: np.ndarray, row_weights: np.ndarray) \
+        -> tuple[float, float]:
+    """Squared norm and boundary leak |1 - norm^2| of dilated rows.
 
     Warns when the leak exceeds BOUNDARY_LEAK_TOLERANCE: the packet is
     being squeezed against the momentum-grid edge.
     """
-    n2 = float(np.vdot(b, b).real) * cell
+    n2 = _norm2(b, row_weights)
     if not math.isfinite(n2):
         raise NonFiniteAmplitudeError(
             f"friction output has non-finite norm {n2}")
@@ -192,14 +268,14 @@ class FrictionOperator:
     makes the interpolant the real periodic sinc
     D(x) = sin(pi x) cot(pi x / n) / n between node k and abscissa u_j.
 
-    `matrix` stores that table fused with the P -> k_P transform,
-    G = e^{s/2} fft_1(D(u_j - k), ortho), so that rows @ G takes P rows
-    to the k_P rows of the dilated table.
+    `matrix` is that real P -> P table with the e^{s/2} amplitude factor,
+    so that rows @ matrix are the dilated P rows.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, s: float):
         if s < 0:
             raise ConfigurationError("gamma*dt must be nonnegative")
+        _preflight("FrictionOperator", self.memory_estimate(grid))
         self.grid = grid
         self.s = s
         if s == 0.0:
@@ -222,8 +298,14 @@ class FrictionOperator:
         d[1::2] *= -1.0
         d[on_node] = n
         d[:, ~valid] = 0.0
-        self.matrix = np.fft.fft(d, axis=1, norm="ortho")
-        self.matrix *= math.exp(0.5 * s) / n
+        d *= math.exp(0.5 * s) / n
+        self.matrix = d
+
+    @staticmethod
+    def memory_estimate(grid: PhaseSpaceGrid) -> int:
+        """Bytes of the real N_P x N_P table plus the working state."""
+        n_p = grid.shape[1]
+        return 8 * n_p * n_p + _state_bytes(grid)
 
     def apply(self, state: KvnState) -> tuple[KvnState, float]:
         """The renormalized state and the boundary leak |1 - norm^2|."""
@@ -231,32 +313,55 @@ class FrictionOperator:
             raise ConfigurationError("friction acts in the (R, P) representation")
         if self.matrix is None:
             return state.copy(), 0.0
-        b = state.amplitudes @ self.matrix
-        n2, leak = _friction_norm(b, state.grid.cell)
-        np.fft.ifft(b, axis=1, norm="ortho", out=b)
+        b = _dilate(state.amplitudes.copy(), self.matrix)
+        n2, leak = _friction_norm(
+            b, np.full(state.grid.shape[0], state.grid.cell))
         b *= 1.0 / math.sqrt(n2)
         return KvnState(b, Basis.RP, state.grid), leak
 
 
-def _filtered(a: np.ndarray, friction: np.ndarray | None,
-              cos_filter: np.ndarray, weight: float) \
-        -> tuple[np.ndarray, StepReport]:
-    """Friction, cosine filter and renormalization of rows of P amplitudes.
+def _dilate(x: np.ndarray, friction: np.ndarray) -> np.ndarray:
+    """x @ friction for rows over P; complex rows are overwritten.
 
-    The rows may be R rows or k_R rows: both blocks act on the P axis
-    alone. `friction` is FrictionOperator.matrix (None for s = 0) and
-    `weight` the quadrature weight of one table entry. Returns the
-    renormalized rows, again over P. Without friction `a` is transformed
-    in place; with it `a` is left as it was.
+    The real and imaginary planes of complex rows go through a real
+    matrix product each, half the work of one complex product.
     """
+    if not np.iscomplexobj(x):
+        return x @ friction
+    re = x.real @ friction
+    x.imag = x.imag @ friction
+    x.real = re
+    return x
+
+
+def _filtered(x: np.ndarray, friction: np.ndarray | None,
+              cos_filter: np.ndarray, row_weights: np.ndarray) \
+        -> tuple[np.ndarray, StepReport]:
+    """Friction, cosine filter and renormalization of rows over P.
+
+    x[..., i, :] are real or complex rows over P, row i carrying the
+    quadrature weight row_weights[i]; both blocks act on the P axis
+    alone, so the rows may be R rows or half-spectrum k_R rows.
+    `friction` is FrictionOperator.matrix (None for s = 0) and
+    `cos_filter` the filter over k_P; real rows take the rfft_P half of
+    it. `x` is overwritten; returns the renormalized rows over P, of the
+    same dtype.
+    """
+    n_p = x.shape[-1]
     if friction is None:
-        b = np.fft.fft(a, axis=1, norm="ortho", out=a)
         n2, leak = 1.0, 0.0
     else:
-        b = a @ friction
-        n2, leak = _friction_norm(b, weight)
-    b *= cos_filter
-    kept = float(np.vdot(b, b).real) * weight
+        x = _dilate(x, friction)
+        n2, leak = _friction_norm(x, row_weights)
+    if np.iscomplexobj(x):
+        np.fft.fft(x, axis=-1, norm="ortho", out=x)
+        x *= cos_filter
+        b = np.fft.ifft(x, axis=-1, norm="ortho", out=x)
+    else:
+        z = np.fft.rfft(x, axis=-1, norm="ortho")
+        z *= cos_filter[:n_p // 2 + 1]  # cos is even: same Nyquist bin
+        b = np.fft.irfft(z, n_p, axis=-1, norm="ortho", out=x)
+    kept = _norm2(b, row_weights)
     p_success = kept / n2
     if not math.isfinite(p_success):
         raise NonFiniteAmplitudeError(
@@ -266,7 +371,6 @@ def _filtered(a: np.ndarray, friction: np.ndarray | None,
             f"filter success probability {p_success:.3e} below "
             f"{FILTER_COLLAPSE_FLOOR:.0e}")
     b *= 1.0 / math.sqrt(kept)  # dividing runs numpy's slow complex loop
-    np.fft.ifft(b, axis=1, norm="ortho", out=b)
     return b, StepReport(success_probability=p_success,
                          log_success=math.log(p_success),
                          friction_leak=leak)
@@ -277,26 +381,33 @@ def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepRepor
     if state.basis is not Basis.RP:
         raise BasisMismatchError(
             f"the filter expects the (R, P) basis, got {state.basis}")
+    g = state.grid
     amp, report = _filtered(state.amplitudes.copy(), None,
-                             np.cos(sigma_h * state.grid.k_P), state.grid.cell)
-    return KvnState(amp, Basis.RP, state.grid), report
+                            np.cos(sigma_h * g.k_P),
+                            np.full(g.shape[0], g.cell))
+    return KvnState(amp, Basis.RP, g), report
 
 
 class LangevinStepper:
     """Fused step with all operator tables built once.
 
     Order per step: conservative transport, friction, diffusion filter,
-    renormalization. `advance` is the array-level core on (k_R, P)
-    tables; `step` wraps it for (R, P) states.
+    renormalization. `advance` is the array-level core on the resting
+    layout, a stack of rfft_R half spectra (see `to_half_spectra`);
+    `step` wraps it for (R, P) states.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
                  params: LangevinParams):
+        _preflight("LangevinStepper", self.memory_estimate(grid))
         self.grid = grid
         self.params = params
-        self.nve = NvePropagator(grid, pes, params.mu, params.dt)
+        _, force = tabulate_pes(pes, grid.R)
+        self.half_drift, self.kick = _phase_tables(grid, force, params.mu,
+                                                   params.dt, half=True)
         self.friction = FrictionOperator(grid, params.s)
         self.cos_filter = np.cos(params.sigma_h * grid.k_P)
+        self.row_weights = grid.cell * _hermitian_weights(grid.shape[0])
         # transport shears density into high k_P; if the filter argument
         # leaves the first quarter-wave there, |cos| ~ 1 lobes let that
         # content survive and alias instead of diffusing away, which can
@@ -309,19 +420,53 @@ class LangevinStepper:
                 f"dP >= 2*sigma_H = {2.0 * params.sigma_h:.3g} or reduce "
                 f"the step", FilterBandWarning)
 
+    @staticmethod
+    def memory_estimate(grid: PhaseSpaceGrid) -> int:
+        """Bytes of the half phase tables, the friction table and the state."""
+        n_r, n_p = grid.shape
+        half_tables = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
+        return half_tables + FrictionOperator.memory_estimate(grid)
+
+    def to_half_spectra(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Resting layout of an (R, P) table: rfft_R of its real stack.
+
+        The stack is (Re,) when the table has no imaginary part and
+        (Re, Im) otherwise, so the layout is (S, N_R//2 + 1, N_P).
+        """
+        if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
+            planes = np.stack((amplitudes.real, amplitudes.imag))
+        else:
+            planes = amplitudes.real[None]
+        return np.fft.rfft(planes, axis=-2, norm="ortho")
+
+    def from_half_spectra(self, a: np.ndarray, dtype=np.complex128) \
+            -> np.ndarray:
+        """(R, P) table of a resting stack; a stack of one has `dtype`."""
+        planes = np.fft.irfft(a, self.grid.shape[0], axis=-2, norm="ortho")
+        if len(planes) == 1:
+            return planes[0].astype(dtype, copy=False)
+        return planes[0] + 1j * planes[1]
+
     def advance(self, a: np.ndarray) -> tuple[np.ndarray, StepReport]:
-        """One step of a (k_R, P) table; returns a new table, `a` is kept."""
-        return _filtered(self.nve.transport(a), self.friction.matrix,
-                          self.cos_filter, self.grid.cell)
+        """One step of a resting stack; returns a new stack, `a` is kept."""
+        n_r, n_p = self.grid.shape
+        b = a * self.half_drift
+        x = np.fft.irfft(b, n_r, axis=-2, norm="ortho")
+        y = np.fft.rfft(x, axis=-1, norm="ortho")
+        y *= self.kick
+        np.fft.irfft(y, n_p, axis=-1, norm="ortho", out=x)
+        np.fft.rfft(x, axis=-2, norm="ortho", out=b)
+        b *= self.half_drift
+        return _filtered(b, self.friction.matrix, self.cos_filter,
+                         self.row_weights)
 
     def step(self, state: KvnState) -> tuple[KvnState, StepReport]:
         if state.basis is not Basis.RP:
             raise BasisMismatchError(
                 f"the step expects the (R, P) basis, got {state.basis}")
-        a, report = self.advance(
-            np.fft.fft(state.amplitudes, axis=0, norm="ortho"))
-        np.fft.ifft(a, axis=0, norm="ortho", out=a)
-        return KvnState(a, Basis.RP, state.grid), report
+        a, report = self.advance(self.to_half_spectra(state.amplitudes))
+        amplitudes = self.from_half_spectra(a, state.amplitudes.dtype)
+        return KvnState(amplitudes, Basis.RP, state.grid), report
 
 
 def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
@@ -330,23 +475,25 @@ def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
     """Measure the stationary kinetic-temperature bias of the thermostat.
 
     Runs friction + diffusion only (no transport, so the potential is
-    irrelevant and R is a spectator axis: one row, weighted as all of
-    them) from a Maxwell packet at T_int until the kinetic temperature
-    is stationary: relative change below rel_tol across a `window`-step
-    window. Returns the relative deviation of T_kin from T_int.
+    irrelevant and R is a spectator axis: one real row, weighted as all
+    of them) from a Maxwell packet at T_int until the kinetic
+    temperature is stationary: relative change below rel_tol across a
+    `window`-step window. Returns the relative deviation of T_kin from
+    T_int.
     """
     friction = FrictionOperator(grid, params.s)
     cos_filter = np.cos(params.sigma_h * grid.k_P)
     weight = grid.shape[0] * grid.cell
 
     p_sq = grid.P[None, :] ** 2
-    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int)).astype(complex)
-    row /= np.sqrt(np.sum(np.abs(row) ** 2) * weight)
+    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int))
+    row /= np.sqrt(np.sum(row * row) * weight)
 
     history = []
     for step in range(1, n_steps_max + 1):
-        row, _ = _filtered(row, friction.matrix, cos_filter, weight)
-        t_kin = float(np.sum(np.abs(row) ** 2 * p_sq) * weight / params.mu)
+        row, _ = _filtered(row, friction.matrix, cos_filter,
+                           np.array([weight]))
+        t_kin = float(np.sum(row * row * p_sq) * weight / params.mu)
         history.append(t_kin)
         if step > window:
             if abs(history[-1] - history[-1 - window]) < rel_tol * history[-1]:

@@ -7,7 +7,8 @@ powers of the conservative one-step propagator. Because that propagator
 is unitary, the full distribution follows from the autocorrelation
 sequence c_d = <alpha|U^d|alpha> alone, so the sweep over 2^m readout
 bins costs 2^m propagator applications, O(1) state memory and one
-length-2^m FFT.
+length-2^m FFT. U is a real operator, so for a real equilibrium state
+the minus branch follows from the plus chain by complex conjugation.
 
 A classical reference pipeline turns trajectory ensembles into a spectrum
 on the identical bin grid: windowed correlation transform, folding into
@@ -182,14 +183,48 @@ def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
     return np.maximum(prob, 0.0)
 
 
+def readout_spectrum(corr: np.ndarray, cfg: QpeConfig, branch: str,
+                     branch_weight: float = 1.0) -> SpectrumResult:
+    """Bin-resolved readout of one branch from its autocorrelation."""
+    return SpectrumResult(omega_au=cfg.bin_centers(),
+                          prob=qpe_distribution(corr, cfg), branch=branch,
+                          branch_weight=branch_weight)
+
+
+def readout_propagator(grid, pes: PesModel, mu: float,
+                       cfg: QpeConfig) -> NvePropagator:
+    """The one-step propagator of the readout: tau / inner_steps."""
+    return NvePropagator(grid, pes, mu, cfg.tau / cfg.inner_steps)
+
+
 def qpe_spectrum(state: KvnState, pes: PesModel, mu: float,
                  cfg: QpeConfig, branch_weight: float = 1.0) -> SpectrumResult:
     """Readout distribution of the conservative evolution of `state`."""
-    prop = NvePropagator(state.grid, pes, mu, cfg.tau / cfg.inner_steps)
+    prop = readout_propagator(state.grid, pes, mu, cfg)
     corr = prop.autocorrelation(state.amplitudes, cfg.n_bins, cfg.inner_steps)
-    return SpectrumResult(omega_au=cfg.bin_centers(),
-                          prob=qpe_distribution(corr, cfg),
-                          branch=cfg.branch, branch_weight=branch_weight)
+    return readout_spectrum(corr, cfg, cfg.branch, branch_weight)
+
+
+def branch_autocorrelations(eq_state: KvnState, prop: NvePropagator,
+                            omega_ref: float, cfg: QpeConfig):
+    """Readout autocorrelations of both rotating branches of eq_state.
+
+    Returns (c_plus, c_minus, (weight_plus, weight_minus)) for the
+    propagator `prop` (see `readout_propagator`). Transport is a real
+    operator, so for a real equilibrium amplitude alpha_minus =
+    conj(alpha_plus) and c_minus(d) = conj(c_plus(d)): only the plus
+    chain is propagated. A state with an imaginary part propagates both.
+    """
+    alpha_p, alpha_m, weights = prepare_branch_states(eq_state, omega_ref,
+                                                      prop.mu)
+    corr_p = prop.autocorrelation(alpha_p.amplitudes, cfg.n_bins,
+                                  cfg.inner_steps)
+    if np.any(eq_state.amplitudes.imag):
+        corr_m = prop.autocorrelation(alpha_m.amplitudes, cfg.n_bins,
+                                      cfg.inner_steps)
+    else:
+        corr_m = corr_p.conj()
+    return corr_p, corr_m, weights
 
 
 def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
@@ -197,14 +232,11 @@ def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
     """Prepare both branches of eq_state and read each one out."""
     if omega_ref is None:
         omega_ref = reference_frequency(pes, mu, eq_state.grid.R)
-    alpha_p, alpha_m, (w_p, w_m) = prepare_branch_states(eq_state, omega_ref, mu)
-    plus = qpe_spectrum(alpha_p, pes, mu,
-                        QpeConfig(cfg.m, cfg.tau, cfg.omega_shift, "plus",
-                                  cfg.inner_steps), branch_weight=w_p)
-    minus = qpe_spectrum(alpha_m, pes, mu,
-                         QpeConfig(cfg.m, cfg.tau, cfg.omega_shift, "minus",
-                                   cfg.inner_steps), branch_weight=w_m)
-    return plus, minus
+    prop = readout_propagator(eq_state.grid, pes, mu, cfg)
+    corr_p, corr_m, (w_p, w_m) = branch_autocorrelations(eq_state, prop,
+                                                         omega_ref, cfg)
+    return (readout_spectrum(corr_p, cfg, "plus", w_p),
+            readout_spectrum(corr_m, cfg, "minus", w_m))
 
 
 def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,

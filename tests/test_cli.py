@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import kvnmd.cli
-from kvnmd.cli import main
+import kvnmd.propagator
+from kvnmd.cli import PHASES, main
+from kvnmd.errors import BoundaryLeakWarning, FilterBandWarning
 from kvnmd.config import parse_config
 
 MORSE_BLOCK = """
@@ -261,6 +263,41 @@ class TestCliRelax:
         assert "wall_time_seconds" in manifest
         assert manifest["versions"]["numpy"] == np.__version__
 
+    def test_manifest_records_timings_and_step_extremes(self, tmp_path):
+        code, out = run_cli(tmp_path, RELAX_SMALL)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == set(PHASES)
+        assert all(t >= 0.0 for t in timings.values())
+        assert timings["propagate"] > 0.0 and timings["readout"] > 0.0
+        assert sum(timings.values()) <= manifest["wall_time_seconds"]
+        assert 0.0 <= manifest["derived"]["friction_leak_max"] < 1e-3
+        assert 0.0 < manifest["derived"]["filter_yield_min"] < 1.0
+        assert manifest["warnings"] == []
+
+    def test_warnings_are_counted_and_still_shown(self, tmp_path):
+        # strong friction: the stepper warns once at build about the
+        # filter band, and a packet launched at the P edge leaks there
+        # for several steps
+        text = RELAX_SMALL.replace("gamma_au = 0.02", "gamma_au = 0.2") \
+            .replace("sigma_p_au = 2.9", "sigma_p_au = 2.9\np0_au = 21.0")
+        with pytest.warns(UserWarning) as shown:
+            code, out = run_cli(tmp_path, text)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        band, leak = manifest["warnings"]
+        assert (band["category"], band["count"]) == ("FilterBandWarning", 1)
+        assert band["first_message"].startswith("filter argument")
+        assert leak["category"] == "BoundaryLeakWarning"
+        assert leak["count"] > 1
+        leaks = [str(w.message) for w in shown
+                 if issubclass(w.category, BoundaryLeakWarning)]
+        assert len(leaks) == leak["count"]
+        assert leak["first_message"] == leaks[0]
+        assert sum(issubclass(w.category, FilterBandWarning)
+                   for w in shown) == 1
+
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = run_cli(tmp_path, RELAX_SMALL, name="a.ini")
         (tmp_path / "out2").mkdir()
@@ -393,6 +430,14 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         for path in out.glob("*.csv"):
             assert "nan" not in path.read_text().lower()
+
+    def test_memory_budget_error_is_exit_2(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory", lambda: 1)
+        code, out = run_cli(tmp_path, RELAX_SMALL)
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_seed_override_changes_sampled_outputs(self, tmp_path):
         cfg = tmp_path / "o.ini"

@@ -7,9 +7,11 @@ import pytest
 
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.electronic import PesModel, morse_pes
+import kvnmd.propagator
 from kvnmd.errors import (BoundaryLeakWarning, ConfigurationError,
                           ConvergenceError, FilterBandWarning,
-                          FilterCollapseError, NonFiniteAmplitudeError)
+                          FilterCollapseError, MemoryBudgetError,
+                          NonFiniteAmplitudeError)
 from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
                         fourier_P, norm_squared)
 from kvnmd.oracles import cos_filter_stationary_bias
@@ -307,9 +309,10 @@ class TestThermostatedStep:
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
         st = encode_gaussian(grid, 1.5, 0.0, 0.1, 2.5)
-        a = np.fft.fft(st.amplitudes, axis=0, norm="ortho")
+        stepper = LangevinStepper(grid, pes, params)
+        a = stepper.to_half_spectra(st.amplitudes)
         kept = a.copy()
-        LangevinStepper(grid, pes, params).advance(a)
+        stepper.advance(a)
         np.testing.assert_array_equal(a, kept)
 
 
@@ -354,3 +357,49 @@ def test_module_stays_silent_on_healthy_inputs():
         warnings.simplefilter("error")
         for _ in range(50):
             st, _ = stepper.step(st)
+
+
+class TestMemoryPreflight:
+    # the probe is patched; no test here allocates a large table
+    @staticmethod
+    def big_grid():
+        return build_grid(14, 14, (0.5, 4.5), (-340.0, 340.0))
+
+    def test_estimates_at_fourteen_qubits(self):
+        grid = self.big_grid()
+        n = 1 << 14
+        state = 2 * 16 * n * n  # two complex128 copies, 8 GiB
+        assert NvePropagator.memory_estimate(grid) == 2 * 16 * n * n + state
+        assert NvePropagator.memory_estimate(grid) == 16 * 2 ** 30
+        assert FrictionOperator.memory_estimate(grid) == 8 * n * n + state
+        half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
+        assert LangevinStepper.memory_estimate(grid) == \
+            half + 8 * n * n + state
+        assert LangevinStepper.memory_estimate(grid) == 15_032_909_824
+
+    @pytest.mark.parametrize("build", [
+        lambda g, pes, p: NvePropagator(g, pes, p.mu, p.dt),
+        lambda g, pes, p: FrictionOperator(g, p.s),
+        lambda g, pes, p: LangevinStepper(g, pes, p),
+    ])
+    def test_refuses_before_allocating(self, monkeypatch, build):
+        grid = self.big_grid()
+        params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                           t_phys=kelvin_to_hartree(947.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: 4 * 2 ** 30)
+        with pytest.raises(MemoryBudgetError, match="GiB"):
+            build(grid, pes, params)
+
+    def test_estimate_at_the_limit_passes(self, monkeypatch):
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        need = NvePropagator.memory_estimate(grid)
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        NvePropagator(grid, pes, 918.0, 0.5)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        with pytest.raises(MemoryBudgetError):
+            NvePropagator(grid, pes, 918.0, 0.5)

@@ -1,10 +1,12 @@
 """Property tests of the array-level stepping core on small random grids.
 
 Each case draws grid sizes 2^3..2^6 per axis and a random complex state,
-then checks the fused core against the composed substep helpers, the
-fused friction table against the dense interpolant followed by the
-momentum transform, the Strang-fused autocorrelation against the unfused
-step loop, and unitarity of the conservative chain.
+then checks the half-spectrum core on its (Re, Im) stack against the
+composed complex substep helpers, the closed-form friction table against
+the dense interpolant, the Strang-fused autocorrelation against the
+unfused step loop, unitarity of the conservative chain, and that
+transport, the thermostated step and the readout branches commute with
+complex conjugation.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from kvnmd.electronic import morse_pes
 from kvnmd.grid import Basis, KvnState, build_grid, norm_squared
 from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               NvePropagator, calibrate, diffusion_step)
+from kvnmd.vdos import prepare_branch_states
 from reference_steps import (dense_friction_table, friction_step, nve_step,
                              step_autocorrelation)
 
@@ -51,12 +54,12 @@ def test_array_core_matches_composed_substeps(n_r, n_p, seed, gamma, dt):
     state = random_state(n_r, n_p, seed)
     params = dataclasses.replace(
         calibrate(MU, 0.02, dt, kelvin_to_hartree(947.0)), gamma=gamma)
-    a = np.fft.fft(state.amplitudes, axis=0, norm="ortho")
     composed = state
     with warnings.catch_warnings():
         # coarse random draws leak at the P edge and may exceed the band
         warnings.simplefilter("ignore")
         stepper = LangevinStepper(state.grid, PES, params)
+        a = stepper.to_half_spectra(state.amplitudes)
         for _ in range(12):
             a, report = stepper.advance(a)
             composed = nve_step(composed, PES, MU, dt)
@@ -64,7 +67,7 @@ def test_array_core_matches_composed_substeps(n_r, n_p, seed, gamma, dt):
             composed, ref = diffusion_step(composed, params.sigma_h)
             assert math.isclose(report.success_probability,
                                 ref.success_probability, rel_tol=1e-12)
-    core = np.fft.ifft(a, axis=0, norm="ortho")
+    core = stepper.from_half_spectra(a)
     assert l2_distance(core, composed.amplitudes, state.grid.cell) < 1e-12
 
 
@@ -74,11 +77,10 @@ def test_array_core_matches_composed_substeps(n_r, n_p, seed, gamma, dt):
 def test_fused_friction_table_matches_dense_interpolant(n_r, n_p, seed, s):
     state = random_state(n_r, n_p, seed)
     a = state.amplitudes
-    dense = math.exp(0.5 * s) * (np.fft.fft(a, axis=1)
-                                 @ dense_friction_table(state.grid, s))
-    expected = np.fft.fft(dense, axis=1, norm="ortho")
-    fused = a @ FrictionOperator(state.grid, s).matrix
-    assert l2_distance(fused, expected, state.grid.cell) < 1e-12
+    expected = math.exp(0.5 * s) * (np.fft.fft(a, axis=1)
+                                    @ dense_friction_table(state.grid, s))
+    closed_form = a @ FrictionOperator(state.grid, s).matrix
+    assert l2_distance(closed_form, expected, state.grid.cell) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -114,3 +116,54 @@ def test_conservative_chain_preserves_norm(n_r, n_p, seed, dt):
     for _ in range(50):
         prop.transport(a, out=a)
     assert abs(np.vdot(a, a).real * state.grid.cell - 1.0) < 1e-12
+
+
+def conjugate(state):
+    return KvnState(state.amplitudes.conj(), state.basis, state.grid)
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, seed=seeds,
+       dt=st.floats(min_value=0.1, max_value=5.0))
+def test_conservative_step_commutes_with_conjugation(n_r, n_p, seed, dt):
+    state = random_state(n_r, n_p, seed)
+    prop = NvePropagator(state.grid, PES, MU, dt)
+    of_conj = prop.step(conjugate(state))
+    conj_of = prop.step(state).amplitudes.conj()
+    assert l2_distance(of_conj.amplitudes, conj_of, state.grid.cell) < 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, seed=seeds,
+       gamma=st.sampled_from([0.0, 0.02, 0.1]),
+       dt=st.floats(min_value=0.1, max_value=2.0))
+def test_langevin_step_commutes_with_conjugation(n_r, n_p, seed, gamma, dt):
+    state = random_state(n_r, n_p, seed)
+    params = dataclasses.replace(
+        calibrate(MU, 0.02, dt, kelvin_to_hartree(947.0)), gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stepper = LangevinStepper(state.grid, PES, params)
+        of_conj, report_conj = stepper.step(conjugate(state))
+        conj_of, report = stepper.step(state)
+    assert l2_distance(of_conj.amplitudes, conj_of.amplitudes.conj(),
+                       state.grid.cell) < 1e-13
+    assert math.isclose(report_conj.success_probability,
+                        report.success_probability, rel_tol=1e-13)
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, seed=seeds,
+       dt=st.floats(min_value=0.1, max_value=5.0),
+       n_lags=st.integers(min_value=2, max_value=12),
+       stride=st.integers(min_value=1, max_value=3))
+def test_minus_branch_autocorrelation_is_conjugate(n_r, n_p, seed, dt,
+                                                   n_lags, stride):
+    grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
+    eq = np.abs(random_state(n_r, n_p, seed).amplitudes)
+    state = KvnState(eq.astype(complex), Basis.RP, grid)
+    alpha_p, alpha_m, _ = prepare_branch_states(state, 0.02, MU)
+    prop = NvePropagator(grid, PES, MU, dt)
+    c_plus = prop.autocorrelation(alpha_p.amplitudes, n_lags, stride)
+    c_minus = prop.autocorrelation(alpha_m.amplitudes, n_lags, stride)
+    np.testing.assert_allclose(c_minus, c_plus.conj(), rtol=0.0, atol=1e-12)

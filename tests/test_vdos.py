@@ -264,6 +264,25 @@ class TestQpeSpectrum:
         mirrored = plus.prob[(-np.arange(m_bins)) % m_bins]
         np.testing.assert_allclose(minus.prob, mirrored, atol=1e-10)
 
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_branch_spectra_match_propagated_branches(self, phase):
+        # a real state reads the minus branch off the plus chain by
+        # conjugation; a state with a phase field is propagated branch by
+        # branch
+        cfg = QpeConfig(m=5, tau=20.0, inner_steps=2)
+        grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
+        eq = thermal_state(grid, harmonic(), kelvin_to_hartree(300.0))
+        field = np.cos(3.0 * grid.R[:, None] + 0.2 * grid.P[None, :])
+        eq = KvnState(eq.amplitudes * np.exp(1j * phase * field), Basis.RP,
+                      grid)
+        plus, minus = branch_spectra(eq, harmonic(), MU, cfg, omega_ref=W0)
+        alpha_p, alpha_m, _ = prepare_branch_states(eq, W0, MU)
+        direct_p = qpe_spectrum(alpha_p, harmonic(), MU, cfg)
+        direct_m = qpe_spectrum(alpha_m, harmonic(), MU, cfg)
+        np.testing.assert_allclose(plus.prob, direct_p.prob, atol=1e-12)
+        np.testing.assert_allclose(minus.prob, direct_m.prob, atol=1e-12)
+        assert (minus.branch, plus.branch) == ("minus", "plus")
+
     def test_frequency_axis_is_reported_in_wavenumbers(self):
         cfg = QpeConfig(m=3, tau=2.0)
         grid = build_grid(3, 3, (0.0, 1.0), (-1.0, 1.0))
