@@ -4,8 +4,8 @@ Every invocation executes one mode (relax, vdos, tst, bias-check,
 oracle), writes its data series as plot-ready CSVs plus a manifest.json
 recording the resolved configuration, derived parameters, library
 versions, wall time (in total and per phase: tables, propagate, readout,
-write), the warnings raised (category, count, first message) and a
-content hash per output file. Reruns with the same config and seed
+write), the warnings shown under the active filters (category, count,
+first message) and a content hash per output file. Reruns with the same config and seed
 reproduce the CSVs byte for byte; timings go only into the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -37,11 +37,10 @@ from .errors import (BasisMismatchError, ConfigurationError, DomainError,
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
     langevin_ensemble, verlet_ensemble
-from .propagator import LangevinStepper, calibrate, momentum_bias_experiment
+from .propagator import calibrate, momentum_bias_experiment
 from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
     crossing_reference
-from .vdos import QpeConfig, aimd_reference_spectrum, \
-    branch_autocorrelations, readout_propagator, readout_spectrum, \
+from .vdos import QpeConfig, aimd_reference_spectrum, branch_spectra, \
     reference_frequency
 
 EXIT_OK = 0
@@ -119,15 +118,13 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     lv = cfg.langevin
     params = calibrate(cfg.pes.mu_au, lv.gamma_au, lv.dt_au,
                        kelvin_to_hartree(lv.t_phys_kelvin), lv.correction)
-    stepper = LangevinStepper(grid, pes, params)  # sized before the state
     initial = encode_gaussian(grid, angstrom_to_bohr(cfg.init.r0_angstrom),
                               cfg.init.p0_au, cfg.init.sigma_r_bohr,
                               cfg.init.sigma_p_au)
     clock.lap("tables")
     rl = cfg.relax
     trace, _, snapshots = relax(initial, pes, params, rl.n_steps,
-                                rl.record_every, rl.snapshot_steps,
-                                stepper=stepper)
+                                rl.record_every, rl.snapshot_steps)
     clock.lap("propagate", readout=trace.monitor_seconds)
 
     outputs = ["relax_trace.csv"]
@@ -163,21 +160,16 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     v = cfg.vdos
     base = QpeConfig(m=v.m, tau=v.tau_au, omega_shift=v.omega_shift_au,
                      inner_steps=v.inner_steps)
-    prop = readout_propagator(grid, pes, mu, base)  # sized before the state
     eq = analytic_canonical_state(grid, pes, mu,
                                   kelvin_to_hartree(v.t_kelvin))
     omega_ref = (v.omega_ref_au if v.omega_ref_au is not None
                  else reference_frequency(pes, mu, grid.R))
     clock.lap("tables")
-    corr_plus, corr_minus, (w_plus, w_minus) = branch_autocorrelations(
-        eq, prop, omega_ref, base)
+    plus, minus = branch_spectra(eq, pes, mu, base, omega_ref)
     clock.lap("propagate")
 
-    spectra = []
-    if v.branch in ("plus", "both"):
-        spectra.append(readout_spectrum(corr_plus, base, "plus", w_plus))
-    if v.branch in ("minus", "both"):
-        spectra.append(readout_spectrum(corr_minus, base, "minus", w_minus))
+    spectra = [spec for spec in (plus, minus)
+               if v.branch in (spec.branch, "both")]
     if v.aimd_reference:
         dt_rec = v.tau_au / 8.0
         r0, p0 = canonical_sampler(pes, mu, kelvin_to_hartree(v.t_kelvin),
@@ -200,6 +192,7 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     _write_csv(out_dir / "vdos_spectrum.csv", "omega_cm1,prob,branch",
                _lines(rows))
 
+    w_plus, w_minus = plus.branch_weight, minus.branch_weight
     total = w_plus + w_minus
     meta = {"m": v.m, "tau_au": v.tau_au, "omega_shift_au": v.omega_shift_au,
             "inner_steps": v.inner_steps, "t_kelvin": v.t_kelvin,
@@ -342,27 +335,32 @@ def _sha256(path: Path) -> str:
     return f"sha256:{digest}"
 
 
-def _warning_summary(caught) -> list[dict]:
-    """Category, count and first message of the warnings raised."""
-    summary: dict[str, dict] = {}
-    for w in caught:
-        entry = summary.setdefault(w.category.__name__, {
-            "category": w.category.__name__, "count": 0,
-            "first_message": str(w.message)})
-        entry["count"] += 1
-    return list(summary.values())
+class _WarningTally:
+    """Category, count and first message of the warnings shown in a run.
 
-
-def _reemit(caught) -> None:
-    """Show recorded warnings as the active filters would have.
-
-    One registry for the run keeps the default once-per-location
-    printing of repeats.
+    Hooks `warnings.showwarning` for the run and passes every warning on
+    to the previous hook, so the active filters (error, once, module,
+    ...) act at the point of the warning and stderr is unchanged.
     """
-    registry: dict = {}
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                               registry=registry)
+
+    def __init__(self):
+        self.summary: dict[str, dict] = {}
+
+    def __enter__(self):
+        self._show = warnings.showwarning
+        warnings.showwarning = self._tally
+        return self
+
+    def __exit__(self, *exc) -> None:
+        warnings.showwarning = self._show
+
+    def _tally(self, message, category, filename, lineno, file=None,
+               line=None) -> None:
+        entry = self.summary.setdefault(category.__name__, {
+            "category": category.__name__, "count": 0,
+            "first_message": str(message)})
+        entry["count"] += 1
+        self._show(message, category, filename, lineno, file, line)
 
 
 def _write_manifest(out_dir: Path, cfg: RunConfig, derived: dict,
@@ -408,22 +406,18 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     clock = _PhaseClock()
-    failure = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
+    try:
+        with _WarningTally() as tally:
             code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir, clock)
-        except _CONFIG_CLASS_ERRORS as exc:
-            failure = EXIT_CONFIG, f"config error: {exc}"
-        except KvnError as exc:
-            failure = EXIT_NUMERICAL, f"numerical failure: {exc}"
-    _reemit(caught)
-    if failure is not None:
-        print(failure[1], file=sys.stderr)
-        return failure[0]
+    except _CONFIG_CLASS_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except KvnError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     wall = time.perf_counter() - start
     _write_manifest(out_dir, cfg, derived, outputs, wall, clock.seconds,
-                    _warning_summary(caught))
+                    list(tally.summary.values()))
     return code
 
 

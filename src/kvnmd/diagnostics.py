@@ -102,8 +102,7 @@ class RelaxationTrace:
 
 def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
           n_steps: int, record_every: int = 1,
-          snapshot_steps: tuple[int, ...] = (),
-          stepper: LangevinStepper | None = None) \
+          snapshot_steps: tuple[int, ...] = ()) \
         -> tuple[RelaxationTrace, KvnState, dict[int, np.ndarray]]:
     """Drive the thermostated step and record the relaxation monitors.
 
@@ -112,15 +111,13 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     sets the collapsed flag instead of propagating. Snapshot densities
     are taken at the requested step indices. The amplitude rests in the
     half-spectrum layout of the stepping core and is transformed back to
-    (R, P) only where a record or a snapshot reads it; a real initial
-    table stays real. `stepper` may be passed prebuilt for (initial.grid,
-    pes, params).
+    (R, P) only where a record or a snapshot reads it, with the dtype of
+    the initial table.
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
     grid = initial.grid
-    if stepper is None:
-        stepper = LangevinStepper(grid, pes, params)
+    stepper = LangevinStepper(grid, pes, params)
     rho_eq = canonical_reference(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
@@ -130,8 +127,8 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     log_cum = 0.0
 
     def to_rp() -> KvnState:
-        return KvnState(stepper.from_half_spectra(a, np.float64), Basis.RP,
-                        grid)
+        return KvnState(stepper.from_half_spectra(a, initial.amplitudes.dtype),
+                        Basis.RP, grid)
 
     def record(step: int):
         start = time.perf_counter()

@@ -34,11 +34,11 @@ real state is a stack of one, a complex one the stack (Re, Im) with one
 shared normalization. Between steps the stack rests as rfft_R half
 spectra, shape (S, N_R//2 + 1, N_P), and a step is half drift, irfft_R,
 rfft_P, kick, irfft_P, rfft_R, half drift, then friction and filter on
-the (Re, Im) planes of those rows: the real P -> P resampling table,
-rfft_P, cosine filter, irfft_P. The half tables are rows (columns)
-0..N/2 of the full ones. All transforms are orthonormal, so norms keep
-their meaning in every representation once the half-spectrum rows carry
-the Hermitian weights 1, 2, ..., 2, 1.
+those complex k_R rows: the real P -> P resampling table applied to
+their real and imaginary parts, fft_P, cosine filter, ifft_P. The half
+tables are rows (columns) 0..N/2 of the full ones. All transforms are
+orthonormal, so norms keep their meaning in every representation once
+the half-spectrum rows carry the Hermitian weights 1, 2, ..., 2, 1.
 """
 
 from __future__ import annotations
@@ -112,15 +112,21 @@ def calibrate(mu: float, gamma: float, dt: float, t_phys: float,
                           t_int=t_int, sigma_h=sigma_h, correction=correction)
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory of the host."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _physical_memory() -> int | None:
+    """Bytes of physical memory of the host; None where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on Windows
+        return None
 
 
 def _preflight(owner: str, need: int) -> None:
-    """Refuse an operator whose tables and working state cannot fit."""
+    """Refuse an operator whose tables and working state cannot fit.
+
+    Skipped where the host does not report its physical memory.
+    """
     have = _physical_memory()
-    if need > have:
+    if have is not None and need > have:
         raise MemoryBudgetError(
             f"{owner} needs about {need / 2 ** 30:.1f} GiB for its tables "
             f"and two working copies of the state, more than the "
@@ -275,7 +281,7 @@ class FrictionOperator:
     def __init__(self, grid: PhaseSpaceGrid, s: float):
         if s < 0:
             raise ConfigurationError("gamma*dt must be nonnegative")
-        _preflight("FrictionOperator", self.memory_estimate(grid))
+        _preflight("FrictionOperator", self.memory_estimate(grid, s))
         self.grid = grid
         self.s = s
         if s == 0.0:
@@ -302,10 +308,12 @@ class FrictionOperator:
         self.matrix = d
 
     @staticmethod
-    def memory_estimate(grid: PhaseSpaceGrid) -> int:
-        """Bytes of the real N_P x N_P table plus the working state."""
+    def memory_estimate(grid: PhaseSpaceGrid, s: float) -> int:
+        """Bytes of the real N_P x N_P table (none for s = 0) plus the
+        working state."""
         n_p = grid.shape[1]
-        return 8 * n_p * n_p + _state_bytes(grid)
+        table = 8 * n_p * n_p if s > 0.0 else 0
+        return table + _state_bytes(grid)
 
     def apply(self, state: KvnState) -> tuple[KvnState, float]:
         """The renormalized state and the boundary leak |1 - norm^2|."""
@@ -321,13 +329,11 @@ class FrictionOperator:
 
 
 def _dilate(x: np.ndarray, friction: np.ndarray) -> np.ndarray:
-    """x @ friction for rows over P; complex rows are overwritten.
+    """x @ friction for complex rows over P, overwriting x.
 
-    The real and imaginary planes of complex rows go through a real
-    matrix product each, half the work of one complex product.
+    The real and imaginary planes go through a real matrix product each,
+    half the work of one complex product.
     """
-    if not np.iscomplexobj(x):
-        return x @ friction
     re = x.real @ friction
     x.imag = x.imag @ friction
     x.real = re
@@ -339,28 +345,20 @@ def _filtered(x: np.ndarray, friction: np.ndarray | None,
         -> tuple[np.ndarray, StepReport]:
     """Friction, cosine filter and renormalization of rows over P.
 
-    x[..., i, :] are real or complex rows over P, row i carrying the
-    quadrature weight row_weights[i]; both blocks act on the P axis
-    alone, so the rows may be R rows or half-spectrum k_R rows.
-    `friction` is FrictionOperator.matrix (None for s = 0) and
-    `cos_filter` the filter over k_P; real rows take the rfft_P half of
-    it. `x` is overwritten; returns the renormalized rows over P, of the
-    same dtype.
+    x[..., i, :] are complex rows over P, row i carrying the quadrature
+    weight row_weights[i]; both blocks act on the P axis alone, so the
+    rows may be R rows or half-spectrum k_R rows. `friction` is
+    FrictionOperator.matrix (None for s = 0) and `cos_filter` the filter
+    over k_P. `x` is overwritten; returns the renormalized rows over P.
     """
-    n_p = x.shape[-1]
     if friction is None:
         n2, leak = 1.0, 0.0
     else:
         x = _dilate(x, friction)
         n2, leak = _friction_norm(x, row_weights)
-    if np.iscomplexobj(x):
-        np.fft.fft(x, axis=-1, norm="ortho", out=x)
-        x *= cos_filter
-        b = np.fft.ifft(x, axis=-1, norm="ortho", out=x)
-    else:
-        z = np.fft.rfft(x, axis=-1, norm="ortho")
-        z *= cos_filter[:n_p // 2 + 1]  # cos is even: same Nyquist bin
-        b = np.fft.irfft(z, n_p, axis=-1, norm="ortho", out=x)
+    np.fft.fft(x, axis=-1, norm="ortho", out=x)
+    x *= cos_filter
+    b = np.fft.ifft(x, axis=-1, norm="ortho", out=x)
     kept = _norm2(b, row_weights)
     p_success = kept / n2
     if not math.isfinite(p_success):
@@ -399,7 +397,7 @@ class LangevinStepper:
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
                  params: LangevinParams):
-        _preflight("LangevinStepper", self.memory_estimate(grid))
+        _preflight("LangevinStepper", self.memory_estimate(grid, params.s))
         self.grid = grid
         self.params = params
         _, force = tabulate_pes(pes, grid.R)
@@ -421,11 +419,12 @@ class LangevinStepper:
                 f"the step", FilterBandWarning)
 
     @staticmethod
-    def memory_estimate(grid: PhaseSpaceGrid) -> int:
-        """Bytes of the half phase tables, the friction table and the state."""
+    def memory_estimate(grid: PhaseSpaceGrid, s: float) -> int:
+        """Bytes of the half phase tables, the friction table for
+        s = gamma*dt and the state."""
         n_r, n_p = grid.shape
         half_tables = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
-        return half_tables + FrictionOperator.memory_estimate(grid)
+        return half_tables + FrictionOperator.memory_estimate(grid, s)
 
     def to_half_spectra(self, amplitudes: np.ndarray) -> np.ndarray:
         """Resting layout of an (R, P) table: rfft_R of its real stack.
@@ -475,25 +474,24 @@ def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
     """Measure the stationary kinetic-temperature bias of the thermostat.
 
     Runs friction + diffusion only (no transport, so the potential is
-    irrelevant and R is a spectator axis: one real row, weighted as all
-    of them) from a Maxwell packet at T_int until the kinetic
-    temperature is stationary: relative change below rel_tol across a
-    `window`-step window. Returns the relative deviation of T_kin from
-    T_int.
+    irrelevant and R is a spectator axis: one row, weighted as all of
+    them) from a Maxwell packet at T_int until the kinetic temperature
+    is stationary: relative change below rel_tol across a `window`-step
+    window. Returns the relative deviation of T_kin from T_int.
     """
     friction = FrictionOperator(grid, params.s)
     cos_filter = np.cos(params.sigma_h * grid.k_P)
     weight = grid.shape[0] * grid.cell
 
     p_sq = grid.P[None, :] ** 2
-    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int))
-    row /= np.sqrt(np.sum(row * row) * weight)
+    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int)).astype(complex)
+    row /= np.sqrt(np.sum(np.abs(row) ** 2) * weight)
 
     history = []
     for step in range(1, n_steps_max + 1):
         row, _ = _filtered(row, friction.matrix, cos_filter,
                            np.array([weight]))
-        t_kin = float(np.sum(row * row * p_sq) * weight / params.mu)
+        t_kin = float(np.sum(np.abs(row) ** 2 * p_sq) * weight / params.mu)
         history.append(t_kin)
         if step > window:
             if abs(history[-1] - history[-1 - window]) < rel_tol * history[-1]:

@@ -183,40 +183,29 @@ def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
     return np.maximum(prob, 0.0)
 
 
-def readout_spectrum(corr: np.ndarray, cfg: QpeConfig, branch: str,
-                     branch_weight: float = 1.0) -> SpectrumResult:
-    """Bin-resolved readout of one branch from its autocorrelation."""
-    return SpectrumResult(omega_au=cfg.bin_centers(),
-                          prob=qpe_distribution(corr, cfg), branch=branch,
-                          branch_weight=branch_weight)
-
-
-def readout_propagator(grid, pes: PesModel, mu: float,
-                       cfg: QpeConfig) -> NvePropagator:
-    """The one-step propagator of the readout: tau / inner_steps."""
-    return NvePropagator(grid, pes, mu, cfg.tau / cfg.inner_steps)
-
-
 def qpe_spectrum(state: KvnState, pes: PesModel, mu: float,
                  cfg: QpeConfig, branch_weight: float = 1.0) -> SpectrumResult:
     """Readout distribution of the conservative evolution of `state`."""
-    prop = readout_propagator(state.grid, pes, mu, cfg)
+    prop = NvePropagator(state.grid, pes, mu, cfg.tau / cfg.inner_steps)
     corr = prop.autocorrelation(state.amplitudes, cfg.n_bins, cfg.inner_steps)
-    return readout_spectrum(corr, cfg, cfg.branch, branch_weight)
+    return SpectrumResult(omega_au=cfg.bin_centers(),
+                          prob=qpe_distribution(corr, cfg),
+                          branch=cfg.branch, branch_weight=branch_weight)
 
 
-def branch_autocorrelations(eq_state: KvnState, prop: NvePropagator,
-                            omega_ref: float, cfg: QpeConfig):
-    """Readout autocorrelations of both rotating branches of eq_state.
+def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
+                   cfg: QpeConfig, omega_ref: float | None = None):
+    """Prepare both branches of eq_state and read each one out.
 
-    Returns (c_plus, c_minus, (weight_plus, weight_minus)) for the
-    propagator `prop` (see `readout_propagator`). Transport is a real
-    operator, so for a real equilibrium amplitude alpha_minus =
-    conj(alpha_plus) and c_minus(d) = conj(c_plus(d)): only the plus
-    chain is propagated. A state with an imaginary part propagates both.
+    Transport is a real operator, so for a real equilibrium amplitude
+    alpha_minus = conj(alpha_plus) and c_minus(d) = conj(c_plus(d)): only
+    the plus chain is propagated. A state with an imaginary part
+    propagates both.
     """
-    alpha_p, alpha_m, weights = prepare_branch_states(eq_state, omega_ref,
-                                                      prop.mu)
+    if omega_ref is None:
+        omega_ref = reference_frequency(pes, mu, eq_state.grid.R)
+    alpha_p, alpha_m, (w_p, w_m) = prepare_branch_states(eq_state, omega_ref, mu)
+    prop = NvePropagator(eq_state.grid, pes, mu, cfg.tau / cfg.inner_steps)
     corr_p = prop.autocorrelation(alpha_p.amplitudes, cfg.n_bins,
                                   cfg.inner_steps)
     if np.any(eq_state.amplitudes.imag):
@@ -224,19 +213,9 @@ def branch_autocorrelations(eq_state: KvnState, prop: NvePropagator,
                                       cfg.inner_steps)
     else:
         corr_m = corr_p.conj()
-    return corr_p, corr_m, weights
-
-
-def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
-                   cfg: QpeConfig, omega_ref: float | None = None):
-    """Prepare both branches of eq_state and read each one out."""
-    if omega_ref is None:
-        omega_ref = reference_frequency(pes, mu, eq_state.grid.R)
-    prop = readout_propagator(eq_state.grid, pes, mu, cfg)
-    corr_p, corr_m, (w_p, w_m) = branch_autocorrelations(eq_state, prop,
-                                                         omega_ref, cfg)
-    return (readout_spectrum(corr_p, cfg, "plus", w_p),
-            readout_spectrum(corr_m, cfg, "minus", w_m))
+    omega = cfg.bin_centers()
+    return (SpectrumResult(omega, qpe_distribution(corr_p, cfg), "plus", w_p),
+            SpectrumResult(omega, qpe_distribution(corr_m, cfg), "minus", w_m))
 
 
 def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,19 @@ class TestCliRelax:
         assert leak["first_message"] == leaks[0]
         assert sum(issubclass(w.category, FilterBandWarning)
                    for w in shown) == 1
+
+    def test_error_filter_stops_the_run_at_the_first_leak(self, tmp_path):
+        # the run's warning tally keeps the caller's filters in force
+        text = RELAX_SMALL.replace("gamma_au = 0.02", "gamma_au = 0.2") \
+            .replace("sigma_p_au = 2.9", "sigma_p_au = 2.9\np0_au = 21.0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FilterBandWarning)
+            warnings.simplefilter("error", BoundaryLeakWarning)
+            with pytest.raises(BoundaryLeakWarning):
+                run_cli(tmp_path, text)
+        out = tmp_path / "out"
+        assert not list(out.glob("*.csv"))
+        assert not (out / "manifest.json").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = run_cli(tmp_path, RELAX_SMALL, name="a.ini")

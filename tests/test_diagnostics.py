@@ -11,7 +11,7 @@ from kvnmd.errors import FilterBandWarning
 from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
                         fourier_R, norm_squared)
 from kvnmd.oracles import canonical_sampler
-from kvnmd.propagator import LangevinParams, calibrate
+from kvnmd.propagator import LangevinParams, LangevinStepper, calibrate
 
 MU = 918.0
 T_PHYS = kelvin_to_hartree(947.0)
@@ -225,6 +225,23 @@ class TestRelax:
         assert trace_a.t_kin_kelvin == trace_b.t_kin_kelvin
         assert trace_a.d_kl_nats == trace_b.d_kl_nats
         assert trace_a.cum_success_prob == trace_b.cum_success_prob
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_final_state_keeps_the_initial_dtype(self, dtype):
+        # as LangevinStepper.step does, also for a complex table with no
+        # imaginary part
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        pes = h2_like_pes()
+        st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
+        st = KvnState(st.amplitudes.real.astype(dtype), st.basis, st.grid)
+        _, final, _ = relax(st, pes, self.params(), 3)
+        stepped = st
+        stepper = LangevinStepper(grid, pes, self.params())
+        for _ in range(3):
+            stepped, _ = stepper.step(stepped)
+        assert final.amplitudes.dtype == stepped.amplitudes.dtype == dtype
+        np.testing.assert_allclose(final.amplitudes, stepped.amplitudes,
+                                   rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
     def test_generic_phase_leaves_trace_close(self, phase):

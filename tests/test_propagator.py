@@ -371,11 +371,14 @@ class TestMemoryPreflight:
         state = 2 * 16 * n * n  # two complex128 copies, 8 GiB
         assert NvePropagator.memory_estimate(grid) == 2 * 16 * n * n + state
         assert NvePropagator.memory_estimate(grid) == 16 * 2 ** 30
-        assert FrictionOperator.memory_estimate(grid) == 8 * n * n + state
+        assert FrictionOperator.memory_estimate(grid, 0.01) == \
+            8 * n * n + state
+        assert FrictionOperator.memory_estimate(grid, 0.0) == state
         half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
-        assert LangevinStepper.memory_estimate(grid) == \
+        assert LangevinStepper.memory_estimate(grid, 0.01) == \
             half + 8 * n * n + state
-        assert LangevinStepper.memory_estimate(grid) == 15_032_909_824
+        assert LangevinStepper.memory_estimate(grid, 0.01) == 15_032_909_824
+        assert LangevinStepper.memory_estimate(grid, 0.0) == half + state
 
     @pytest.mark.parametrize("build", [
         lambda g, pes, p: NvePropagator(g, pes, p.mu, p.dt),
@@ -403,3 +406,22 @@ class TestMemoryPreflight:
                             lambda: need - 1)
         with pytest.raises(MemoryBudgetError):
             NvePropagator(grid, pes, 918.0, 0.5)
+
+    @pytest.mark.parametrize("unavailable", ["missing", "raises"])
+    def test_skipped_where_memory_cannot_be_read(self, monkeypatch,
+                                                 unavailable):
+        # hosts without os.sysconf (Windows) or without the page counts
+        if unavailable == "missing":
+            monkeypatch.delattr(kvnmd.propagator.os, "sysconf")
+        else:
+            def sysconf(name):
+                raise ValueError(f"unrecognized configuration name {name}")
+            monkeypatch.setattr(kvnmd.propagator.os, "sysconf", sysconf)
+        assert kvnmd.propagator._physical_memory() is None
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                           t_phys=kelvin_to_hartree(947.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        NvePropagator(grid, pes, params.mu, params.dt)
+        FrictionOperator(grid, params.s)
+        LangevinStepper(grid, pes, params)
