@@ -4,8 +4,9 @@ Three PES sources share one evaluator interface:
 
 * ``pauli_pes`` -- a tabulated one-qubit electronic Hamiltonian
   H(R) = a(R) I + b(R) Z + c(R) X whose ground sheet is a - sqrt(b^2+c^2);
-  forces come from the derivative of that closed form (coefficient splines),
-  so force and energy are exactly consistent.
+  forces come from the derivative of that closed form (one not-a-knot cubic
+  spline table of the coefficients), so force and energy are exactly
+  consistent.
 * ``raw_pes`` -- a plain tabulated V(R).
 * ``morse_pes`` -- the analytic Morse form used as a fallback model.
 
@@ -122,44 +123,114 @@ def ground_state_energy(a, b, c):
     return np.asarray(a) - np.hypot(np.asarray(b), np.asarray(c))
 
 
-def pauli_pes(table: PauliCoefficientTable) -> PesModel:
-    """Ground-sheet PES from coefficient splines (not-a-knot cubics).
+class _CubicTable:
+    """Not-a-knot cubic splines through the k columns of y, shape (n, k).
 
-    The force uses the derivative of the closed-form eigenvalue,
-    F = -a' + (b b' + c c') / sqrt(b^2 + c^2), which keeps it exactly
-    consistent with the energy evaluator. A vanishing gap term
+    The knot slopes solve the tridiagonal system of C. de Boor, *A Practical
+    Guide to Splines* (1978), ch. IV, with not-a-knot end rows. Elimination
+    needs no pivoting: the end rows leave pivots dx_1 and dx_0 + dx_1, and
+    the interior rows are diagonally dominant. The piecewise coefficients
+    rest in one contiguous (4k, n-1) table (cubic, quadratic, linear and
+    constant rows), so an evaluation is one interval search and one take.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float).reshape(len(x), -1)
+        n = len(x)
+        if n < 4:
+            raise ValueError(f"a not-a-knot cubic needs 4 knots, got {n}")
+        dx = np.diff(x)
+        slope = np.diff(y, axis=0) / dx[:, None]
+
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.r_[0.0, dx[1:], x[-1] - x[-3]]
+        diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
+        upper = np.r_[x[2] - x[0], dx[:-1], 0.0]
+        rhs = np.empty_like(y)
+        rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+        d = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+
+        for i in range(1, n):
+            m = lower[i] / diag[i - 1]
+            diag[i] -= m * upper[i - 1]
+            rhs[i] -= m * rhs[i - 1]
+        s = rhs
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+
+        h = dx[:, None]
+        t = (s[:-1] + s[1:] - 2.0 * slope) / h
+        self._coef = np.concatenate(
+            (t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]), axis=1).T.copy()
+        self._x = x
+        self._k = y.shape[1]
+
+    def __call__(self, r, order):
+        """Values and derivatives up to ``order`` (0, 1 or 2) at r.
+
+        Returns a list of order + 1 arrays of shape (k,) + shape(r). r must
+        lie in [x_0, x_{n-1}]; the end intervals serve their end knots.
+        """
+        r = np.asarray(r, dtype=float)
+        i = np.searchsorted(self._x[1:-1], r, side="right")
+        h = r - self._x[i]
+        cub, quad, lin, const = self._coef.take(i, axis=1).reshape(
+            (4, self._k) + r.shape)
+        out = [((cub * h + quad) * h + lin) * h + const]
+        if order >= 1:
+            out.append((3.0 * cub * h + 2.0 * quad) * h + lin)
+        if order >= 2:
+            out.append(6.0 * cub * h + 2.0 * quad)
+        return out
+
+
+def _gap(b, c):
+    """sqrt(b^2 + c^2), raising where it vanishes (derivative undefined)."""
+    w = np.hypot(b, c)
+    if np.any(w <= OMEGA_GUARD):
+        raise SingularityError(
+            "sqrt(b^2 + c^2) vanished; ground sheet derivative undefined")
+    return w
+
+
+def pauli_pes(table: PauliCoefficientTable) -> PesModel:
+    """Ground-sheet PES from not-a-knot cubic splines of a, b and c.
+
+    One spline table holds the three coefficient columns, so each call
+    makes one interval search and one coefficient gather: ``v`` evaluates
+    values only, ``f`` values and first derivatives, ``curvature`` adds
+    the second. The force uses the derivative of the closed-form
+    eigenvalue, F = -a' + (b b' + c c') / sqrt(b^2 + c^2), which keeps it
+    exactly consistent with the energy evaluator. A vanishing gap term
     sqrt(b^2 + c^2) <= 1e-12 makes the derivative undefined and raises.
     """
-    from scipy.interpolate import CubicSpline  # slow import, needed here only
-
-    sa = CubicSpline(table.R, table.a)
-    sb = CubicSpline(table.R, table.b)
-    sc = CubicSpline(table.R, table.c)
+    spline = _CubicTable(table.R, np.column_stack((table.a, table.b, table.c)))
     domain = (float(table.R[0]), float(table.R[-1]))
-
-    def omega_of(r, check=True):
-        w = np.hypot(sb(r), sc(r))
-        if check and np.any(w <= OMEGA_GUARD):
-            raise SingularityError(
-                "sqrt(b^2 + c^2) vanished; ground sheet derivative undefined")
-        return w
 
     def v(r):
         model._check_domain(r)
-        return sa(r) - omega_of(r, check=False)
+        (a, b, c), = spline(r, 0)
+        return a - np.hypot(b, c)
 
     def f(r):
         model._check_domain(r)
-        w = omega_of(r)
-        return -sa(r, 1) + (sb(r) * sb(r, 1) + sc(r) * sc(r, 1)) / w
+        (_, b, c), (a1, b1, c1) = spline(r, 1)
+        return -a1 + (b * b1 + c * c1) / _gap(b, c)
 
     def curvature(r):
         model._check_domain(r)
-        w = omega_of(r)
-        w1 = (sb(r) * sb(r, 1) + sc(r) * sc(r, 1)) / w
-        w2 = (sb(r, 1) ** 2 + sb(r) * sb(r, 2)
-              + sc(r, 1) ** 2 + sc(r) * sc(r, 2) - w1 ** 2) / w
-        return sa(r, 2) - w2
+        (_, b, c), (a1, b1, c1), (a2, b2, c2) = spline(r, 2)
+        w = _gap(b, c)
+        w1 = (b * b1 + c * c1) / w
+        w2 = (b1 ** 2 + b * b2 + c1 ** 2 + c * c2 - w1 ** 2) / w
+        return a2 - w2
 
     model = PesModel(kind="pauli_table", domain=domain,
                      v=v, f=f, curvature=curvature)
@@ -167,24 +238,26 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
 
 
 def raw_pes(path) -> PesModel:
-    """PES from a plain (R, V) table; force is minus the spline derivative."""
-    from scipy.interpolate import CubicSpline  # slow import, needed here only
+    """PES from a plain (R, V) table: a not-a-knot cubic spline of V.
 
+    The force is minus the spline's first derivative, the curvature its
+    second.
+    """
     data = _read_table(path, RAW_HEADER, 2)
-    spline = CubicSpline(data[:, 0], data[:, 1])
+    spline = _CubicTable(data[:, 0], data[:, 1])
     domain = (float(data[0, 0]), float(data[-1, 0]))
 
     def v(r):
         model._check_domain(r)
-        return spline(r)
+        return spline(r, 0)[0][0]
 
     def f(r):
         model._check_domain(r)
-        return -spline(r, 1)
+        return -spline(r, 1)[1][0]
 
     def curvature(r):
         model._check_domain(r)
-        return spline(r, 2)
+        return spline(r, 2)[2][0]
 
     model = PesModel(kind="raw_table", domain=domain,
                      v=v, f=f, curvature=curvature)

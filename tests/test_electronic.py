@@ -1,10 +1,19 @@
 """PES table ingestion, ground-sheet evaluators and force consistency."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+import kvnmd
 from kvnmd.electronic import (PAULI_HEADER, RAW_HEADER, PauliCoefficientTable,
-                              bundled_h2_table, ground_state_energy,
+                              _CubicTable, bundled_h2_table, ground_state_energy,
                               load_pauli_table, morse_pes, pauli_pes, raw_pes,
                               tabulate_pes)
 from kvnmd.errors import DomainError, SingularityError, TableFormatError
@@ -164,3 +173,59 @@ def test_tabulate_pes_checks_grid_domain():
     np.testing.assert_allclose(f, pes.f(nodes), atol=0)
     with pytest.raises(DomainError):
         tabulate_pes(pes, np.linspace(0.5, 4.0, 32))
+
+
+def raw_table_of(table, path):
+    """Write the ground sheet of a coefficient table as a raw (R, V) CSV."""
+    v = ground_state_energy(table.a, table.b, table.c)
+    rows = [f"{float(ri)!r},{float(vi)!r}" for ri, vi in zip(table.R, v)]
+    return write_table(path, [RAW_HEADER] + rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=8, max_value=64),
+       k=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cubic_table_matches_scipy_not_a_knot(n, k, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(0.05, 1.0, n))
+    y = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+    r = np.concatenate((rng.uniform(x[0], x[-1], 200), x))
+    oracle = CubicSpline(x, y)
+    for order, ours in enumerate(_CubicTable(x, y)(r, 2)):
+        want = oracle(r, order).T
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(ours - want) <= 1e-12 * scale), order
+
+
+@pytest.mark.parametrize("source", ["bundled", "smooth"])
+def test_curvature_is_minus_force_derivative(source, tmp_path):
+    table = bundled_h2_table() if source == "bundled" else smooth_table()
+    h = 1e-5
+    r = np.linspace(table.R[0] + h, table.R[-1] - h, 401)
+    for pes in (pauli_pes(table), raw_pes(raw_table_of(table, tmp_path / "v.csv"))):
+        fd = -(pes.f(r + h) - pes.f(r - h)) / (2 * h)
+        curv = pes.curvature(r)
+        np.testing.assert_allclose(curv, fd, rtol=0,
+                                   atol=1e-7 * np.max(np.abs(curv)))
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    raw = raw_table_of(smooth_table(), tmp_path / "raw.csv")
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import kvnmd.cli
+        from kvnmd.electronic import bundled_h2_table, pauli_pes, raw_pes
+        r = np.linspace(1.2, 4.8, 64)
+        for pes in (pauli_pes(bundled_h2_table()), raw_pes({str(raw)!r})):
+            for evaluate in (pes.v, pes.f, pes.curvature):
+                assert np.all(np.isfinite(evaluate(r)))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(kvnmd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
