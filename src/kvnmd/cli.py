@@ -8,7 +8,10 @@ write), the warnings shown under the active filters (category, count,
 first message) and a content hash per output file. Reruns with the same config and seed
 reproduce the CSVs byte for byte; timings go only into the manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
+manifest records the exit status. A run stopped by a numerical error
+still writes one, with the error, the phase timings booked until then
+and the warning tally, but no outputs.
 """
 
 from __future__ import annotations
@@ -363,11 +366,14 @@ class _WarningTally:
         self._show(message, category, filename, lineno, file, line)
 
 
-def _write_manifest(out_dir: Path, cfg: RunConfig, derived: dict,
-                    outputs: list[str], wall_seconds: float,
-                    timings: dict, warning_summary: list[dict]) -> None:
+def _write_manifest(out_dir: Path, cfg: RunConfig, code: int,
+                    error: dict | None, derived: dict, outputs: list[str],
+                    wall_seconds: float, timings: dict,
+                    warning_summary: list[dict]) -> None:
     manifest = {
         "mode": cfg.mode,
+        "exit_status": code,
+        "error": error,
         "config": _resolved_config(cfg),
         "derived": derived,
         "versions": {"kvnmd": __version__, "numpy": np.__version__,
@@ -414,10 +420,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except KvnError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, derived, outputs = EXIT_NUMERICAL, {}, []
+        error = {"type": type(exc).__name__, "message": str(exc)}
+    else:
+        error = None
     wall = time.perf_counter() - start
-    _write_manifest(out_dir, cfg, derived, outputs, wall, clock.seconds,
-                    list(tally.summary.values()))
+    _write_manifest(out_dir, cfg, code, error, derived, outputs, wall,
+                    clock.seconds, list(tally.summary.values()))
     return code
 
 

@@ -28,6 +28,13 @@ odd order. Transport then commutes with complex conjugation and stays
 exactly unitary. The friction interpolant and the cosine filter are even
 in k and need no such choice.
 
+On a centered P grid (p_min = -p_max) the time reversal T: P -> -P is
+the index mirror j -> -j mod N_P. Its one unpaired node, p_min, gets
+drift velocity 0 (multiplier exactly 1), the P-space mirror of the
+zero-phase Nyquist, so that T D T = D^-1 and T K T = K^-1 hold exactly
+for the drift and kick tables and transport is exactly time-reversal
+symmetric. The transport autocorrelation builds on that.
+
 `NvePropagator` keeps complex full tables for the conservative chains
 behind the spectral readout. `LangevinStepper` works on real tables: a
 real state is a stack of one, a complex one the stack (Re, Im) with one
@@ -59,6 +66,7 @@ from .grid import Basis, KvnState, PhaseSpaceGrid
 
 BOUNDARY_LEAK_TOLERANCE = 1e-3
 FILTER_COLLAPSE_FLOOR = 1e-6
+TIME_REVERSAL_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,14 @@ def _preflight(owner: str, need: int) -> None:
     if have is not None and need > have:
         raise MemoryBudgetError(
             f"{owner} needs about {need / 2 ** 30:.1f} GiB for its tables "
-            f"and two working copies of the state, more than the "
+            f"and working copies of the state, more than the "
             f"{have / 2 ** 30:.1f} GiB of physical memory; use fewer qubits")
 
 
-def _state_bytes(grid: PhaseSpaceGrid) -> int:
-    """Two working copies of a complex128 (R, P) amplitude table."""
+def _state_bytes(grid: PhaseSpaceGrid, copies: int = 2) -> int:
+    """Working copies of a complex128 (R, P) amplitude table."""
     n_r, n_p = grid.shape
-    return 2 * 16 * n_r * n_p
+    return copies * 16 * n_r * n_p
 
 
 def _zero_nyquist(k: np.ndarray) -> np.ndarray:
@@ -144,6 +152,23 @@ def _zero_nyquist(k: np.ndarray) -> np.ndarray:
     k = k.copy()
     k[len(k) // 2] = 0.0
     return k
+
+
+def _is_centered(grid: PhaseSpaceGrid) -> bool:
+    return grid.p_min == -grid.p_max
+
+
+def _drift_momenta(grid: PhaseSpaceGrid) -> np.ndarray:
+    """The P nodes as the drift sees them.
+
+    On a centered grid this is the odd part of P under the mirror
+    j -> -j mod N_P: P itself wherever the nodes are exactly
+    antisymmetric, and 0 at the unpaired p_min.
+    """
+    p = grid.P
+    if _is_centered(grid):
+        p = 0.5 * (p - p[-np.arange(len(p)) % len(p)])
+    return p
 
 
 def _phase_tables(grid: PhaseSpaceGrid, force: np.ndarray, mu: float,
@@ -157,8 +182,15 @@ def _phase_tables(grid: PhaseSpaceGrid, force: np.ndarray, mu: float,
     if half:
         n_r, n_p = grid.shape
         k_r, k_p = k_r[:n_r // 2 + 1], k_p[:n_p // 2 + 1]
-    return (np.exp(-0.5j * dt * np.outer(k_r, grid.P) / mu),
+    return (np.exp(-0.5j * dt * np.outer(k_r, _drift_momenta(grid)) / mu),
             np.exp(-1j * dt * np.outer(force, k_p)))
+
+
+def _mirrored_dot(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum_ij a[-i, -j] b[i, j], indices mod N, on views of a and b."""
+    rev = slice(None, 0, -1)
+    return (a[0, 0] * b[0, 0] + a[0, 1:] @ b[0, rev] + a[1:, 0] @ b[rev, 0]
+            + np.einsum("ij,ij->", a[1:, 1:], b[rev, rev]))
 
 
 def _hermitian_weights(n: int) -> np.ndarray:
@@ -189,9 +221,12 @@ class NvePropagator:
 
     @staticmethod
     def memory_estimate(grid: PhaseSpaceGrid) -> int:
-        """Bytes of the two complex phase tables plus the working state."""
+        """Bytes of the two complex phase tables plus three state copies:
+        the (R, P) input of an autocorrelation, live through the call,
+        and the chain's two working tables (the transformed state and
+        its bra or the previous power)."""
         n_r, n_p = grid.shape
-        return 2 * 16 * n_r * n_p + _state_bytes(grid)
+        return 2 * 16 * n_r * n_p + _state_bytes(grid, copies=3)
 
     def _kick(self, a: np.ndarray) -> None:
         """Force kick on a (k_R, P) table, in place."""
@@ -218,25 +253,63 @@ class NvePropagator:
         np.fft.ifft(a, axis=0, norm="ortho", out=a)
         return KvnState(a, Basis.RP, state.grid)
 
+    def _time_symmetric(self, amplitudes: np.ndarray) -> bool:
+        """Whether ||T psi - conj(psi)|| <= TIME_REVERSAL_TOLERANCE ||psi||
+        for an (R, P) table psi, T the P mirror of a centered grid."""
+        if not _is_centered(self.grid):
+            return False
+        residual = np.conjugate(amplitudes)
+        residual[:, 0] -= amplitudes[:, 0]
+        residual[:, 1:] -= amplitudes[:, :0:-1]
+        return np.vdot(residual, residual).real <= \
+            TIME_REVERSAL_TOLERANCE ** 2 * np.vdot(amplitudes, amplitudes).real
+
     def autocorrelation(self, amplitudes: np.ndarray, n_lags: int,
                         stride: int = 1) -> np.ndarray:
         """c_d = <psi|U^(d*stride)|psi> dR dP for d < n_lags.
 
         psi is an (R, P) table and U the one-step propagator. Adjacent
-        half drifts of the chain fuse into full drifts; the chain keeps
-        the state before its last half drift, and that drift moves into
-        the bra conj(fft_R psi) * half_drift, built once.
+        half drifts of the chain fuse into full drifts.
+
+        When psi is time-reversal symmetric, T psi = conj(psi) for the P
+        mirror T of a centered grid (to TIME_REVERSAL_TOLERANCE ||psi||,
+        which bounds the relative error of every lag), T U T = U^-1 and
+        the real U give c(j + k) = sum phi_k(R, -P) phi_j(R, P) dR dP
+        with phi_k = U^(k*stride) psi. A chain of n_lags // 2 powers then
+        reads two lags per power: c(2k) from phi_k with itself and
+        c(2k + 1) from phi_k and phi_(k+1). In (k_R, P) the form pairs
+        (-k_R, -P) with (k_R, P); the chain alternates between two
+        buffers, so phi_k outlives the step to phi_(k+1) without a copy.
+
+        Otherwise the chain runs n_lags - 1 powers and keeps the state
+        before its last half drift; that drift moves into the bra
+        conj(fft_R psi) * half_drift, built once, and each power reads
+        one lag.
         """
         cell = self.grid.cell
+        doubled = self._time_symmetric(amplitudes)
         a = np.fft.fft(amplitudes, axis=0, norm="ortho")
-        bra = a * self.half_drift.conj()  # np.vdot conjugates it back
         corr = np.empty(n_lags, dtype=complex)
         corr[0] = np.vdot(a, a).real * cell
-        a *= self.half_drift
-        for n in range(1, (n_lags - 1) * stride + 1):
+        if doubled:
+            n_powers = n_lags // 2
+            prev, a = a, a * self.half_drift
+        else:
+            n_powers = n_lags - 1
+            bra = a * self.half_drift.conj()  # np.vdot conjugates it back
+            a *= self.half_drift
+        for n in range(1, n_powers * stride + 1):
             self._kick(a)
             if n % stride == 0:
-                corr[n // stride] = np.vdot(bra, a) * cell
+                d = n // stride
+                if doubled:
+                    a *= self.half_drift
+                    corr[2 * d - 1] = _mirrored_dot(prev, a) * cell
+                    if 2 * d < n_lags:
+                        corr[2 * d] = _mirrored_dot(a, a) * cell
+                    prev, a = a, np.multiply(a, self.half_drift, out=prev)
+                    continue
+                corr[d] = np.vdot(bra, a) * cell
             a *= self.half_drift
             a *= self.half_drift
         return corr

@@ -6,9 +6,13 @@ the exact ancilla distribution of textbook phase estimation run against
 powers of the conservative one-step propagator. Because that propagator
 is unitary, the full distribution follows from the autocorrelation
 sequence c_d = <alpha|U^d|alpha> alone, so the sweep over 2^m readout
-bins costs 2^m propagator applications, O(1) state memory and one
-length-2^m FFT. U is a real operator, so for a real equilibrium state
-the minus branch follows from the plus chain by complex conjugation.
+bins costs one chain of propagator applications, O(1) state memory and
+one length-2^m FFT. U is a real operator, so for a real equilibrium
+state the minus branch follows from the plus chain by complex
+conjugation. U is also time-reversal symmetric, and the branch states of
+a real, P-even equilibrium amplitude satisfy T alpha = conj(alpha) for
+the reflection T: P -> -P; the chain then reads two lags per power and
+takes about 2^(m-1) applications instead of 2^m - 1.
 
 A classical reference pipeline turns trajectory ensembles into a spectrum
 on the identical bin grid: windowed correlation transform, folding into

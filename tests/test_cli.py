@@ -445,6 +445,35 @@ class TestExitCodes:
         for path in out.glob("*.csv"):
             assert "nan" not in path.read_text().lower()
 
+    def test_numerical_error_writes_a_partial_manifest(self, tmp_path,
+                                                       monkeypatch):
+        def poisoned(*args, **kwargs):
+            state = encode(*args, **kwargs)
+            state.amplitudes[3, 5] = np.nan
+            return state
+
+        # strong friction warns about the filter band before the first
+        # step meets the NaN
+        text = RELAX_SMALL.replace("gamma_au = 0.02", "gamma_au = 0.2")
+        encode = kvnmd.cli.encode_gaussian
+        monkeypatch.setattr(kvnmd.cli, "encode_gaussian", poisoned)
+        with pytest.warns(FilterBandWarning):
+            code, out = run_cli(tmp_path, text)
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 3
+        assert manifest["error"]["type"] == "NonFiniteAmplitudeError"
+        assert "non-finite" in manifest["error"]["message"]
+        assert manifest["outputs"] == {}
+        assert not list(out.glob("*.csv"))
+        timings = manifest["timings"]
+        assert timings["tables"] > 0.0
+        assert timings["write"] == 0.0
+        assert sum(timings.values()) <= manifest["wall_time_seconds"]
+        assert manifest["config"]["mode"] == "relax"
+        (band,) = manifest["warnings"]
+        assert (band["category"], band["count"]) == ("FilterBandWarning", 1)
+
     def test_memory_budget_error_is_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
         monkeypatch.setattr(kvnmd.propagator, "_physical_memory", lambda: 1)

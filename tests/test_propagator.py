@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -142,6 +143,47 @@ class TestConservativeStep:
         a = NvePropagator(grid, pes, 918.0, 0.7).step(st)
         b = nve_step(st, pes, 918.0, 0.7)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+
+class TestTimeReversal:
+    # T: P -> -P is the index mirror j -> -j mod N on a centered P grid,
+    # k_P -> -k_P in the FFT order of the kick; both tables are phases,
+    # so D^-1 = conj(D)
+    @pytest.mark.parametrize("p_max", [22.0, 17.3, 8.1234567])
+    def test_drift_and_kick_tables_are_reversed_exactly(self, p_max):
+        grid = build_grid(4, 5, (0.6, 2.6), (-p_max, p_max))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        prop = NvePropagator(grid, pes, 918.0, 0.7)
+        mirror = -np.arange(grid.shape[1]) % grid.shape[1]
+        np.testing.assert_array_equal(prop.half_drift[:, mirror],
+                                      prop.half_drift.conj())
+        np.testing.assert_array_equal(prop.kick[:, mirror], prop.kick.conj())
+        # the unpaired p_min column does not drift
+        np.testing.assert_array_equal(prop.half_drift[:, 0], 1.0)
+
+    def test_stepper_shares_the_transport_tables(self):
+        grid = build_grid(4, 5, (0.6, 2.6), (-17.3, 17.3))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        params = calibrate(mu=918.0, gamma=0.02, dt=0.7, t_phys=0.003)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FilterBandWarning)
+            stepper = LangevinStepper(grid, pes, params)
+        prop = NvePropagator(grid, pes, 918.0, 0.7)
+        n_r, n_p = grid.shape
+        np.testing.assert_array_equal(stepper.half_drift,
+                                      prop.half_drift[:n_r // 2 + 1])
+        np.testing.assert_array_equal(stepper.kick,
+                                      prop.kick[:, :n_p // 2 + 1])
+
+    def test_off_center_grid_drifts_every_column(self):
+        grid = build_grid(4, 5, (0.6, 2.6), (-20.0, 24.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        prop = NvePropagator(grid, pes, 918.0, 0.7)
+        k_r = grid.k_R.copy()
+        k_r[len(k_r) // 2] = 0.0
+        np.testing.assert_array_equal(
+            prop.half_drift, np.exp(-0.5j * 0.7 * np.outer(k_r, grid.P)
+                                    / 918.0))
 
 
 class TestFriction:
@@ -369,8 +411,10 @@ class TestMemoryPreflight:
         grid = self.big_grid()
         n = 1 << 14
         state = 2 * 16 * n * n  # two complex128 copies, 8 GiB
-        assert NvePropagator.memory_estimate(grid) == 2 * 16 * n * n + state
-        assert NvePropagator.memory_estimate(grid) == 16 * 2 ** 30
+        # the (R, P) input and the chain's two working tables, 12 GiB
+        chain = 3 * 16 * n * n
+        assert NvePropagator.memory_estimate(grid) == 2 * 16 * n * n + chain
+        assert NvePropagator.memory_estimate(grid) == 20 * 2 ** 30
         assert FrictionOperator.memory_estimate(grid, 0.01) == \
             8 * n * n + state
         assert FrictionOperator.memory_estimate(grid, 0.0) == state
@@ -379,6 +423,33 @@ class TestMemoryPreflight:
             half + 8 * n * n + state
         assert LangevinStepper.memory_estimate(grid, 0.01) == 15_032_909_824
         assert LangevinStepper.memory_estimate(grid, 0.0) == half + state
+
+    @pytest.mark.parametrize("kind", ["time-symmetric", "random"])
+    def test_autocorrelation_holds_two_working_tables(self, kind):
+        # the estimate's chain term: besides the caller's input, both the
+        # doubled and the full chain allocate at most two state tables,
+        # plus numpy's fixed-size ufunc buffers (3 x 8192 complex items)
+        grid = build_grid(8, 8, (0.6, 2.6), (-22.0, 22.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        prop = NvePropagator(grid, pes, 918.0, 0.5)
+        if kind == "time-symmetric":
+            amp = maxwell_state(grid, 918.0, 0.003).amplitudes
+            amp = amp * (grid.R - 1.5)[:, None]
+        else:
+            rng = np.random.default_rng(3)
+            amp = rng.normal(size=grid.shape) + 1j * rng.normal(
+                size=grid.shape)
+        table = 16 * grid.shape[0] * grid.shape[1]
+        prop.autocorrelation(amp, 2)  # leaves the FFT plan caches warm
+        tracemalloc.start()
+        try:
+            prop.autocorrelation(amp, 12, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * table <= peak < 2 * table + 2 ** 19
+        # two phase tables, the input and the two working tables
+        assert NvePropagator.memory_estimate(grid) == 5 * table
 
     @pytest.mark.parametrize("build", [
         lambda g, pes, p: NvePropagator(g, pes, p.mu, p.dt),

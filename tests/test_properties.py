@@ -4,9 +4,10 @@ Each case draws grid sizes 2^3..2^6 per axis and a random complex state,
 then checks the half-spectrum core on its (Re, Im) stack against the
 composed complex substep helpers, the closed-form friction table against
 the dense interpolant, the Strang-fused autocorrelation against the
-unfused step loop, unitarity of the conservative chain, and that
-transport, the thermostated step and the readout branches commute with
-complex conjugation.
+unfused step loop (also where time-reversal symmetry halves the chain),
+unitarity of the conservative chain, that transport, the thermostated
+step and the readout branches commute with complex conjugation, and the
+corrected internal temperature against the filter's product oracle.
 """
 
 import dataclasses
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.electronic import morse_pes
 from kvnmd.grid import Basis, KvnState, build_grid, norm_squared
-from kvnmd.propagator import (FrictionOperator, LangevinStepper,
-                              NvePropagator, calibrate, diffusion_step)
+from kvnmd.oracles import cos_filter_stationary_bias
+from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
+                              LangevinStepper, NvePropagator, calibrate,
+                              corrected_internal_temperature, diffusion_step)
 from kvnmd.vdos import prepare_branch_states
 from reference_steps import (dense_friction_table, friction_step, nve_step,
                              step_autocorrelation)
@@ -103,6 +106,95 @@ def test_strang_fused_autocorrelation_matches_step_loop(n_r, n_p, seed, dt,
     np.testing.assert_allclose(fused, unfused, rtol=0.0, atol=1e-12)
 
 
+def time_symmetric_state(grid, seed, kind):
+    """A state with T psi = conj(psi), T the P mirror j -> -j mod N_P.
+
+    Built from a real amplitude that is even under the mirror: its plus
+    readout branch (which needs 0 in the unpaired p_min column, where
+    the mirror keeps i*Pi instead of flipping it) or Q times it.
+    """
+    rng = np.random.default_rng(seed)
+    n_p = grid.shape[1]
+    even = np.abs(rng.normal(size=grid.shape))
+    even = even + even[:, -np.arange(n_p) % n_p]
+    if kind == "branch":
+        even[:, 0] = 0.0
+        eq = KvnState(even.astype(complex), Basis.RP, grid)
+        return prepare_branch_states(eq, 0.02, MU)[0].amplitudes
+    amp = (grid.R - grid.R.mean())[:, None] * even
+    return amp / math.sqrt(np.sum(amp ** 2) * grid.cell)
+
+
+def counted_autocorrelation(prop, amplitudes, n_lags, stride):
+    """The autocorrelation and the number of transport steps it took."""
+    kicks = []
+    kick = prop._kick
+    prop._kick = lambda a: (kicks.append(1), kick(a))
+    try:
+        return prop.autocorrelation(amplitudes, n_lags, stride), len(kicks)
+    finally:
+        del prop._kick
+
+
+def power_of(prop, stride):
+    def power(s):
+        for _ in range(stride):
+            s = prop.step(s)
+        return s
+    return power
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, seed=seeds,
+       dt=st.floats(min_value=0.1, max_value=5.0),
+       n_lags=st.integers(min_value=1, max_value=12),
+       stride=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(["branch", "coordinate", "random"]),
+       p_max=st.sampled_from([22.0, 17.3]),
+       centered=st.booleans())
+def test_doubled_autocorrelation_matches_step_loop(n_r, n_p, seed, dt,
+                                                   n_lags, stride, kind,
+                                                   p_max, centered):
+    # with p_max = 17.3 the grid's P_j + P_(-j) are a few ulp, not 0
+    p_range = (-p_max, p_max) if centered else (-p_max, p_max + 3.0)
+    grid = build_grid(n_r, n_p, (0.6, 2.6), p_range)
+    if kind == "random":
+        amp = random_state(n_r, n_p, seed).amplitudes
+    else:
+        amp = time_symmetric_state(grid, seed, kind)
+    prop = NvePropagator(grid, PES, MU, dt)
+    corr, n_steps = counted_autocorrelation(prop, amp, n_lags, stride)
+    unfused = step_autocorrelation(KvnState(amp, Basis.RP, grid),
+                                   power_of(prop, stride), n_lags)
+    np.testing.assert_allclose(corr, unfused, rtol=0.0, atol=1e-12)
+    doubled = centered and kind != "random"
+    n_powers = n_lags // 2 if doubled else n_lags - 1
+    assert n_steps == n_powers * stride
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, seed=seeds,
+       dt=st.floats(min_value=0.1, max_value=5.0),
+       n_lags=st.integers(min_value=2, max_value=12),
+       stride=st.integers(min_value=1, max_value=3),
+       margin=st.sampled_from([0.9, 1.1]))
+def test_time_symmetry_tolerance_picks_the_chain(n_r, n_p, seed, dt, n_lags,
+                                                 stride, margin):
+    # an imaginary part e at (0, 1) of a real mirror-even state leaves
+    # ||T psi - conj(psi)|| = sqrt(2) e = margin * tolerance * ||psi||
+    grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
+    amp = time_symmetric_state(grid, seed, "coordinate").astype(complex)
+    amp[0, 1] += 1j * margin * TIME_REVERSAL_TOLERANCE * math.sqrt(
+        0.5 * np.sum(amp.real ** 2))
+    prop = NvePropagator(grid, PES, MU, dt)
+    corr, n_steps = counted_autocorrelation(prop, amp, n_lags, stride)
+    unfused = step_autocorrelation(KvnState(amp, Basis.RP, grid),
+                                   power_of(prop, stride), n_lags)
+    np.testing.assert_allclose(corr, unfused, rtol=0.0, atol=1e-12)
+    n_powers = n_lags - 1 if margin > 1.0 else n_lags // 2
+    assert n_steps == n_powers * stride
+
+
 @PROPERTY_SETTINGS
 @given(n_r=qubits, n_p=qubits, seed=seeds,
        dt=st.floats(min_value=0.1, max_value=5.0))
@@ -167,3 +259,21 @@ def test_minus_branch_autocorrelation_is_conjugate(n_r, n_p, seed, dt,
     c_plus = prop.autocorrelation(alpha_p.amplitudes, n_lags, stride)
     c_minus = prop.autocorrelation(alpha_m.amplitudes, n_lags, stride)
     np.testing.assert_allclose(c_minus, c_plus.conj(), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=8, deadline=None)  # 0.5 s per oracle call
+@given(s=st.floats(min_value=1e-3, max_value=0.05),
+       t_phys=st.floats(min_value=1e-4, max_value=1e-2))
+def test_internal_temperature_meets_product_oracle(s, t_phys):
+    # The stationary kinetic temperature of the thermostat is
+    # T_int (1 + b) with b the oracle's bias. The frozen oracle test
+    # holds 1 < b/h < 1.02 for h = tanh(s)/2 up to s = 0.02; b/h - 1 is
+    # the next order of the law, linear in s, so that 2% at s = 0.02 is
+    # a slope of 1: 0 < b/h - 1 <= s. With T_int = T_phys / (1 + h) the
+    # excess T_int (1 + b) / T_phys - 1 = (b - h) / (1 + h) then lies in
+    # (0, s h / (1 + h)].
+    t_int = corrected_internal_temperature(t_phys, s)
+    bias = cos_filter_stationary_bias(s)
+    h = 0.5 * math.tanh(s)
+    excess = t_int * (1.0 + bias) / t_phys - 1.0
+    assert 0.0 < excess <= s * h / (1.0 + h)

@@ -283,6 +283,35 @@ class TestQpeSpectrum:
         np.testing.assert_allclose(minus.prob, direct_m.prob, atol=1e-12)
         assert (minus.branch, plus.branch) == ("minus", "plus")
 
+    def test_canonical_branches_read_two_lags_per_power(self, monkeypatch):
+        # the branch states of the real, P-even canonical amplitude are
+        # time-reversal symmetric: 2^m / 2 powers give all 2^m lags
+        cfg = QpeConfig(m=6, tau=20.0, inner_steps=4)
+        grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
+        eq = thermal_state(grid, harmonic(), kelvin_to_hartree(300.0))
+        kicks = []
+        kick = NvePropagator._kick
+        monkeypatch.setattr(NvePropagator, "_kick",
+                            lambda self, a: (kicks.append(1), kick(self, a)))
+        plus, minus = branch_spectra(eq, harmonic(), MU, cfg, omega_ref=W0)
+        assert len(kicks) == cfg.n_bins // 2 * cfg.inner_steps
+        monkeypatch.undo()
+
+        alpha_p, _, _ = prepare_branch_states(eq, W0, MU)
+        prop = NvePropagator(grid, harmonic(), MU, cfg.tau / cfg.inner_steps)
+
+        def power(s):
+            for _ in range(cfg.inner_steps):
+                s = prop.step(s)
+            return s
+
+        corr = step_autocorrelation(alpha_p, power, cfg.n_bins)
+        np.testing.assert_allclose(plus.prob, qpe_distribution(corr, cfg),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(minus.prob,
+                                   qpe_distribution(corr.conj(), cfg),
+                                   rtol=0.0, atol=1e-12)
+
     def test_frequency_axis_is_reported_in_wavenumbers(self):
         cfg = QpeConfig(m=3, tau=2.0)
         grid = build_grid(3, 3, (0.0, 1.0), (-1.0, 1.0))
@@ -302,6 +331,26 @@ class TestKvnAutocorrelation:
         q2 = np.sum(rho * (grid.R[:, None] - r_mean) ** 2) * grid.cell
         assert series[0].imag == 0.0
         assert series[0].real == pytest.approx(q2, abs=1e-12)
+
+    def test_coordinate_state_reads_two_lags_per_step(self, monkeypatch):
+        grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
+        eq = thermal_state(grid, harmonic(), kelvin_to_hartree(300.0))
+        kicks = []
+        kick = NvePropagator._kick
+        monkeypatch.setattr(NvePropagator, "_kick",
+                            lambda self, a: (kicks.append(1), kick(self, a)))
+        series = kvn_autocorrelation(eq, harmonic(), MU, 2.0, 9)
+        assert len(kicks) == 4
+        monkeypatch.undo()
+
+        rho = np.abs(eq.amplitudes) ** 2
+        r_mean = np.sum(rho * grid.R[:, None]) * grid.cell
+        q_state = KvnState((grid.R - r_mean)[:, None] * eq.amplitudes,
+                           Basis.RP, grid)
+        prop = NvePropagator(grid, harmonic(), MU, 2.0)
+        np.testing.assert_allclose(
+            series, step_autocorrelation(q_state, prop.step, 9), rtol=0.0,
+            atol=1e-12)
 
     def test_harmonic_recurrence_period(self):
         dt = 2.0
