@@ -1,7 +1,8 @@
 """Uniform phase-space grids and grid wavefunctions.
 
-A state is a complex amplitude table psi[j, l] over a centered (R, P)
-rectangle with 2**n_r x 2**n_p points. Densities are |psi|^2 and all
+A state is an amplitude table psi[j, l] over a centered (R, P)
+rectangle with 2**n_r x 2**n_p points, complex in general and float64
+where it is real, as for a zero-phase packet. Densities are |psi|^2 and all
 quadrature is the plain Riemann sum with weight dR*dP. The conjugate
 (k_R, k_P) axes follow FFT-natural ordering internally; sorted views are
 available for output. Fourier transforms are orthonormal, so sum|psi|^2
@@ -125,7 +126,8 @@ def encode_gaussian(grid: PhaseSpaceGrid, r0: float, p0: float,
     """Normalized Gaussian amplitude whose *density* std devs are (s_r, s_p).
 
     Amplitudes go as exp[-(R-r0)^2/(4 s_r^2) - (P-p0)^2/(4 s_p^2)], so
-    |psi|^2 is the Gaussian density with variances s_r^2, s_p^2.
+    |psi|^2 is the Gaussian density with variances s_r^2, s_p^2. The
+    table has zero phase and is float64.
     """
     if not (grid.r_min <= r0 < grid.r_max) or not (grid.p_min <= p0 < grid.p_max):
         raise ConfigurationError(
@@ -136,8 +138,7 @@ def encode_gaussian(grid: PhaseSpaceGrid, r0: float, p0: float,
             f"spacings ({2 * grid.dR:.3g}, {2 * grid.dP:.3g})")
     rr = (grid.R[:, None] - r0) ** 2 / (4.0 * s_r ** 2)
     pp = (grid.P[None, :] - p0) ** 2 / (4.0 * s_p ** 2)
-    amp = np.exp(-(rr + pp)).astype(np.complex128)
-    return normalize(KvnState(amp, Basis.RP, grid))
+    return normalize(KvnState(np.exp(-(rr + pp)), Basis.RP, grid))
 
 
 def fourier_R(state: KvnState) -> KvnState:

@@ -19,7 +19,7 @@ from .errors import SamplerWarning
 from .electronic import PesModel
 from .grid import PhaseSpaceGrid
 
-_CHUNK = 4096
+_BLOCK = 256  # time steps of noise drawn at once by langevin_ensemble
 
 
 def trajectory_stream(seed: int, index: int) -> np.random.Generator:
@@ -89,41 +89,40 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
                       r0, p0=0.0, record_every: int = 1) -> TrajectoryEnsemble:
     """Thermostated ensemble (kick/drift/thermostat/drift/kick splitting).
 
-    Noise comes from one counter-based stream per trajectory, so results
-    are reproducible regardless of chunking. gamma = 0 turns the
-    thermostat substep into the exact identity and the integrator reduces
-    to the energy-conserving one above.
+    Noise comes from one counter-based stream per trajectory, drawn in
+    blocks of _BLOCK steps, so working memory is O(_BLOCK x n_traj) at
+    any run length and results do not depend on the block length.
+    gamma = 0 turns the thermostat substep into the exact identity and
+    the integrator reduces to the energy-conserving one above.
     """
-    r_init = np.broadcast_to(np.asarray(r0, dtype=float), (n_traj,))
-    p_init = np.broadcast_to(np.asarray(p0, dtype=float), (n_traj,))
+    r = np.broadcast_to(np.asarray(r0, dtype=float), (n_traj,)).copy()
+    p = np.broadcast_to(np.asarray(p0, dtype=float), (n_traj,)).copy()
     c1 = np.exp(-gamma * dt)
     c2 = np.sqrt(mu * t * (1.0 - c1 * c1))
+    streams = [trajectory_stream(seed, i) for i in range(n_traj)]
 
     steps = _record_steps(n_steps, record_every)
     out_r = np.empty((len(steps), n_traj))
     out_p = np.empty((len(steps), n_traj))
-
-    for lo in range(0, n_traj, _CHUNK):
-        hi = min(lo + _CHUNK, n_traj)
-        noise = np.empty((n_steps, hi - lo))
-        for i in range(lo, hi):
-            noise[:, i - lo] = trajectory_stream(seed, i).standard_normal(n_steps)
-        r = r_init[lo:hi].copy()
-        p = p_init[lo:hi].copy()
+    f = pes.f(r)
+    rec = 0
+    for step in range(n_steps + 1):
+        if step == steps[rec]:
+            out_r[rec], out_p[rec] = r, p
+            rec += 1
+        if step == n_steps:
+            break
+        if step % _BLOCK == 0:
+            n_block = min(_BLOCK, n_steps - step)
+            noise = np.empty((n_block, n_traj))
+            for i, stream in enumerate(streams):
+                noise[:, i] = stream.standard_normal(n_block)
+        p = p + 0.5 * dt * f
+        r = r + 0.5 * dt * p / mu
+        p = c1 * p + c2 * noise[step % _BLOCK]
+        r = r + 0.5 * dt * p / mu
         f = pes.f(r)
-        rec = 0
-        for step in range(n_steps + 1):
-            if step == steps[rec]:
-                out_r[rec, lo:hi], out_p[rec, lo:hi] = r, p
-                rec += 1
-            if step == n_steps:
-                break
-            p = p + 0.5 * dt * f
-            r = r + 0.5 * dt * p / mu
-            p = c1 * p + c2 * noise[step]
-            r = r + 0.5 * dt * p / mu
-            f = pes.f(r)
-            p = p + 0.5 * dt * f
+        p = p + 0.5 * dt * f
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
 
 
@@ -205,16 +204,19 @@ def cos_filter_stationary_bias(s: float, n_terms: int = 200,
     infinite product of shrinking cosine filters (truncated at n_terms) in
     the variable conjugate to P. Working in units where the target second
     moment is 1, this returns <P^2> - 1 from direct quadrature of the
-    truncated product and its derivative.
+    truncated product and its derivative. The product is even, so it is
+    evaluated on kappa >= 0 and mirrored; for a power-of-two n_points the
+    kappa grid is exactly antisymmetric and the mirror changes no bit.
     """
     if s <= 0:
         return 0.0
     y = np.exp(-s)
     sigma = np.sqrt(2.0 * (1.0 - y * y))
     kappa = np.linspace(-kappa_max, kappa_max, n_points + 1)
-    psi = np.ones_like(kappa)
+    half = kappa[len(kappa) // 2:]
+    psi = np.ones_like(half)
     for r in range(n_terms):
-        psi *= np.cos(sigma * y ** r * kappa)
+        psi *= np.cos(sigma * y ** r * half)
     # the dropped r >= n_terms factors have shrunk deep into their
     # quadratic/quartic regime; close the remainder analytically
     # (at small s the bare truncation would still be missing e^(-2 n s)
@@ -222,7 +224,8 @@ def cos_filter_stationary_bias(s: float, n_terms: int = 200,
     ytail = y ** n_terms
     a_tail = sigma ** 2 * ytail ** 2 / (2.0 * (1.0 - y ** 2))
     b_tail = sigma ** 4 * ytail ** 4 / (12.0 * (1.0 - y ** 4))
-    psi = psi * np.exp(-a_tail * kappa ** 2 - b_tail * kappa ** 4)
+    psi = psi * np.exp(-a_tail * half ** 2 - b_tail * half ** 4)
+    psi = np.concatenate((psi[::-1][:len(kappa) // 2], psi))
     dpsi = np.gradient(psi, kappa)
     num = np.trapezoid(dpsi * dpsi, kappa)
     den = np.trapezoid(psi * psi, kappa)

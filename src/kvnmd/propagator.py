@@ -394,7 +394,7 @@ class FrictionOperator:
             raise ConfigurationError("friction acts in the (R, P) representation")
         if self.matrix is None:
             return state.copy(), 0.0
-        b = _dilate(state.amplitudes.copy(), self.matrix)
+        b = _dilate(state.amplitudes.astype(np.complex128), self.matrix)
         n2, leak = _friction_norm(
             b, np.full(state.grid.shape[0], state.grid.cell))
         b *= 1.0 / math.sqrt(n2)
@@ -453,7 +453,7 @@ def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepRepor
         raise BasisMismatchError(
             f"the filter expects the (R, P) basis, got {state.basis}")
     g = state.grid
-    amp, report = _filtered(state.amplitudes.copy(), None,
+    amp, report = _filtered(state.amplitudes.astype(np.complex128), None,
                             np.cos(sigma_h * g.k_P),
                             np.full(g.shape[0], g.cell))
     return KvnState(amp, Basis.RP, g), report

@@ -31,7 +31,7 @@ from .electronic import PesModel, tabulate_pes
 from .errors import ConfigurationError, DomainError, SingularityError
 from .grid import Basis, KvnState
 from .oracles import TrajectoryEnsemble
-from .propagator import NvePropagator
+from .propagator import NvePropagator, _preflight
 
 ZERO_BRANCH_FLOOR = 1e-12
 
@@ -143,7 +143,9 @@ def prepare_branch_states(eq_state: KvnState, omega_ref: float, mu: float):
     Returns (alpha_plus, alpha_minus, (weight_plus, weight_minus)) where
     the weights are the squared norms of the unnormalized branch states.
     Both operators are real multipliers on the phase-space table, so the
-    weights agree identically; they are still returned as a pair.
+    weights agree identically; they are still returned as a pair. For a
+    real (float) eq_state alpha_minus is conj(alpha_plus) and is not
+    built: it is returned as None.
     """
     if eq_state.basis is not Basis.RP:
         raise ConfigurationError("branch preparation expects the (R, P) basis")
@@ -155,17 +157,21 @@ def prepare_branch_states(eq_state: KvnState, omega_ref: float, mu: float):
     q = (g.R - r_mean)[:, None]
     pi = (g.P / (mu * omega_ref))[None, :]
 
-    states, weights = [], []
-    for sign in (-1.0, +1.0):  # A_plus carries -i*Pi, A_minus carries +i*Pi
+    def branch(sign):  # A_plus carries -i*Pi, A_minus carries +i*Pi
         amps = (q + sign * 1j * pi) * eq_state.amplitudes
         w = float(np.sum(np.abs(amps) ** 2) * g.cell)
         if w < ZERO_BRANCH_FLOOR:
             raise SingularityError(
                 "branch state has zero norm; the input carries no spread "
                 "in either R or P")
-        states.append(KvnState(amps / math.sqrt(w), Basis.RP, g))
-        weights.append(w)
-    return states[0], states[1], (weights[0], weights[1])
+        amps /= math.sqrt(w)
+        return KvnState(amps, Basis.RP, g), w
+
+    alpha_p, w_p = branch(-1.0)
+    if not np.iscomplexobj(eq_state.amplitudes):
+        return alpha_p, None, (w_p, w_p)
+    alpha_m, w_m = branch(+1.0)
+    return alpha_p, alpha_m, (w_p, w_m)
 
 
 def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
@@ -199,20 +205,28 @@ def qpe_spectrum(state: KvnState, pes: PesModel, mu: float,
 
 def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
                    cfg: QpeConfig, omega_ref: float | None = None):
-    """Prepare both branches of eq_state and read each one out.
+    """Read out both rotating branches of eq_state.
 
     Transport is a real operator, so for a real equilibrium amplitude
     alpha_minus = conj(alpha_plus) and c_minus(d) = conj(c_plus(d)): only
-    the plus chain is propagated. A state with an imaginary part
-    propagates both.
+    the plus state is built and its chain propagated. A state with an
+    imaginary part propagates both.
+
+    The memory preflight counts the chain (`NvePropagator.memory_estimate`)
+    and what this call holds besides: eq_state and, for a complex one,
+    alpha_minus.
     """
+    amplitudes = eq_state.amplitudes
+    held = amplitudes.nbytes * (2 if np.iscomplexobj(amplitudes) else 1)
+    _preflight("branch_spectra",
+               NvePropagator.memory_estimate(eq_state.grid) + held)
     if omega_ref is None:
         omega_ref = reference_frequency(pes, mu, eq_state.grid.R)
     alpha_p, alpha_m, (w_p, w_m) = prepare_branch_states(eq_state, omega_ref, mu)
     prop = NvePropagator(eq_state.grid, pes, mu, cfg.tau / cfg.inner_steps)
     corr_p = prop.autocorrelation(alpha_p.amplitudes, cfg.n_bins,
                                   cfg.inner_steps)
-    if np.any(eq_state.amplitudes.imag):
+    if alpha_m is not None and np.any(amplitudes.imag):
         corr_m = prop.autocorrelation(alpha_m.amplitudes, cfg.n_bins,
                                       cfg.inner_steps)
     else:

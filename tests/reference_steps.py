@@ -4,20 +4,28 @@ One-shot wrappers that build their operator tables per call, the
 Gaussian stand-in for the cosine filter, a single velocity-Verlet
 trajectory, the step-callable autocorrelation loop and the dense
 friction interpolant. They serve as independent routes for the fused
-array-level core and are not part of the package.
+array-level core and are not part of the package. The classical
+references come in their one-pass forms: a crossing counter over the
+full trajectory history, a Langevin ensemble that draws all its noise up
+front and the product oracle on the whole kappa grid. `traced_peak`
+measures the peak allocation of one call.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
+from kvnmd.constants import kelvin_to_hartree
 from kvnmd.electronic import PesModel
 from kvnmd.errors import FilterCollapseError
 from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, fourier_P
-from kvnmd.oracles import verlet_ensemble
+from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
+                           trajectory_stream, verlet_ensemble)
 from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, FrictionOperator,
                               LangevinParams, LangevinStepper, NvePropagator,
                               StepReport)
+from kvnmd.tst import CrossingResult, TstConfig
 
 
 def nve_step(state: KvnState, pes: PesModel, mu: float, dt: float) -> KvnState:
@@ -94,3 +102,78 @@ def dense_friction_table(grid: PhaseSpaceGrid, s: float) -> np.ndarray:
     e[:, n // 2] = np.cos(np.pi * u) / n
     e[~valid, :] = 0.0
     return np.ascontiguousarray(e.T)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes that tracemalloc saw allocated during it)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def full_history_crossings(pes: PesModel, mu: float, t_kelvin: float,
+                           n_traj: int, t_sim: float, seed: int,
+                           cfg: TstConfig, r_range: tuple[float, float],
+                           dt: float = 2.0) -> CrossingResult:
+    """Upward surface crossings counted over one recorded run of n_steps."""
+    n_steps = max(1, int(round(t_sim / dt)))
+    r0, p0 = canonical_sampler(pes, mu, kelvin_to_hartree(t_kelvin), n_traj,
+                               seed, r_range)
+    ens = verlet_ensemble(pes, mu, r0, p0, dt, n_steps, record_every=1)
+    upward = (ens.R[:-1] < cfg.r_dividing) & (ens.R[1:] >= cfg.r_dividing)
+    n_cross = int(np.count_nonzero(upward))
+    denom = n_traj * n_steps * dt
+    return CrossingResult(n_cross, n_cross / denom, 1.0 / denom)
+
+
+def one_draw_langevin(pes: PesModel, mu: float, gamma: float, t: float,
+                      dt: float, n_steps: int, n_traj: int, seed: int,
+                      r0, p0=0.0) -> TrajectoryEnsemble:
+    """Thermostated ensemble, every step recorded, with each trajectory's
+    whole noise series drawn in one call before the first step."""
+    r = np.broadcast_to(np.asarray(r0, dtype=float), (n_traj,)).copy()
+    p = np.broadcast_to(np.asarray(p0, dtype=float), (n_traj,)).copy()
+    c1 = np.exp(-gamma * dt)
+    c2 = np.sqrt(mu * t * (1.0 - c1 * c1))
+    noise = np.empty((n_steps, n_traj))
+    for i in range(n_traj):
+        noise[:, i] = trajectory_stream(seed, i).standard_normal(n_steps)
+    out_r = np.empty((n_steps + 1, n_traj))
+    out_p = np.empty((n_steps + 1, n_traj))
+    out_r[0], out_p[0] = r, p
+    f = pes.f(r)
+    for step in range(n_steps):
+        p = p + 0.5 * dt * f
+        r = r + 0.5 * dt * p / mu
+        p = c1 * p + c2 * noise[step]
+        r = r + 0.5 * dt * p / mu
+        f = pes.f(r)
+        p = p + 0.5 * dt * f
+        out_r[step + 1], out_p[step + 1] = r, p
+    return TrajectoryEnsemble(times=np.arange(n_steps + 1) * dt, R=out_r,
+                              P=out_p)
+
+
+def full_grid_filter_bias(s: float, n_terms: int = 200,
+                          n_points: int = 1 << 17,
+                          kappa_max: float = 10.0) -> float:
+    """The stationary filter bias with the cosine product taken on every
+    kappa node, negative ones included."""
+    y = np.exp(-s)
+    sigma = np.sqrt(2.0 * (1.0 - y * y))
+    kappa = np.linspace(-kappa_max, kappa_max, n_points + 1)
+    psi = np.ones_like(kappa)
+    for r in range(n_terms):
+        psi *= np.cos(sigma * y ** r * kappa)
+    ytail = y ** n_terms
+    a_tail = sigma ** 2 * ytail ** 2 / (2.0 * (1.0 - y ** 2))
+    b_tail = sigma ** 4 * ytail ** 4 / (12.0 * (1.0 - y ** 4))
+    psi = psi * np.exp(-a_tail * kappa ** 2 - b_tail * kappa ** 4)
+    dpsi = np.gradient(psi, kappa)
+    num = np.trapezoid(dpsi * dpsi, kappa)
+    den = np.trapezoid(psi * psi, kappa)
+    return float(num / den - 1.0)

@@ -11,7 +11,8 @@ from kvnmd.grid import build_grid
 from kvnmd.oracles import (canonical_sampler, cos_filter_stationary_bias,
                            histogram_density, langevin_ensemble,
                            trajectory_stream, verlet_ensemble)
-from reference_steps import verlet_trajectory
+from reference_steps import (full_grid_filter_bias, one_draw_langevin,
+                             verlet_trajectory)
 
 MORSE = morse_pes(de=0.1744, alpha=1.02764, re=1.40201)
 MU = 918.0
@@ -94,10 +95,22 @@ class TestLangevin:
         kwargs = dict(pes=MORSE, mu=MU, gamma=0.01, t=0.003, dt=1.0,
                       n_steps=40, n_traj=9, seed=5, r0=1.6)
         a = langevin_ensemble(**kwargs)
-        monkeypatch.setattr(oracles, "_CHUNK", 2)
+        monkeypatch.setattr(oracles, "_BLOCK", 3)
         b = langevin_ensemble(**kwargs)
         np.testing.assert_array_equal(a.R, b.R)
         np.testing.assert_array_equal(a.P, b.P)
+
+    def test_blocks_match_one_noise_draw(self):
+        # three noise blocks and a remainder, drawn block by block from the
+        # per-trajectory streams, against each series drawn in one call
+        kwargs = dict(pes=MORSE, mu=MU, gamma=0.02, t=0.003, dt=0.5,
+                      n_steps=3 * oracles._BLOCK + 17, n_traj=6, seed=11,
+                      r0=1.40201)
+        got = langevin_ensemble(**kwargs)
+        ref = one_draw_langevin(**kwargs)
+        np.testing.assert_array_equal(got.times, ref.times)
+        np.testing.assert_array_equal(got.R, ref.R)
+        np.testing.assert_array_equal(got.P, ref.P)
 
     def test_noise_streams_keyed_by_trajectory_index(self):
         a = trajectory_stream(seed=7, index=3).standard_normal(4)
@@ -185,6 +198,14 @@ class TestCosFilterStationaryBias:
             5.0420084e-3, rel=1e-5)
         assert cos_filter_stationary_bias(0.05) == pytest.approx(
             2.6089752e-2, rel=1e-5)
+
+    @pytest.mark.parametrize("s, n_points", [
+        (0.005, 1 << 17), (0.01, 1 << 17), (0.05, 1 << 17), (0.01, 1 << 15)])
+    def test_even_half_matches_full_grid(self, s, n_points):
+        # power-of-two grids are exactly antisymmetric and cos is exactly
+        # even, so the mirrored half changes no bit
+        assert cos_filter_stationary_bias(s, n_points=n_points) == \
+            full_grid_filter_bias(s, n_points=n_points)
 
     def test_approaches_half_tanh_for_weak_friction(self):
         for s in (0.001, 0.005, 0.02):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +20,7 @@ from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               corrected_internal_temperature, diffusion_step,
                               momentum_bias_experiment)
 from reference_steps import (friction_step, ideal_diffusion_step,
-                             langevin_step, nve_step)
+                             langevin_step, nve_step, traced_peak)
 
 
 def linear_pes(slope: float) -> PesModel:
@@ -441,12 +440,7 @@ class TestMemoryPreflight:
                 size=grid.shape)
         table = 16 * grid.shape[0] * grid.shape[1]
         prop.autocorrelation(amp, 2)  # leaves the FFT plan caches warm
-        tracemalloc.start()
-        try:
-            prop.autocorrelation(amp, 12, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(prop.autocorrelation, amp, 12, 2)
         assert 2 * table <= peak < 2 * table + 2 ** 19
         # two phase tables, the input and the two working tables
         assert NvePropagator.memory_estimate(grid) == 5 * table

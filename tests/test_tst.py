@@ -9,10 +9,11 @@ from kvnmd.electronic import PesModel, morse_pes
 from kvnmd.errors import ConfigurationError, ResolutionError, SingularityError
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
 from kvnmd.oracles import canonical_sampler
-from kvnmd.tst import (ArrheniusFit, TstConfig, TstResult,
+from kvnmd.tst import (_BLOCK, ArrheniusFit, TstConfig, TstResult,
                        analytic_canonical_state, arrhenius_sweep,
                        crossing_reference, dividing_surface_flux,
                        reactant_population, tst_rate)
+from reference_steps import full_history_crossings, traced_peak
 
 MU = 918.0
 TEMPS = (2500.0, 5000.0, 10000.0)
@@ -81,6 +82,17 @@ class TestAnalyticCanonicalState:
                                    rtol=1e-14, atol=0.0)
         assert np.all(state.amplitudes.imag == 0.0)
         assert np.all(state.amplitudes.real >= 0.0)
+
+    def test_zero_phase_tables_are_real(self):
+        # the canonical state and the Gaussian packet carry no phase and
+        # are built as float64, half the bytes of a complex table
+        grid = build_grid(6, 6, (0.5, 2.5), (-20.0, 20.0))
+        pes = morse_pes(0.1744, 1.02764, 1.40201)
+        state = analytic_canonical_state(grid, pes, MU,
+                                         kelvin_to_hartree(2500.0))
+        packet = encode_gaussian(grid, 1.4, 2.0, 0.1, 2.0)
+        assert state.amplitudes.dtype == np.float64
+        assert packet.amplitudes.dtype == np.float64
 
     def test_encoded_temperature(self):
         grid = build_grid(7, 7, (0.5, 2.5), (-33.0, 33.0))
@@ -280,6 +292,31 @@ class TestCrossingReference:
         assert cross.n_cross > 100
         ratio = cross.k_cross / res.flux_au
         assert 0.5 < ratio < 2.0
+
+    @pytest.mark.parametrize("n_steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                         5 * _BLOCK // 2])
+    def test_blocked_count_matches_full_history(self, n_steps):
+        # the hot well of the test above: about 0.6 upward crossings per
+        # step pair over 512 trajectories, so a pair lost at a block
+        # boundary shows in the count (it does at _BLOCK + 1 and 2.5 x)
+        pes = double_well(v_b=0.01, a=1.0)
+        cfg = TstConfig(r_dividing=0.0)
+        args = (pes, MU, 10000.0, 512, 2.0 * n_steps, 7, cfg, (-2.4, 2.4))
+        cross = crossing_reference(*args, dt=2.0)
+        assert cross.n_cross > 0
+        assert cross == full_history_crossings(*args, dt=2.0)
+
+    def test_memory_does_not_grow_with_run_length(self):
+        # a full history of 512 trajectories x 10 001 records of R and P
+        # would be 78 MiB (89 MiB peak); the counter holds two blocks of
+        # _BLOCK + 1 records (4 MiB) and their temporaries
+        pes = double_well(v_b=0.01, a=1.0)
+        cfg = TstConfig(r_dividing=0.0)
+        cross, peak = traced_peak(crossing_reference, pes, MU, 10000.0, 512,
+                                  20000.0, 7, cfg, (-2.4, 2.4))
+        assert cross.n_cross > 100
+        block = 2 * 8 * (_BLOCK + 1) * 512
+        assert peak < 4 * block
 
     def test_cold_deep_well_pins_to_detection_floor(self):
         pes = double_well(v_b=0.15, a=1.0)

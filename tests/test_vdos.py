@@ -6,16 +6,19 @@ import pytest
 from kvnmd.constants import WAVENUMBER_PER_HARTREE, kelvin_to_hartree
 from kvnmd.diagnostics import canonical_reference
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import ConfigurationError, DomainError, SingularityError
+from kvnmd.errors import (ConfigurationError, DomainError, MemoryBudgetError,
+                          SingularityError)
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
 from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
                            verlet_ensemble)
+import kvnmd.propagator
 from kvnmd.propagator import NvePropagator
+from kvnmd.tst import analytic_canonical_state
 from kvnmd.vdos import (QpeConfig, aimd_reference_spectrum, branch_spectra,
                         fejer_kernel, kvn_autocorrelation,
                         prepare_branch_states, qpe_distribution, qpe_spectrum,
                         reference_frequency)
-from reference_steps import step_autocorrelation
+from reference_steps import step_autocorrelation, traced_peak
 
 MU = 918.0
 W0 = 0.02
@@ -319,6 +322,49 @@ class TestQpeSpectrum:
         spec = qpe_spectrum(st, harmonic(), MU, cfg)
         np.testing.assert_allclose(spec.omega_cm1,
                                    spec.omega_au * WAVENUMBER_PER_HARTREE)
+
+
+class TestBranchSpectraMemory:
+    @staticmethod
+    def equilibrium(kind):
+        grid = build_grid(8, 8, (0.4, 2.4), (-12.0, 12.0))
+        eq = analytic_canonical_state(grid, harmonic(), MU,
+                                      kelvin_to_hartree(300.0))
+        if kind == "complex":
+            eq = KvnState(eq.amplitudes * np.exp(0.3j * grid.R[:, None]),
+                          Basis.RP, grid)
+        return grid, eq
+
+    @staticmethod
+    def count(grid, kind):
+        # the chain's estimate plus the equilibrium table: float64 for the
+        # canonical state; a complex one also holds alpha_minus, whose own
+        # chain runs after the plus chain
+        n = grid.shape[0] * grid.shape[1]
+        held = 8 * n if kind == "real" else 2 * 16 * n
+        return NvePropagator.memory_estimate(grid) + held
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_peaks_within_preflight_count(self, kind):
+        grid, eq = self.equilibrium(kind)
+        cfg = QpeConfig(m=3, tau=20.0)
+        branch_spectra(eq, harmonic(), MU, cfg, W0)  # warms the FFT plans
+        _, peak = traced_peak(branch_spectra, eq, harmonic(), MU, cfg, W0)
+        # eq_state exists before tracing starts; numpy's fixed ufunc
+        # buffers (3 x 8192 complex items) come on top of any count
+        assert eq.amplitudes.nbytes + peak <= self.count(grid, kind) + 2 ** 19
+
+    def test_preflight_counts_the_equilibrium_table(self, monkeypatch):
+        grid, eq = self.equilibrium("real")
+        cfg = QpeConfig(m=3, tau=20.0)
+        need = self.count(grid, "real")
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        with pytest.raises(MemoryBudgetError, match="branch_spectra"):
+            branch_spectra(eq, harmonic(), MU, cfg, W0)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        branch_spectra(eq, harmonic(), MU, cfg, W0)
 
 
 class TestKvnAutocorrelation:
