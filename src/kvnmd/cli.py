@@ -4,14 +4,16 @@ Every invocation executes one mode (relax, vdos, tst, bias-check,
 oracle), writes its data series as plot-ready CSVs plus a manifest.json
 recording the resolved configuration, derived parameters, library
 versions, wall time (in total and per phase: tables, propagate, readout,
-write), the warnings shown under the active filters (category, count,
-first message) and a content hash per output file. Reruns with the same config and seed
-reproduce the CSVs byte for byte; timings go only into the manifest.
+write), memory (the process's peak resident set and, for relax, the
+preflight's estimate of the working set), the warnings shown under the
+active filters (category, count, first message) and a content hash per
+output file. Reruns with the same config and seed reproduce the CSVs
+byte for byte; timings and memory go only into the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 manifest records the exit status. A run stopped by a numerical error
-still writes one, with the error, the phase timings booked until then
-and the warning tally, but no outputs.
+still writes one, with the error, the phase timings and memory booked
+until then and the warning tally, but no outputs.
 """
 
 from __future__ import annotations
@@ -27,13 +29,18 @@ import time
 import warnings
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import __version__
 from .config import MODES, RunConfig, load_config
 from .constants import (WAVENUMBER_PER_HARTREE, angstrom_to_bohr,
                         hartree_to_kelvin, kelvin_to_hartree)
-from .diagnostics import relax
+from .diagnostics import relax, relax_memory_estimate
 from .errors import (BasisMismatchError, ConfigurationError, DomainError,
                      KvnError, MemoryBudgetError, ResolutionError,
                      TableFormatError)
@@ -115,19 +122,24 @@ def _grid_derived(grid) -> dict:
             "grid_shape": list(grid.shape)}
 
 
-def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
+def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
+               memory: dict):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     lv = cfg.langevin
+    rl = cfg.relax
     params = calibrate(cfg.pes.mu_au, lv.gamma_au, lv.dt_au,
                        kelvin_to_hartree(lv.t_phys_kelvin), lv.correction)
-    initial = encode_gaussian(grid, angstrom_to_bohr(cfg.init.r0_angstrom),
-                              cfg.init.p0_au, cfg.init.sigma_r_bohr,
-                              cfg.init.sigma_p_au)
+    memory["estimate_bytes"] = relax_memory_estimate(
+        grid, params, rl.n_steps, rl.snapshot_steps)
     clock.lap("tables")
-    rl = cfg.relax
-    trace, _, snapshots = relax(initial, pes, params, rl.n_steps,
-                                rl.record_every, rl.snapshot_steps)
+    # no name here holds the initial table, so relax releases it once it
+    # has read it; its encoding is booked to propagate
+    trace, _, snapshots = relax(
+        encode_gaussian(grid, angstrom_to_bohr(cfg.init.r0_angstrom),
+                        cfg.init.p0_au, cfg.init.sigma_r_bohr,
+                        cfg.init.sigma_p_au),
+        pes, params, rl.n_steps, rl.record_every, rl.snapshot_steps)
     clock.lap("propagate", readout=trace.monitor_seconds)
 
     outputs = ["relax_trace.csv"]
@@ -156,7 +168,8 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     return EXIT_OK, derived, outputs
 
 
-def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
+def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
+              memory: dict):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
@@ -216,7 +229,8 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     return EXIT_OK, derived, ["vdos_spectrum.csv", "vdos_meta.json"]
 
 
-def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
+def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
+             memory: dict):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
@@ -252,7 +266,8 @@ def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     return EXIT_OK, derived, outputs
 
 
-def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
+def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
+                    memory: dict):
     b = cfg.bias_check
     t_phys = kelvin_to_hartree(b.t_kelvin)
     rows = []
@@ -288,7 +303,8 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
         ["bias_check.csv"]
 
 
-def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
+def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
+                memory: dict):
     o = cfg.oracle
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
@@ -320,6 +336,9 @@ def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock):
     return EXIT_OK, {"n_records": len(ens.times)}, outputs
 
 
+# each handler books its phases on the clock and any memory figures in
+# `memory` as it goes, so that a partial manifest keeps them, and returns
+# (exit code, derived quantities, output names)
 _HANDLERS = {"relax": _run_relax, "vdos": _run_vdos, "tst": _run_tst,
              "bias-check": _run_bias_check, "oracle": _run_oracle}
 
@@ -366,9 +385,17 @@ class _WarningTally:
         self._show(message, category, filename, lineno, file, line)
 
 
+def _peak_rss_bytes() -> int | None:
+    """Peak resident set of this process; None where it cannot be read."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else 1024 * peak  # KiB on Linux
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, code: int,
                     error: dict | None, derived: dict, outputs: list[str],
-                    wall_seconds: float, timings: dict,
+                    wall_seconds: float, timings: dict, memory: dict,
                     warning_summary: list[dict]) -> None:
     manifest = {
         "mode": cfg.mode,
@@ -380,6 +407,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, code: int,
                      "python": platform.python_version()},
         "wall_time_seconds": wall_seconds,
         "timings": timings,
+        "memory": memory,
         "warnings": warning_summary,
         "outputs": {name: _sha256(out_dir / name) for name in outputs},
     }
@@ -412,9 +440,11 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     clock = _PhaseClock()
+    memory: dict[str, int] = {}
     try:
         with _WarningTally() as tally:
-            code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir, clock)
+            code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir, clock,
+                                                         memory)
     except _CONFIG_CLASS_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -425,8 +455,11 @@ def main(argv=None) -> int:
     else:
         error = None
     wall = time.perf_counter() - start
+    peak = _peak_rss_bytes()
+    if peak is not None:
+        memory["peak_rss_bytes"] = peak
     _write_manifest(out_dir, cfg, code, error, derived, outputs, wall,
-                    clock.seconds, list(tally.summary.values()))
+                    clock.seconds, memory, list(tally.summary.values()))
     return code
 
 

@@ -33,11 +33,3 @@ def angstrom_to_bohr(r: float) -> float:
 
 def bohr_to_angstrom(r: float) -> float:
     return r * ANGSTROM_PER_BOHR
-
-
-def au_time_to_fs(t: float) -> float:
-    return t * FS_PER_AU_TIME
-
-
-def fs_to_au_time(t: float) -> float:
-    return t / FS_PER_AU_TIME

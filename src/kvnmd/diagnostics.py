@@ -5,8 +5,11 @@ length, kinetic temperature <P^2>/mu, mean energy, and the KL divergence
 against the canonical reference at the physical temperature. The driver
 repeats the thermostated step, records the monitors on the normalized
 state after each step, and accumulates the postselection success
-probability. All internal quantities are atomic units; the trace carries
-fs/angstrom/kelvin columns ready for plotting.
+probability. It reads <R>, T_kin and D_KL from one density per record,
+through its two marginals and the factorized canonical weight, so no
+(R, P) table of the reference is built. All internal quantities are
+atomic units; the trace carries fs/angstrom/kelvin columns ready for
+plotting.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from .constants import (FS_PER_AU_TIME, bohr_to_angstrom, hartree_to_kelvin)
 from .electronic import PesModel, tabulate_pes
 from .errors import FilterCollapseError
 from .grid import Basis, KvnState, PhaseSpaceGrid, density
-from .propagator import LangevinParams, LangevinStepper
+from .propagator import LangevinParams, LangevinStepper, _preflight
 
 KL_FLOOR = 1e-300
+_LOG_BLOCK = 1 << 13  # density values per block of sum rho log rho
 
 
 def mean_R(state: KvnState) -> float:
@@ -100,6 +104,65 @@ class RelaxationTrace:
         return len(self.time_fs)
 
 
+class _CanonicalMonitors:
+    """<R>, T_kin and D_KL of a density, read from its two marginals.
+
+    H = P^2/2mu + V(R) separates, so the canonical reference
+    rho_eq = e^{-H/T} / (Z cell) has Z = Z_R Z_P, and for a density of
+    norm n = sum rho cell
+        D_KL = sum rho log rho cell + <H>/T + n log(Z cell)
+    with <H> = sum rho H cell. Only sum rho log rho needs the whole
+    density; no (R, P) table of rho_eq is built. Both energy terms are
+    shifted by their minima, which cancel between <H>/T and log Z.
+    Where rho_eq underflows, this is its exact logarithm, where
+    `kl_divergence` floors it at KL_FLOOR.
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, pes: PesModel, mu: float,
+                 t: float):
+        v, _ = tabulate_pes(pes, grid.R)
+        self.grid = grid
+        self.mu = mu
+        self.p2 = grid.P ** 2
+        self.v_over_t = (v - v.min()) / t
+        self.k_over_t = (self.p2 - self.p2.min()) / (2.0 * mu * t)
+        self.log_z_cell = (math.log(np.sum(np.exp(-self.v_over_t)))
+                           + math.log(np.sum(np.exp(-self.k_over_t)))
+                           + math.log(grid.cell))
+
+    def read(self, rho: np.ndarray) -> tuple[float, float, float]:
+        """<R> in bohr, T_kin in hartree and D_KL in nats."""
+        cell = self.grid.cell
+        m_r, m_p = rho.sum(axis=1), rho.sum(axis=0)
+        h_over_t = m_r @ self.v_over_t + m_p @ self.k_over_t
+        d_kl = ((_sum_rho_log_rho(rho) + h_over_t) * cell
+                + np.sum(m_r) * cell * self.log_z_cell)
+        return (float(m_r @ self.grid.R) * cell,
+                float(m_p @ self.p2) * cell / self.mu, float(d_kl))
+
+
+def _sum_rho_log_rho(rho: np.ndarray) -> float:
+    """sum rho log max(rho, KL_FLOOR), a block of rows at a time."""
+    rows = max(1, _LOG_BLOCK // rho.shape[1])
+    total = 0.0
+    for i in range(0, len(rho), rows):
+        block = rho[i:i + rows]
+        log_block = np.maximum(block, KL_FLOOR)
+        total += np.vdot(block, np.log(log_block, out=log_block))
+    return total
+
+
+def relax_memory_estimate(grid: PhaseSpaceGrid, params: LangevinParams,
+                          n_steps: int,
+                          snapshot_steps: tuple[int, ...] = ()) -> int:
+    """Bytes that `relax` holds: the stepper's fixed working set plus one
+    float64 density per snapshot taken."""
+    n_r, n_p = grid.shape
+    taken = set(snapshot_steps) & set(range(n_steps + 1))
+    return (LangevinStepper.memory_estimate(grid, params.s)
+            + 8 * n_r * n_p * len(taken))
+
+
 def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
           n_steps: int, record_every: int = 1,
           snapshot_steps: tuple[int, ...] = ()) \
@@ -109,49 +172,51 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     Records at step 0, every `record_every` steps, and the final step.
     A filter collapse truncates the trace at the last completed step and
     sets the collapsed flag instead of propagating. Snapshot densities
-    are taken at the requested step indices. The amplitude rests in the
-    half-spectrum layout of the stepping core and is transformed back to
-    (R, P) only where a record or a snapshot reads it, with the dtype of
-    the initial table.
+    are taken at the requested step indices. Step 0 reads the initial
+    table; afterwards the amplitude rests in the half-spectrum layout of
+    the stepping core, two stacks that the steps alternate, and records
+    and snapshots read its density from the stepper's real plane. The
+    final state is transformed back to (R, P) with the dtype of the
+    initial table. The initial table is released once it is read, so a
+    caller that passes a temporary does not hold it during the run.
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
-    grid = initial.grid
+    grid, dtype = initial.grid, initial.amplitudes.dtype
+    _preflight("relax", relax_memory_estimate(grid, params, n_steps,
+                                              snapshot_steps))
     stepper = LangevinStepper(grid, pes, params)
-    rho_eq = canonical_reference(grid, pes, params.mu, params.t_phys)
+    monitors = _CanonicalMonitors(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
     snapshots: dict[int, np.ndarray] = {}
-    state = initial
-    a = stepper.to_half_spectra(initial.amplitudes)
     log_cum = 0.0
 
-    def to_rp() -> KvnState:
-        return KvnState(stepper.from_half_spectra(a, initial.amplitudes.dtype),
-                        Basis.RP, grid)
-
-    def record(step: int):
+    def record(step: int, rho: np.ndarray):
         start = time.perf_counter()
-        trace.append(step * params.dt * FS_PER_AU_TIME,
-                     bohr_to_angstrom(mean_R(state)),
-                     hartree_to_kelvin(kinetic_temperature(state, params.mu)),
-                     kl_divergence(density(state), rho_eq, grid.cell),
-                     math.exp(log_cum))
+        r, t_kin, d_kl = monitors.read(rho)
+        trace.append(step * params.dt * FS_PER_AU_TIME, bohr_to_angstrom(r),
+                     hartree_to_kelvin(t_kin), d_kl, math.exp(log_cum))
         trace.monitor_seconds += time.perf_counter() - start
 
-    record(0)
-    last_recorded = 0
+    a = stepper.to_half_spectra(initial.amplitudes)
+    rho = density(initial)
+    del initial  # the last reference when the caller passed a temporary
+    record(0, rho)
     if 0 in snapshot_steps:
-        snapshots[0] = density(state)
+        snapshots[0] = rho
+    del rho
+    spare = np.empty_like(a)
+    last_recorded = 0
     for step in range(1, n_steps + 1):
         try:
-            a, report = stepper.advance(a)
+            stepped, report = stepper.advance(a, out=spare)
         except FilterCollapseError:
             if last_recorded != step - 1:
-                state = to_rp()
-                record(step - 1)
+                record(step - 1, stepper.density(a))
             trace.collapsed = True
             break
+        a, spare = stepped, a
         log_cum += report.log_success
         trace.friction_leak_max = max(trace.friction_leak_max,
                                       report.friction_leak)
@@ -159,10 +224,12 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
                                             report.success_probability)
         recording = step % record_every == 0 or step == n_steps
         if recording or step in snapshot_steps:
-            state = to_rp()
-        if recording:
-            record(step)
-            last_recorded = step
-        if step in snapshot_steps:
-            snapshots[step] = density(state)
-    return trace, state, snapshots
+            rho = stepper.density(a)
+            if step in snapshot_steps:
+                snapshots[step] = rho.copy()
+            if recording:
+                record(step, rho)
+                last_recorded = step
+    del spare
+    final = KvnState(stepper.from_half_spectra(a, dtype), Basis.RP, grid)
+    return trace, final, snapshots

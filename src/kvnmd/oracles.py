@@ -18,6 +18,7 @@ import numpy as np
 from .errors import SamplerWarning
 from .electronic import PesModel
 from .grid import PhaseSpaceGrid
+from .propagator import _preflight
 
 _BLOCK = 256  # time steps of noise drawn at once by langevin_ensemble
 
@@ -55,6 +56,8 @@ def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
 
     The drift is split in two halves so that the zero-friction limit of
     the thermostated integrator below reproduces this one step for step.
+    The recorded R and P are preflighted against physical memory before
+    they are allocated.
     """
     if omega_ref is not None and dt * omega_ref >= 0.1:
         raise ValueError(
@@ -66,6 +69,8 @@ def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
     r, p = r.copy(), p.copy()
 
     steps = _record_steps(n_steps, record_every)
+    _preflight("verlet_ensemble", 2 * 8 * len(steps) * len(r),
+               "record fewer steps or trajectories")
     out_r = np.empty((len(steps), len(r)))
     out_p = np.empty((len(steps), len(r)))
     rec = 0

@@ -128,8 +128,9 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _preflight(owner: str, need: int) -> None:
-    """Refuse an operator whose tables and working state cannot fit.
+def _preflight(owner: str, need: int,
+               remedy: str = "use fewer qubits") -> None:
+    """Refuse a computation whose tables and working arrays cannot fit.
 
     Skipped where the host does not report its physical memory.
     """
@@ -137,8 +138,8 @@ def _preflight(owner: str, need: int) -> None:
     if have is not None and need > have:
         raise MemoryBudgetError(
             f"{owner} needs about {need / 2 ** 30:.1f} GiB for its tables "
-            f"and working copies of the state, more than the "
-            f"{have / 2 ** 30:.1f} GiB of physical memory; use fewer qubits")
+            f"and working arrays, more than the {have / 2 ** 30:.1f} GiB "
+            f"of physical memory; {remedy}")
 
 
 def _state_bytes(grid: PhaseSpaceGrid, copies: int = 2) -> int:
@@ -384,9 +385,7 @@ class FrictionOperator:
     def memory_estimate(grid: PhaseSpaceGrid, s: float) -> int:
         """Bytes of the real N_P x N_P table (none for s = 0) plus the
         working state."""
-        n_p = grid.shape[1]
-        table = 8 * n_p * n_p if s > 0.0 else 0
-        return table + _state_bytes(grid)
+        return _friction_table_bytes(grid, s) + _state_bytes(grid)
 
     def apply(self, state: KvnState) -> tuple[KvnState, float]:
         """The renormalized state and the boundary leak |1 - norm^2|."""
@@ -401,33 +400,45 @@ class FrictionOperator:
         return KvnState(b, Basis.RP, state.grid), leak
 
 
-def _dilate(x: np.ndarray, friction: np.ndarray) -> np.ndarray:
+def _friction_table_bytes(grid: PhaseSpaceGrid, s: float) -> int:
+    """Bytes of the real N_P x N_P friction table, none for s = 0."""
+    n_p = grid.shape[1]
+    return 8 * n_p * n_p if s > 0.0 else 0
+
+
+def _dilate(x: np.ndarray, friction: np.ndarray,
+            plane: np.ndarray | None = None) -> np.ndarray:
     """x @ friction for complex rows over P, overwriting x.
 
     The real and imaginary planes go through a real matrix product each,
-    half the work of one complex product.
+    half the work of one complex product. Both products land in `plane`,
+    a real array of the shape of x, or in one fresh array without it.
     """
-    re = x.real @ friction
-    x.imag = x.imag @ friction
-    x.real = re
+    plane = np.matmul(x.real, friction, out=plane)
+    x.real = plane
+    np.matmul(x.imag, friction, out=plane)
+    x.imag = plane
     return x
 
 
 def _filtered(x: np.ndarray, friction: np.ndarray | None,
-              cos_filter: np.ndarray, row_weights: np.ndarray) \
+              cos_filter: np.ndarray, row_weights: np.ndarray,
+              plane: np.ndarray | None = None) \
         -> tuple[np.ndarray, StepReport]:
     """Friction, cosine filter and renormalization of rows over P.
 
     x[..., i, :] are complex rows over P, row i carrying the quadrature
     weight row_weights[i]; both blocks act on the P axis alone, so the
     rows may be R rows or half-spectrum k_R rows. `friction` is
-    FrictionOperator.matrix (None for s = 0) and `cos_filter` the filter
-    over k_P. `x` is overwritten; returns the renormalized rows over P.
+    FrictionOperator.matrix (None for s = 0), `plane` the optional real
+    out-plane of its products (see `_dilate`) and `cos_filter` the
+    filter over k_P. `x` is overwritten; returns the renormalized rows
+    over P.
     """
     if friction is None:
         n2, leak = 1.0, 0.0
     else:
-        x = _dilate(x, friction)
+        x = _dilate(x, friction, plane)
         n2, leak = _friction_norm(x, row_weights)
     np.fft.fft(x, axis=-1, norm="ortho", out=x)
     x *= cos_filter
@@ -466,6 +477,12 @@ class LangevinStepper:
     renormalization. `advance` is the array-level core on the resting
     layout, a stack of rfft_R half spectra (see `to_half_spectra`);
     `step` wraps it for (R, P) states.
+
+    The stepper also owns the scratch of a step, allocated for the first
+    stack it meets and kept while the stack height S stays the same: a
+    real (S, N_R, N_P) plane, the (S, N_R, N_P//2 + 1) half spectrum of
+    the kick and the real (S, N_R//2 + 1, N_P) out-plane of the friction
+    products. A step into a stack the caller supplies allocates nothing.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
@@ -479,6 +496,7 @@ class LangevinStepper:
         self.friction = FrictionOperator(grid, params.s)
         self.cos_filter = np.cos(params.sigma_h * grid.k_P)
         self.row_weights = grid.cell * _hermitian_weights(grid.shape[0])
+        self._scratch: tuple[np.ndarray, ...] = ()
         # transport shears density into high k_P; if the filter argument
         # leaves the first quarter-wave there, |cos| ~ 1 lobes let that
         # content survive and alias instead of diffusing away, which can
@@ -493,11 +511,28 @@ class LangevinStepper:
 
     @staticmethod
     def memory_estimate(grid: PhaseSpaceGrid, s: float) -> int:
-        """Bytes of the half phase tables, the friction table for
-        s = gamma*dt and the state."""
+        """Bytes of the fixed working set for a complex state (a stack of
+        two): the half phase tables, the friction table for
+        s = gamma*dt, the two resting stacks a step reads and writes, and
+        the step's three scratch planes."""
         n_r, n_p = grid.shape
-        half_tables = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
-        return half_tables + FrictionOperator.memory_estimate(grid, s)
+        rows, cols = n_r // 2 + 1, n_p // 2 + 1
+        half_tables = 16 * (rows * n_p + n_r * cols)
+        stacks = 2 * 2 * 16 * rows * n_p
+        scratch = 2 * (8 * n_r * n_p + 16 * n_r * cols + 8 * rows * n_p)
+        return (half_tables + _friction_table_bytes(grid, s) + stacks
+                + scratch)
+
+    def _planes(self, n_stack: int) -> tuple[np.ndarray, ...]:
+        """Real plane, half spectrum and out-plane for a stack of n_stack."""
+        if not self._scratch or len(self._scratch[0]) != n_stack:
+            n_r, n_p = self.grid.shape
+            self._scratch = ()  # free the old set before allocating anew
+            self._scratch = (np.empty((n_stack, n_r, n_p)),
+                             np.empty((n_stack, n_r, n_p // 2 + 1),
+                                      np.complex128),
+                             np.empty((n_stack, n_r // 2 + 1, n_p)))
+        return self._scratch
 
     def to_half_spectra(self, amplitudes: np.ndarray) -> np.ndarray:
         """Resting layout of an (R, P) table: rfft_R of its real stack.
@@ -506,31 +541,60 @@ class LangevinStepper:
         (Re, Im) otherwise, so the layout is (S, N_R//2 + 1, N_P).
         """
         if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
-            planes = np.stack((amplitudes.real, amplitudes.imag))
+            parts = (amplitudes.real, amplitudes.imag)
         else:
-            planes = amplitudes.real[None]
-        return np.fft.rfft(planes, axis=-2, norm="ortho")
+            parts = (amplitudes.real,)
+        n_r, n_p = self.grid.shape
+        a = np.empty((len(parts), n_r // 2 + 1, n_p), np.complex128)
+        for part, half in zip(parts, a):
+            np.fft.rfft(part, axis=0, norm="ortho", out=half)
+        return a
 
     def from_half_spectra(self, a: np.ndarray, dtype=np.complex128) \
             -> np.ndarray:
         """(R, P) table of a resting stack; a stack of one has `dtype`."""
-        planes = np.fft.irfft(a, self.grid.shape[0], axis=-2, norm="ortho")
+        planes = np.fft.irfft(a, self.grid.shape[0], axis=-2, norm="ortho",
+                              out=self._planes(len(a))[0])
         if len(planes) == 1:
-            return planes[0].astype(dtype, copy=False)
-        return planes[0] + 1j * planes[1]
+            return planes[0].astype(dtype)
+        table = np.empty(planes.shape[1:], np.complex128)
+        table.real, table.imag = planes
+        return table
 
-    def advance(self, a: np.ndarray) -> tuple[np.ndarray, StepReport]:
-        """One step of a resting stack; returns a new stack, `a` is kept."""
+    def density(self, a: np.ndarray) -> np.ndarray:
+        """|psi|^2 of a resting stack on the (R, P) grid.
+
+        It is formed in the real plane, so the next `advance`, `density`
+        or `from_half_spectra` overwrites it.
+        """
+        plane, spectrum, _ = self._planes(len(a))
+        planes = np.fft.irfft(a, self.grid.shape[0], axis=-2, norm="ortho",
+                              out=plane)
+        rho = planes[0]
+        if len(planes) == 2:
+            # np.abs of the complex table, as `grid.density` reads it (np.hypot
+            # differs in the last bit); the half spectrum is free between
+            # steps and holds N_R x (N_P + 2) complex values
+            table = spectrum.reshape(-1)[:rho.size].reshape(rho.shape)
+            table.real, table.imag = planes
+            np.abs(table, out=rho)
+        return np.square(rho, out=rho)
+
+    def advance(self, a: np.ndarray, out: np.ndarray | None = None) \
+            -> tuple[np.ndarray, StepReport]:
+        """One step of a resting stack into `out`, or into a new stack
+        without it; `a` is kept."""
         n_r, n_p = self.grid.shape
-        b = a * self.half_drift
-        x = np.fft.irfft(b, n_r, axis=-2, norm="ortho")
-        y = np.fft.rfft(x, axis=-1, norm="ortho")
+        x, y, plane = self._planes(len(a))
+        b = np.multiply(a, self.half_drift, out=out)
+        np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
+        np.fft.rfft(x, axis=-1, norm="ortho", out=y)
         y *= self.kick
         np.fft.irfft(y, n_p, axis=-1, norm="ortho", out=x)
         np.fft.rfft(x, axis=-2, norm="ortho", out=b)
         b *= self.half_drift
         return _filtered(b, self.friction.matrix, self.cos_filter,
-                         self.row_weights)
+                         self.row_weights, plane)
 
     def step(self, state: KvnState) -> tuple[KvnState, StepReport]:
         if state.basis is not Basis.RP:

@@ -7,8 +7,10 @@ friction interpolant. They serve as independent routes for the fused
 array-level core and are not part of the package. The classical
 references come in their one-pass forms: a crossing counter over the
 full trajectory history, a Langevin ensemble that draws all its noise up
-front and the product oracle on the whole kappa grid. `traced_peak`
-measures the peak allocation of one call.
+front and the product oracle on the whole kappa grid. `table_relax` is
+the relaxation driver with one (R, P) state per record, each monitor
+read from its own density and D_KL taken against the canonical table.
+`traced_peak` measures the peak allocation of one call.
 """
 
 import math
@@ -16,10 +18,13 @@ import tracemalloc
 
 import numpy as np
 
-from kvnmd.constants import kelvin_to_hartree
+from kvnmd.constants import (FS_PER_AU_TIME, bohr_to_angstrom,
+                             hartree_to_kelvin, kelvin_to_hartree)
+from kvnmd.diagnostics import (RelaxationTrace, canonical_reference,
+                               kinetic_temperature, kl_divergence, mean_R)
 from kvnmd.electronic import PesModel
 from kvnmd.errors import FilterCollapseError
-from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, fourier_P
+from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, density, fourier_P
 from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
                            trajectory_stream, verlet_ensemble)
 from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, FrictionOperator,
@@ -102,6 +107,61 @@ def dense_friction_table(grid: PhaseSpaceGrid, s: float) -> np.ndarray:
     e[:, n // 2] = np.cos(np.pi * u) / n
     e[~valid, :] = 0.0
     return np.ascontiguousarray(e.T)
+
+
+def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
+                n_steps: int, record_every: int = 1,
+                snapshot_steps: tuple[int, ...] = ()) \
+        -> tuple[RelaxationTrace, KvnState, dict[int, np.ndarray]]:
+    """`diagnostics.relax` with an (R, P) state per record and the
+    canonical reference as a table."""
+    grid = initial.grid
+    stepper = LangevinStepper(grid, pes, params)
+    rho_eq = canonical_reference(grid, pes, params.mu, params.t_phys)
+    trace = RelaxationTrace()
+    snapshots = {}
+    state = initial
+    a = stepper.to_half_spectra(initial.amplitudes)
+    log_cum = 0.0
+
+    def to_rp() -> KvnState:
+        return KvnState(stepper.from_half_spectra(a, initial.amplitudes.dtype),
+                        Basis.RP, grid)
+
+    def record(step: int):
+        trace.append(step * params.dt * FS_PER_AU_TIME,
+                     bohr_to_angstrom(mean_R(state)),
+                     hartree_to_kelvin(kinetic_temperature(state, params.mu)),
+                     kl_divergence(density(state), rho_eq, grid.cell),
+                     math.exp(log_cum))
+
+    record(0)
+    last_recorded = 0
+    if 0 in snapshot_steps:
+        snapshots[0] = density(state)
+    for step in range(1, n_steps + 1):
+        try:
+            a, report = stepper.advance(a)
+        except FilterCollapseError:
+            if last_recorded != step - 1:
+                state = to_rp()
+                record(step - 1)
+            trace.collapsed = True
+            break
+        log_cum += report.log_success
+        trace.friction_leak_max = max(trace.friction_leak_max,
+                                      report.friction_leak)
+        trace.success_probability_min = min(trace.success_probability_min,
+                                            report.success_probability)
+        recording = step % record_every == 0 or step == n_steps
+        if recording or step in snapshot_steps:
+            state = to_rp()
+        if recording:
+            record(step)
+            last_recorded = step
+        if step in snapshot_steps:
+            snapshots[step] = density(state)
+    return trace, state, snapshots
 
 
 def traced_peak(fn, *args):

@@ -11,6 +11,8 @@ import kvnmd.propagator
 from kvnmd.cli import PHASES, main
 from kvnmd.errors import BoundaryLeakWarning, FilterBandWarning
 from kvnmd.config import parse_config
+from kvnmd.grid import build_grid
+from kvnmd.propagator import LangevinStepper
 
 MORSE_BLOCK = """
 [pes]
@@ -322,6 +324,18 @@ class TestCliRelax:
             assert (out1 / name).read_bytes() == (
                 tmp_path / "out2" / name).read_bytes()
 
+    def test_manifest_records_memory(self, tmp_path):
+        code, out = run_cli(tmp_path, RELAX_SMALL)
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
+        for value in memory.values():
+            assert isinstance(value, int) and value > 0
+        # the stepper's working set on 2^6 x 2^6 plus the two snapshots
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        assert memory["estimate_bytes"] == \
+            LangevinStepper.memory_estimate(grid, 0.01) + 2 * 8 * 64 * 64
+
 
 class TestCliVdos:
     def test_spectrum_and_metadata(self, tmp_path):
@@ -480,6 +494,18 @@ class TestExitCodes:
         code, out = run_cli(tmp_path, RELAX_SMALL)
         assert code == 2
         assert "physical memory" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_aimd_reference_preflight_is_exit_2(self, tmp_path, monkeypatch,
+                                                capsys):
+        # 1 MB lets the grid chains run, not R and P for 8 x 2^5 + 1
+        # records of 256 trajectories (1.05 MB)
+        text = VDOS_SMALL.replace("aimd_n_traj = 32", "aimd_n_traj = 256")
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: 1_000_000)
+        code, out = run_cli(tmp_path, text)
+        assert code == 2
+        assert "verlet_ensemble" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_seed_override_changes_sampled_outputs(self, tmp_path):

@@ -1,17 +1,23 @@
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import kvnmd.propagator
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.diagnostics import (canonical_reference, kinetic_temperature,
-                               kl_divergence, mean_R, mean_energy, relax)
+                               kl_divergence, mean_R, mean_energy, relax,
+                               relax_memory_estimate)
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import FilterBandWarning
+from kvnmd.errors import (FilterBandWarning, FilterCollapseError,
+                          MemoryBudgetError)
 from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
                         fourier_R, norm_squared)
 from kvnmd.oracles import canonical_sampler
 from kvnmd.propagator import LangevinParams, LangevinStepper, calibrate
+from reference_steps import table_relax, traced_peak
 
 MU = 918.0
 T_PHYS = kelvin_to_hartree(947.0)
@@ -292,3 +298,140 @@ class TestRelax:
         st = fourier_R(encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5))
         with pytest.raises(ValueError):
             relax(st, h2_like_pes(), self.params(), 5)
+
+
+# the real table, a complex one with no imaginary part (both a stack of
+# one) and a complex one with a phase (a stack of two)
+STACKS = {"real": lambda a: a, "complex-real": lambda a: a.astype(complex),
+          "complex": lambda a: a * np.exp(0.3j)}
+
+
+class TestRelaxMatchesTableDriver:
+    # table_relax keeps an (R, P) state per record, reads each monitor
+    # from its own density and D_KL against the canonical table
+    COLUMNS = ("time_fs", "mean_r_angstrom", "t_kin_kelvin", "d_kl_nats",
+               "cum_success_prob")
+
+    def params(self):
+        return calibrate(mu=MU, gamma=0.02, dt=0.5, t_phys=T_PHYS)
+
+    def hot_packet(self, stack):
+        grid = build_grid(7, 7, (0.6, 2.6), (-42.5, 42.5))
+        st = encode_gaussian(grid, MORSE["re"], 0.0, 0.1563, 2.8739)
+        return KvnState(STACKS[stack](st.amplitudes), Basis.RP, grid)
+
+    def assert_same_run(self, run, reference):
+        (trace, final, snaps), (ref, ref_final, ref_snaps) = run, reference
+        assert len(trace) == len(ref)
+        for column in self.COLUMNS:
+            np.testing.assert_allclose(getattr(trace, column),
+                                       getattr(ref, column), rtol=1e-13)
+        assert trace.collapsed == ref.collapsed
+        assert trace.friction_leak_max == ref.friction_leak_max
+        assert trace.success_probability_min == ref.success_probability_min
+        assert snaps.keys() == ref_snaps.keys()
+        for step in snaps:
+            np.testing.assert_array_equal(snaps[step], ref_snaps[step])
+        assert final.amplitudes.dtype == ref_final.amplitudes.dtype
+        np.testing.assert_array_equal(final.amplitudes, ref_final.amplitudes)
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_trace_snapshots_and_final_state(self, stack):
+        st = self.hot_packet(stack)
+        args = (st, h2_like_pes(), self.params(), 200, 20, (0, 7, 200, 300))
+        self.assert_same_run(relax(*args), table_relax(*args))
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_collapse_records_the_pre_step_stack(self, monkeypatch, stack):
+        # the eighth step of each run collapses, between the records at
+        # steps 5 and 10, so both drivers record step 7 and end there
+        advance = LangevinStepper.advance
+        calls = []
+
+        def collapsing(stepper, a, out=None):
+            calls.append(None)
+            if len(calls) % 8 == 0:
+                raise FilterCollapseError("forced collapse")
+            return advance(stepper, a, out)
+
+        monkeypatch.setattr(LangevinStepper, "advance", collapsing)
+        st = self.hot_packet(stack)
+        args = (st, h2_like_pes(), self.params(), 20, 5, (6, 8))
+        run = relax(*args)
+        self.assert_same_run(run, table_relax(*args))
+        trace, _, snaps = run
+        assert trace.collapsed and len(trace) == 3  # steps 0, 5 and 7
+        assert trace.time_fs[-1] == pytest.approx(7 * 0.5 * 0.02418884254)
+        assert set(snaps) == {6}
+
+
+class TestRelaxWorkingSet:
+    # a 2^9 grid with the 2^10 workload's P spacing, three steps and one
+    # snapshot
+    N = 1 << 9
+
+    def setup_run(self, stack="real"):
+        grid = build_grid(9, 9, (0.5, 4.5), (-170.0, 170.0))
+        st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
+        st = KvnState(STACKS[stack](st.amplitudes), Basis.RP, grid)
+        return st, h2_like_pes(), calibrate(mu=MU, gamma=0.02, dt=0.5,
+                                            t_phys=T_PHYS)
+
+    def test_estimate_counts_each_snapshot_taken(self):
+        st, _, params = self.setup_run()
+        fixed = LangevinStepper.memory_estimate(st.grid, params.s)
+        table = 8 * self.N * self.N
+        assert relax_memory_estimate(st.grid, params, 3) == fixed
+        # step 9 is never reached and step 3 counts once
+        assert relax_memory_estimate(st.grid, params, 3, (0, 3, 3, 9)) == \
+            fixed + 2 * table
+
+    @pytest.mark.parametrize("stack", ["real", "complex"])
+    def test_peak_stays_within_the_estimate(self, stack):
+        # the estimate is the working set of a stack of two; numpy's ufunc
+        # buffers add up to 512 KiB
+        st, pes, params = self.setup_run(stack)
+        relax(st, pes, params, 1)  # leaves the FFT plan caches warm
+        _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
+        assert peak <= relax_memory_estimate(st.grid, params, 3, (3,)) \
+            + 2 ** 19
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="the caller's frame holds call arguments "
+                               "until the call returns before 3.11")
+    def test_releases_a_temporary_initial_table(self, monkeypatch):
+        # as the CLI passes it: no name outside relax holds the table
+        tables = []
+
+        def packet():
+            st, _, _ = self.setup_run()
+            tables.append(weakref.ref(st.amplitudes))
+            return st
+
+        advance, alive = LangevinStepper.advance, []
+
+        def watched(stepper, a, out=None):
+            alive.append(tables[0]() is not None)
+            return advance(stepper, a, out)
+
+        monkeypatch.setattr(LangevinStepper, "advance", watched)
+        _, pes, params = self.setup_run()
+        relax(packet(), pes, params, 2, 1, (0,))
+        assert alive == [False, False]
+
+    def test_preflight_refuses_below_the_estimate(self, monkeypatch):
+        st, pes, params = self.setup_run()
+        need = relax_memory_estimate(st.grid, params, 3, (3,))
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetError, match="relax"):
+                relax(st, pes, params, 3, 2, (3,))
+
+        _, peak = traced_peak(refused)
+        assert peak < 8 * self.N * self.N  # not one table was built
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        trace, _, snaps = relax(st, pes, params, 3, 2, (3,))
+        assert len(trace) == 3 and set(snaps) == {3}

@@ -5,14 +5,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import kvnmd.oracles as oracles
+import kvnmd.propagator
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import SamplerWarning
+from kvnmd.errors import MemoryBudgetError, SamplerWarning
 from kvnmd.grid import build_grid
 from kvnmd.oracles import (canonical_sampler, cos_filter_stationary_bias,
                            histogram_density, langevin_ensemble,
                            trajectory_stream, verlet_ensemble)
 from reference_steps import (full_grid_filter_bias, one_draw_langevin,
-                             verlet_trajectory)
+                             traced_peak, verlet_trajectory)
 
 MORSE = morse_pes(de=0.1744, alpha=1.02764, re=1.40201)
 MU = 918.0
@@ -71,6 +72,33 @@ class TestVerlet:
         assert ens.times[0] == 0.0
         assert ens.times[-1] == pytest.approx(100.0)
         assert ens.R.shape == (len(ens.times), 1)
+
+    def test_preflight_refuses_before_recording(self, monkeypatch):
+        # the aimd reference of a vdos run at m = 16: R and P for
+        # 8 x 2^16 + 1 records of 256 trajectories, about 2 GiB
+        n_steps, n_traj = 8 << 16, 256
+        need = 2 * 8 * (n_steps + 1) * n_traj
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetError, match="verlet_ensemble"):
+                verlet_ensemble(MORSE, MU, np.full(n_traj, 1.4),
+                                np.zeros(n_traj), dt=1.0, n_steps=n_steps)
+
+        _, peak = traced_peak(refused)
+        assert peak < need // 100  # the record indices, 8 B per record
+
+    def test_preflight_passes_at_the_request(self, monkeypatch):
+        need = 2 * 8 * 11 * 3  # R and P, 11 records of 3 trajectories
+        r0 = np.array([1.5, 1.7, 2.0])
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        verlet_ensemble(MORSE, MU, r0, np.zeros(3), dt=1.0, n_steps=10)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        with pytest.raises(MemoryBudgetError):
+            verlet_ensemble(MORSE, MU, r0, np.zeros(3), dt=1.0, n_steps=10)
 
     def test_vectorizes_over_initial_conditions(self):
         r0 = np.array([1.5, 1.7, 2.0])

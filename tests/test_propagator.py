@@ -418,10 +418,16 @@ class TestMemoryPreflight:
             8 * n * n + state
         assert FrictionOperator.memory_estimate(grid, 0.0) == state
         half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
+        # a complex state, a stack of two: the two resting stacks, the
+        # real plane, the half spectrum and the friction out-plane
+        stacks = 2 * 2 * 16 * (n // 2 + 1) * n
+        scratch = 2 * (8 * n * n + 16 * n * (n // 2 + 1)
+                       + 8 * (n // 2 + 1) * n)
         assert LangevinStepper.memory_estimate(grid, 0.01) == \
-            half + 8 * n * n + state
-        assert LangevinStepper.memory_estimate(grid, 0.01) == 15_032_909_824
-        assert LangevinStepper.memory_estimate(grid, 0.0) == half + state
+            half + 8 * n * n + stacks + scratch
+        assert LangevinStepper.memory_estimate(grid, 0.01) == 25_772_163_072
+        assert LangevinStepper.memory_estimate(grid, 0.0) == \
+            half + stacks + scratch
 
     @pytest.mark.parametrize("kind", ["time-symmetric", "random"])
     def test_autocorrelation_holds_two_working_tables(self, kind):

@@ -6,8 +6,9 @@ composed complex substep helpers, the closed-form friction table against
 the dense interpolant, the Strang-fused autocorrelation against the
 unfused step loop (also where time-reversal symmetry halves the chain),
 unitarity of the conservative chain, that transport, the thermostated
-step and the readout branches commute with complex conjugation, and the
-corrected internal temperature against the filter's product oracle.
+step and the readout branches commute with complex conjugation, the
+corrected internal temperature against the filter's product oracle, and
+the relaxation monitors read from marginals against the table monitors.
 """
 
 import dataclasses
@@ -15,12 +16,15 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kvnmd.constants import kelvin_to_hartree
+from kvnmd.diagnostics import (KL_FLOOR, _CanonicalMonitors,
+                               canonical_reference, kinetic_temperature,
+                               kl_divergence, mean_R)
 from kvnmd.electronic import morse_pes
-from kvnmd.grid import Basis, KvnState, build_grid, norm_squared
+from kvnmd.grid import Basis, KvnState, build_grid, density, norm_squared
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
                               LangevinStepper, NvePropagator, calibrate,
@@ -277,3 +281,23 @@ def test_internal_temperature_meets_product_oracle(s, t_phys):
     h = 0.5 * math.tanh(s)
     excess = t_int * (1.0 + bias) / t_phys - 1.0
     assert 0.0 < excess <= s * h / (1.0 + h)
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, seed=seeds,
+       t_kelvin=st.floats(min_value=300.0, max_value=5000.0))
+def test_separable_monitors_match_the_canonical_table(n_r, n_p, seed,
+                                                      t_kelvin):
+    # D_KL from the marginals and the factorized Z equals D_KL against
+    # the canonical table wherever that table is not floored
+    state = random_state(n_r, n_p, seed)
+    grid, t = state.grid, kelvin_to_hartree(t_kelvin)
+    rho_eq = canonical_reference(grid, PES, MU, t)
+    assume(rho_eq.min() > KL_FLOOR)
+    r, t_kin, d_kl = _CanonicalMonitors(grid, PES, MU, t).read(
+        density(state))
+    assert math.isclose(d_kl, kl_divergence(density(state), rho_eq,
+                                            grid.cell), rel_tol=1e-12)
+    assert math.isclose(r, mean_R(state), rel_tol=1e-12)
+    assert math.isclose(t_kin, kinetic_temperature(state, MU),
+                        rel_tol=1e-12)
