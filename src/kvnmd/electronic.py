@@ -57,7 +57,10 @@ class PesModel:
     def _check_domain(self, r: np.ndarray) -> None:
         r = np.asarray(r)
         lo, hi = self.domain
-        if np.any(r < lo) or np.any(r > hi):
+        # fmin and fmax skip NaN entries, which pass as they do under
+        # np.any(r < lo), with no boolean table
+        if r.size and (np.fmin.reduce(r, axis=None) < lo
+                       or np.fmax.reduce(r, axis=None) > hi):
             raise DomainError(
                 f"R outside {self.kind} domain [{lo}, {hi}]: "
                 f"range [{r.min()}, {r.max()}]")
@@ -132,6 +135,7 @@ class _CubicTable:
     the interior rows are diagonally dominant. The piecewise coefficients
     rest in one contiguous (4k, n-1) table (cubic, quadratic, linear and
     constant rows), so an evaluation is one interval search and one take.
+    `first_order` builds an evaluator on a copy of only the rows it needs.
     """
 
     def __init__(self, x, y):
@@ -172,6 +176,40 @@ class _CubicTable:
         self._x = x
         self._k = y.shape[1]
 
+    def first_order(self, values=(), slopes=()):
+        """Evaluator r -> (values of the columns in `values`, first
+        derivatives of the columns in `slopes`), with one take of only
+        the rows these need.
+
+        The derivative rows are stored as 3 cubic, 2 quadratic and
+        linear, so (3cub h + 2quad) h + lin gives the bits of
+        `__call__`. They share the first three multiply-adds with the
+        value rows, which end with one more: ((cub h + quad) h + lin) h
+        + const.
+        """
+        cub, quad, lin, const = self._coef.reshape(4, self._k, -1)
+        values, slopes = list(values), list(slopes)
+        table = np.concatenate(
+            [np.concatenate((v[values], d[slopes]))
+             for v, d in ((cub, 3.0 * cub), (quad, 2.0 * quad), (lin, lin))]
+            + [const[values]])
+        n_v, m = len(values), len(values) + len(slopes)
+
+        def evaluate(r):
+            r = np.asarray(r, dtype=float)
+            i = np.searchsorted(self._x[1:-1], r, side="right")
+            h = r - self._x[i]
+            g = table.take(i, axis=1, mode="clip")  # i is in range
+            q, v = g[:m], g[3 * m:]
+            q *= h
+            q += g[m:2 * m]
+            q *= h
+            q += g[2 * m:3 * m]
+            v += q[:n_v] * h
+            return v, q[n_v:]
+
+        return evaluate
+
     def __call__(self, r, order):
         """Values and derivatives up to ``order`` (0, 1 or 2) at r.
 
@@ -194,7 +232,7 @@ class _CubicTable:
 def _gap(b, c):
     """sqrt(b^2 + c^2), raising where it vanishes (derivative undefined)."""
     w = np.hypot(b, c)
-    if np.any(w <= OMEGA_GUARD):
+    if w.size and np.fmin.reduce(w, axis=None) <= OMEGA_GUARD:
         raise SingularityError(
             "sqrt(b^2 + c^2) vanished; ground sheet derivative undefined")
     return w
@@ -205,14 +243,16 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
 
     One spline table holds the three coefficient columns, so each call
     makes one interval search and one coefficient gather: ``v`` evaluates
-    values only, ``f`` values and first derivatives, ``curvature`` adds
-    the second. The force uses the derivative of the closed-form
+    values only and ``curvature`` values and two derivatives; ``f`` takes
+    only the value rows of b and c and the first-derivative rows of a, b
+    and c. The force uses the derivative of the closed-form
     eigenvalue, F = -a' + (b b' + c c') / sqrt(b^2 + c^2), which keeps it
     exactly consistent with the energy evaluator. A vanishing gap term
     sqrt(b^2 + c^2) <= 1e-12 makes the derivative undefined and raises.
     """
     spline = _CubicTable(table.R, np.column_stack((table.a, table.b, table.c)))
     domain = (float(table.R[0]), float(table.R[-1]))
+    force_terms = spline.first_order(values=(1, 2), slopes=(0, 1, 2))
 
     def v(r):
         model._check_domain(r)
@@ -221,8 +261,8 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
 
     def f(r):
         model._check_domain(r)
-        (_, b, c), (a1, b1, c1) = spline(r, 1)
-        return -a1 + (b * b1 + c * c1) / _gap(b, c)
+        (b, c), (a1, b1, c1) = force_terms(r)
+        return (b * b1 + c * c1) / _gap(b, c) - a1
 
     def curvature(r):
         model._check_domain(r)

@@ -63,10 +63,9 @@ def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
         raise ValueError(
             f"dt*omega_ref = {dt * omega_ref:.3f} too large for a faithful "
             "reference trajectory (need < 0.1)")
-    r = np.atleast_1d(np.array(r0, dtype=float)).copy()
-    p = np.atleast_1d(np.array(p0, dtype=float)).copy()
-    r, p = np.broadcast_arrays(r, p)
-    r, p = r.copy(), p.copy()
+    r, p = np.broadcast_arrays(np.atleast_1d(np.asarray(r0, dtype=float)),
+                               np.atleast_1d(np.asarray(p0, dtype=float)))
+    r, p = r.copy(), p.copy()  # stepped in place below
 
     steps = _record_steps(n_steps, record_every)
     _preflight("verlet_ensemble", 2 * 8 * len(steps) * len(r),
@@ -81,11 +80,12 @@ def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
             rec += 1
         if step == n_steps:
             break
-        p = p + 0.5 * dt * f
-        r = r + 0.5 * dt * p / mu
-        r = r + 0.5 * dt * p / mu
+        p += 0.5 * dt * f
+        half_drift = 0.5 * dt * p / mu
+        r += half_drift
+        r += half_drift
         f = pes.f(r)
-        p = p + 0.5 * dt * f
+        p += 0.5 * dt * f
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
 
 
@@ -100,6 +100,7 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
     gamma = 0 turns the thermostat substep into the exact identity and
     the integrator reduces to the energy-conserving one above.
     """
+    # own copies, stepped in place below
     r = np.broadcast_to(np.asarray(r0, dtype=float), (n_traj,)).copy()
     p = np.broadcast_to(np.asarray(p0, dtype=float), (n_traj,)).copy()
     c1 = np.exp(-gamma * dt)
@@ -122,12 +123,13 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
             noise = np.empty((n_block, n_traj))
             for i, stream in enumerate(streams):
                 noise[:, i] = stream.standard_normal(n_block)
-        p = p + 0.5 * dt * f
-        r = r + 0.5 * dt * p / mu
-        p = c1 * p + c2 * noise[step % _BLOCK]
-        r = r + 0.5 * dt * p / mu
+        p += 0.5 * dt * f
+        r += 0.5 * dt * p / mu
+        p *= c1
+        p += c2 * noise[step % _BLOCK]
+        r += 0.5 * dt * p / mu
         f = pes.f(r)
-        p = p + 0.5 * dt * f
+        p += 0.5 * dt * f
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
 
 
@@ -220,8 +222,10 @@ def cos_filter_stationary_bias(s: float, n_terms: int = 200,
     kappa = np.linspace(-kappa_max, kappa_max, n_points + 1)
     half = kappa[len(kappa) // 2:]
     psi = np.ones_like(half)
+    factor = np.empty_like(half)
     for r in range(n_terms):
-        psi *= np.cos(sigma * y ** r * half)
+        np.multiply(sigma * y ** r, half, out=factor)
+        psi *= np.cos(factor, out=factor)
     # the dropped r >= n_terms factors have shrunk deep into their
     # quadratic/quartic regime; close the remainder analytically
     # (at small s the bare truncation would still be missing e^(-2 n s)

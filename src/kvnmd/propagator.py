@@ -408,12 +408,16 @@ def _friction_table_bytes(grid: PhaseSpaceGrid, s: float) -> int:
 
 def _dilate(x: np.ndarray, friction: np.ndarray,
             plane: np.ndarray | None = None) -> np.ndarray:
-    """x @ friction for complex rows over P, overwriting x.
+    """x @ friction for rows over P.
 
-    The real and imaginary planes go through a real matrix product each,
-    half the work of one complex product. Both products land in `plane`,
-    a real array of the shape of x, or in one fresh array without it.
+    Real rows go through one real matrix product into `plane`, a real
+    array of the shape of x, or into a fresh array without it; x is
+    kept. Complex rows are overwritten: their real and imaginary planes
+    go through a real product each, half the work of one complex
+    product, both landing in `plane` or in one fresh array.
     """
+    if not np.iscomplexobj(x):
+        return np.matmul(x, friction, out=plane)
     plane = np.matmul(x.real, friction, out=plane)
     x.real = plane
     np.matmul(x.imag, friction, out=plane)
@@ -427,22 +431,32 @@ def _filtered(x: np.ndarray, friction: np.ndarray | None,
         -> tuple[np.ndarray, StepReport]:
     """Friction, cosine filter and renormalization of rows over P.
 
-    x[..., i, :] are complex rows over P, row i carrying the quadrature
-    weight row_weights[i]; both blocks act on the P axis alone, so the
-    rows may be R rows or half-spectrum k_R rows. `friction` is
+    x[..., i, :] are rows over P, row i carrying the quadrature weight
+    row_weights[i]; both blocks act on the P axis alone, so the rows may
+    be R rows or half-spectrum k_R rows. `friction` is
     FrictionOperator.matrix (None for s = 0), `plane` the optional real
     out-plane of its products (see `_dilate`) and `cos_filter` the
-    filter over k_P. `x` is overwritten; returns the renormalized rows
-    over P.
+    filter over k_P. Returns the renormalized rows over P.
+
+    Complex rows are overwritten and filtered by fft_P. Real rows stay
+    real under both blocks (the table is real, the filter even), so they
+    take rfft_P, the filter's first N_P//2 + 1 entries and irfft_P
+    instead; they are kept, and the result is a fresh array.
     """
     if friction is None:
         n2, leak = 1.0, 0.0
     else:
         x = _dilate(x, friction, plane)
         n2, leak = _friction_norm(x, row_weights)
-    np.fft.fft(x, axis=-1, norm="ortho", out=x)
-    x *= cos_filter
-    b = np.fft.ifft(x, axis=-1, norm="ortho", out=x)
+    if np.iscomplexobj(x):
+        np.fft.fft(x, axis=-1, norm="ortho", out=x)
+        x *= cos_filter
+        b = np.fft.ifft(x, axis=-1, norm="ortho", out=x)
+    else:
+        n_p = x.shape[-1]
+        spectrum = np.fft.rfft(x, axis=-1, norm="ortho")
+        spectrum *= cos_filter[:n_p // 2 + 1]
+        b = np.fft.irfft(spectrum, n_p, axis=-1, norm="ortho")
     kept = _norm2(b, row_weights)
     p_success = kept / n2
     if not math.isfinite(p_success):
@@ -612,23 +626,24 @@ def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
 
     Runs friction + diffusion only (no transport, so the potential is
     irrelevant and R is a spectator axis: one row, weighted as all of
-    them) from a Maxwell packet at T_int until the kinetic temperature
-    is stationary: relative change below rel_tol across a `window`-step
-    window. Returns the relative deviation of T_kin from T_int.
+    them) from a Maxwell packet at T_int, a real row that both blocks
+    keep real, until the kinetic temperature is stationary: relative
+    change below rel_tol across a `window`-step window. Returns the
+    relative deviation of T_kin from T_int.
     """
     friction = FrictionOperator(grid, params.s)
     cos_filter = np.cos(params.sigma_h * grid.k_P)
     weight = grid.shape[0] * grid.cell
 
     p_sq = grid.P[None, :] ** 2
-    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int)).astype(complex)
-    row /= np.sqrt(np.sum(np.abs(row) ** 2) * weight)
+    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int))
+    row /= np.sqrt(np.sum(row ** 2) * weight)
 
     history = []
     for step in range(1, n_steps_max + 1):
         row, _ = _filtered(row, friction.matrix, cos_filter,
                            np.array([weight]))
-        t_kin = float(np.sum(np.abs(row) ** 2 * p_sq) * weight / params.mu)
+        t_kin = float(np.sum(row ** 2 * p_sq) * weight / params.mu)
         history.append(t_kin)
         if step > window:
             if abs(history[-1] - history[-1 - window]) < rel_tol * history[-1]:

@@ -24,6 +24,7 @@ from .electronic import PesModel
 from .errors import ConfigurationError, ResolutionError, SingularityError
 from .grid import Basis, KvnState, PhaseSpaceGrid
 from .oracles import canonical_sampler, verlet_ensemble
+from .propagator import _preflight
 
 SURFACE_MASS_TOLERANCE = 0.01
 _BLOCK = 256  # Verlet steps held at once by crossing_reference
@@ -145,11 +146,24 @@ def tst_rate(grid: PhaseSpaceGrid, pes: PesModel, mu: float, t_kelvin: float,
     return TstResult(t_kelvin, flux, population, flux / population)
 
 
+def rate_memory_estimate(grid: PhaseSpaceGrid) -> int:
+    """Bytes that `tst_rate` holds at its peak: three float64 (R, P)
+    tables, live together when the canonical density is normalized
+    (the exponent, its exponential and the quotient)."""
+    n_r, n_p = grid.shape
+    return 3 * 8 * n_r * n_p
+
+
 def arrhenius_sweep(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
                     cfg: TstConfig) -> ArrheniusFit:
-    """Rates over the temperature ladder plus a line through (1/T, ln k)."""
+    """Rates over the temperature ladder plus a line through (1/T, ln k).
+
+    The tables of one rate are preflighted against physical memory
+    before the first temperature.
+    """
     if len(cfg.temperatures) < 3:
         raise ConfigurationError("Arrhenius fit needs at least 3 temperatures")
+    _preflight("arrhenius_sweep", rate_memory_estimate(grid))
     results = tuple(tst_rate(grid, pes, mu, t, cfg)
                     for t in cfg.temperatures)
     if any(r.k_au <= 0.0 for r in results):

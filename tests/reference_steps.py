@@ -10,7 +10,10 @@ full trajectory history, a Langevin ensemble that draws all its noise up
 front and the product oracle on the whole kappa grid. `table_relax` is
 the relaxation driver with one (R, P) state per record, each monitor
 read from its own density and D_KL taken against the canonical table.
-`traced_peak` measures the peak allocation of one call.
+`two_step_pauli_force` is the coefficient-table force from the spline's
+full value and derivative rows, and `complex_bias_experiment` the bias
+loop on a complex row. `traced_peak` measures the peak allocation of one
+call.
 """
 
 import math
@@ -22,14 +25,15 @@ from kvnmd.constants import (FS_PER_AU_TIME, bohr_to_angstrom,
                              hartree_to_kelvin, kelvin_to_hartree)
 from kvnmd.diagnostics import (RelaxationTrace, canonical_reference,
                                kinetic_temperature, kl_divergence, mean_R)
-from kvnmd.electronic import PesModel
-from kvnmd.errors import FilterCollapseError
+from kvnmd.electronic import PauliCoefficientTable, PesModel, _CubicTable
+from kvnmd.errors import ConvergenceError, FilterCollapseError
 from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, density, fourier_P
 from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
                            trajectory_stream, verlet_ensemble)
-from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, FrictionOperator,
-                              LangevinParams, LangevinStepper, NvePropagator,
-                              StepReport)
+from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
+                              FrictionOperator, LangevinParams,
+                              LangevinStepper, NvePropagator, StepReport,
+                              _filtered)
 from kvnmd.tst import CrossingResult, TstConfig
 
 
@@ -237,3 +241,43 @@ def full_grid_filter_bias(s: float, n_terms: int = 200,
     num = np.trapezoid(dpsi * dpsi, kappa)
     den = np.trapezoid(psi * psi, kappa)
     return float(num / den - 1.0)
+
+
+def two_step_pauli_force(table: PauliCoefficientTable):
+    """F(r) = -a' + (b b' + c c') / sqrt(b^2 + c^2) from the values and
+    first derivatives of all three spline columns, with no domain or gap
+    check."""
+    spline = _CubicTable(table.R, np.column_stack((table.a, table.b, table.c)))
+
+    def f(r):
+        (_, b, c), (a1, b1, c1) = spline(r, 1)
+        return -a1 + (b * b1 + c * c1) / np.hypot(b, c)
+
+    return f
+
+
+def complex_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
+                            n_steps_max: int = 20000, window: int = 50,
+                            rel_tol: float = 1e-8) -> BiasResult:
+    """`momentum_bias_experiment` with its Maxwell row held as complex:
+    two real friction products and fft_P per step."""
+    friction = FrictionOperator(grid, params.s)
+    cos_filter = np.cos(params.sigma_h * grid.k_P)
+    weight = grid.shape[0] * grid.cell
+
+    p_sq = grid.P[None, :] ** 2
+    row = np.exp(-p_sq / (4.0 * params.mu * params.t_int)).astype(complex)
+    row /= np.sqrt(np.sum(np.abs(row) ** 2) * weight)
+
+    history = []
+    for step in range(1, n_steps_max + 1):
+        row, _ = _filtered(row, friction.matrix, cos_filter,
+                           np.array([weight]))
+        t_kin = float(np.sum(np.abs(row) ** 2 * p_sq) * weight / params.mu)
+        history.append(t_kin)
+        if step > window:
+            if abs(history[-1] - history[-1 - window]) < rel_tol * history[-1]:
+                bias = (t_kin - params.t_int) / params.t_int
+                return BiasResult(bias=bias, t_kin=t_kin, n_steps=step)
+    raise ConvergenceError(
+        f"kinetic temperature not stationary after {n_steps_max} steps")

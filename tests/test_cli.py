@@ -508,6 +508,17 @@ class TestExitCodes:
         assert "verlet_ensemble" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    def test_rate_preflight_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the three float64 tables of a rate take 1.5 MiB on 2^8 x 2^8
+        text = TST_SMALL.replace("n_r = 7", "n_r = 8").replace("n_p = 7",
+                                                             "n_p = 8")
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: 1_000_000)
+        code, out = run_cli(tmp_path, text)
+        assert code == 2
+        assert "arrhenius_sweep" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_seed_override_changes_sampled_outputs(self, tmp_path):
         cfg = tmp_path / "o.ini"
         cfg.write_text(ORACLE_SMALL)

@@ -17,6 +17,7 @@ from kvnmd.electronic import (PAULI_HEADER, RAW_HEADER, PauliCoefficientTable,
                               load_pauli_table, morse_pes, pauli_pes, raw_pes,
                               tabulate_pes)
 from kvnmd.errors import DomainError, SingularityError, TableFormatError
+from reference_steps import two_step_pauli_force
 
 
 def write_table(path, lines):
@@ -229,3 +230,53 @@ def test_run_path_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+PAULI_TABLES = {"bundled": bundled_h2_table(), "smooth": smooth_table()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(sorted(PAULI_TABLES)),
+       u=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=600),
+       other_shapes=st.booleans())
+def test_force_is_bitwise_the_two_step_form(source, u, other_shapes):
+    # random points, every knot and both ends, in one shuffled call
+    table = PAULI_TABLES[source]
+    lo, hi = table.R[0], table.R[-1]
+    r = np.clip(lo + np.array(u) * (hi - lo), lo, hi)
+    r = np.concatenate((r, table.R, [lo, hi]))
+    np.random.default_rng(len(u)).shuffle(r)
+    pes, oracle = pauli_pes(table), two_step_pauli_force(table)
+    assert np.array_equal(pes.f(r), oracle(r))
+    if other_shapes:
+        assert pes.f(r[0]) == oracle(r[0])
+        grid = r[:4].reshape(2, 2)
+        assert np.array_equal(pes.f(grid), oracle(grid))
+
+
+def test_force_passes_empty_and_nan_points():
+    table = bundled_h2_table()
+    pes, oracle = pauli_pes(table), two_step_pauli_force(table)
+    assert pes.f(np.array([])).shape == (0,)
+    for r in (np.array([np.nan]), np.array([1.4, np.nan, 2.0])):
+        assert np.array_equal(pes.f(r), oracle(r), equal_nan=True)
+
+
+def test_force_errors_keep_their_messages():
+    pes = pauli_pes(smooth_table(lo=1.0, hi=5.0))
+    with pytest.raises(DomainError, match=r"^R outside pauli_table domain "
+                       r"\[1\.0, 5\.0\]: range \[2\.0, 5\.5\]$"):
+        pes.f(np.array([2.0, 5.5]))
+    # a NaN beside an out-of-domain point does not hide it
+    with pytest.raises(DomainError, match=r"range \[nan, nan\]$"):
+        pes.f(np.array([np.nan, 0.5]))
+    with pytest.raises(DomainError, match=r"range \[nan, nan\]$"):
+        pes.f(np.array([5.5, np.nan]))
+    r = np.linspace(1.0, 3.0, 16)
+    flat = pauli_pes(PauliCoefficientTable(R=r, a=-1.0 / r, b=np.zeros(16),
+                                           c=np.zeros(16)))
+    for points in (2.0, np.array([np.nan, 2.0])):
+        with pytest.raises(SingularityError, match=r"^sqrt\(b\^2 \+ c\^2\) "
+                           "vanished; ground sheet derivative undefined$"):
+            flat.f(points)
+    assert np.isnan(flat.f(np.array([np.nan]))).all()

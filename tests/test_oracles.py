@@ -110,6 +110,22 @@ class TestVerlet:
             np.testing.assert_array_equal(ens.P[:, i], pi)
 
 
+@pytest.mark.parametrize("integrator", ["verlet", "langevin"])
+def test_integrators_leave_the_callers_arrays_untouched(integrator):
+    # both step their own copies of R and P in place
+    r0 = np.linspace(1.3, 1.7, 5)
+    p0 = np.linspace(-4.0, 4.0, 5)
+    kept_r, kept_p = r0.copy(), p0.copy()
+    if integrator == "verlet":
+        ens = verlet_ensemble(MORSE, MU, r0, p0, dt=1.0, n_steps=20)
+    else:
+        ens = langevin_ensemble(MORSE, MU, gamma=0.01, t=0.003, dt=1.0,
+                                n_steps=20, n_traj=5, seed=3, r0=r0, p0=p0)
+    assert not np.array_equal(ens.R[-1], kept_r)
+    np.testing.assert_array_equal(r0, kept_r)
+    np.testing.assert_array_equal(p0, kept_p)
+
+
 class TestLangevin:
     def test_zero_friction_reduces_to_verlet_exactly(self):
         r0 = np.array([1.5, 1.8])

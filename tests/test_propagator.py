@@ -18,9 +18,10 @@ from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               NvePropagator, calibrate,
                               corrected_internal_temperature, diffusion_step,
-                              momentum_bias_experiment)
-from reference_steps import (friction_step, ideal_diffusion_step,
-                             langevin_step, nve_step, traced_peak)
+                              _filtered, momentum_bias_experiment)
+from reference_steps import (complex_bias_experiment, friction_step,
+                             ideal_diffusion_step, langevin_step, nve_step,
+                             traced_peak)
 
 
 def linear_pes(slope: float) -> PesModel:
@@ -372,6 +373,62 @@ class TestMomentumBiasExperiment:
         grid = build_grid(3, 6, (0.0, 1.0), (-8.0, 8.0))
         with pytest.raises(ConvergenceError):
             momentum_bias_experiment(grid, params, n_steps_max=30)
+
+    @pytest.mark.parametrize("s", [0.005, 0.01, 0.05])
+    def test_real_row_matches_the_complex_loop(self, s):
+        # the shipped bias-check grid: H2 mass at 947 K, 2^10 P nodes
+        params = calibrate(mu=918.0, gamma=s, dt=1.0,
+                           t_phys=kelvin_to_hartree(947.0))
+        p_max = 8.0 * math.sqrt(918.0 * params.t_int)
+        grid = build_grid(3, 10, (0.0, 1.0), (-p_max, p_max))
+        got = momentum_bias_experiment(grid, params)
+        ref = complex_bias_experiment(grid, params)
+        assert got.n_steps == ref.n_steps
+        assert got.bias == pytest.approx(ref.bias, rel=1e-10, abs=0.0)
+
+
+class TestRealRows:
+    @pytest.mark.parametrize("s", [0.0, 0.01])
+    def test_filtered_real_rows_match_the_complex_path(self, s):
+        # friction and the even filter keep real rows real, so the rfft
+        # path is the real part of the complex one (s = 0: no friction)
+        grid = build_grid(3, 8, (0.0, 1.0), (-40.0, 40.0))
+        rng = np.random.default_rng(7)
+        rows = np.exp(-(grid.P / 12.0) ** 2) * rng.uniform(
+            0.5, 1.5, (4, 1)) + 1e-3 * rng.standard_normal((4, 256))
+        weights = rng.uniform(0.5, 2.0, 4)
+        rows /= math.sqrt(weights @ np.sum(rows ** 2, axis=1))
+        friction = FrictionOperator(grid, s).matrix
+        cos_filter = np.cos(0.4 * grid.k_P)
+        kept = rows.copy()
+        got, report = _filtered(rows, friction, cos_filter, weights)
+        ref, ref_report = _filtered(rows.astype(complex), friction,
+                                    cos_filter, weights)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(rows, kept)
+        np.testing.assert_allclose(got, ref.real, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
+        assert report.success_probability == pytest.approx(
+            ref_report.success_probability, rel=1e-14)
+        assert report.log_success == pytest.approx(ref_report.log_success,
+                                                   rel=1e-14, abs=1e-14)
+        assert report.friction_leak == pytest.approx(
+            ref_report.friction_leak, rel=0, abs=1e-14)
+
+    def test_real_rows_keep_the_failure_checks(self):
+        grid = build_grid(3, 8, (0.0, 1.0), (-40.0, 40.0))
+        friction = FrictionOperator(grid, 0.01).matrix
+        cos_filter = np.cos(0.4 * grid.k_P)
+        row = np.exp(-(grid.P / 12.0) ** 2)[None, :]
+        row /= math.sqrt(np.sum(row ** 2))
+        bad = row.copy()
+        bad[0, 100] = np.nan
+        with pytest.raises(NonFiniteAmplitudeError):
+            _filtered(bad, friction, cos_filter, np.ones(1))
+        with pytest.raises(FilterCollapseError):
+            _filtered(row, friction, np.zeros_like(cos_filter), np.ones(1))
+        with pytest.warns(BoundaryLeakWarning):
+            _filtered(np.roll(row, 120), friction, cos_filter, np.ones(1))
 
 
 def test_warns_when_filter_band_exceeds_half_pi():

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import kvnmd.propagator
 from kvnmd.constants import SECONDS_PER_AU_TIME, kelvin_to_hartree
 from kvnmd.diagnostics import canonical_reference, kinetic_temperature
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import ConfigurationError, ResolutionError, SingularityError
+from kvnmd.errors import (ConfigurationError, MemoryBudgetError,
+                          ResolutionError, SingularityError)
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
 from kvnmd.oracles import canonical_sampler
 from kvnmd.tst import (_BLOCK, ArrheniusFit, TstConfig, TstResult,
                        analytic_canonical_state, arrhenius_sweep,
                        crossing_reference, dividing_surface_flux,
-                       reactant_population, tst_rate)
+                       rate_memory_estimate, reactant_population, tst_rate)
 from reference_steps import full_history_crossings, traced_peak
 
 MU = 918.0
@@ -273,6 +275,30 @@ class TestArrheniusSweep:
         with pytest.raises(ConfigurationError):
             arrhenius_sweep(grid, flat_pes(), MU,
                             TstConfig(0.0, temperatures=(300.0, 600.0)))
+
+    def test_peak_stays_within_the_estimate(self):
+        # three float64 tables of a rate: 24 B per point
+        grid = build_grid(9, 9, (-3.0, 3.0), (-33.0, 33.0))
+        cfg = TstConfig(0.0, temperatures=TEMPS)
+        arrhenius_sweep(grid, plateau_barrier(), MU, cfg)  # warm caches
+        _, peak = traced_peak(arrhenius_sweep, grid, plateau_barrier(), MU,
+                              cfg)
+        need = rate_memory_estimate(grid)
+        assert need == 3 * 8 * 2 ** 18
+        assert 2 * 8 * 2 ** 18 < peak <= need + 2 ** 19
+
+    def test_preflight_refuses_below_the_estimate(self, monkeypatch):
+        grid = build_grid(9, 9, (-3.0, 3.0), (-33.0, 33.0))
+        cfg = TstConfig(0.0, temperatures=TEMPS)
+        need = rate_memory_estimate(grid)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        with pytest.raises(MemoryBudgetError, match="arrhenius_sweep"):
+            arrhenius_sweep(grid, plateau_barrier(), MU, cfg)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        assert len(arrhenius_sweep(grid, plateau_barrier(), MU,
+                                   cfg).results) == 3
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
