@@ -46,7 +46,7 @@ from .errors import (BasisMismatchError, ConfigurationError, DomainError,
                      TableFormatError)
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
-    langevin_ensemble, verlet_ensemble
+    langevin_ensemble, verlet_blocks, verlet_ensemble
 from .propagator import calibrate, momentum_bias_experiment
 from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
     crossing_reference
@@ -187,13 +187,14 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     spectra = [spec for spec in (plus, minus)
                if v.branch in (spec.branch, "both")]
     if v.aimd_reference:
-        dt_rec = v.tau_au / 8.0
         r0, p0 = canonical_sampler(pes, mu, kelvin_to_hartree(v.t_kelvin),
                                    v.aimd_n_traj, cfg.seed,
                                    (grid.r_min, grid.r_max))
-        ens = verlet_ensemble(pes, mu, r0, p0, dt_rec, 8 * base.n_bins,
-                              record_every=1)
-        spectra.append(aimd_reference_spectrum(ens, base,
+        # records every tau / 8, integrated block by block as the
+        # reference reads them
+        blocks = verlet_blocks(pes, mu, r0, p0, v.tau_au / 8.0,
+                               8 * base.n_bins)
+        spectra.append(aimd_reference_spectrum(blocks, base,
                                                window=v.aimd_window))
     clock.lap("readout")
 

@@ -20,7 +20,9 @@ from .electronic import PesModel
 from .grid import PhaseSpaceGrid
 from .propagator import _preflight
 
-_BLOCK = 256  # time steps of noise drawn at once by langevin_ensemble
+# time steps per block: Verlet steps held at once by verlet_blocks, noise
+# steps drawn at once by langevin_ensemble
+_BLOCK = 256
 
 
 def trajectory_stream(seed: int, index: int) -> np.random.Generator:
@@ -87,6 +89,23 @@ def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
         f = pes.f(r)
         p += 0.5 * dt * f
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
+
+
+def verlet_blocks(pes: PesModel, mu: float, r0, p0, dt: float, n_steps: int):
+    """`verlet_ensemble` over n_steps, yielded lazily in blocks of _BLOCK
+    steps with every step recorded.
+
+    Each block restarts from the last R and P of the one before, which
+    repeats the same arithmetic, so the blocks hold the records of one
+    run; the record at each block boundary is the last of one block and
+    the first of the next. Working memory is O(_BLOCK x n_traj) at any
+    n_steps.
+    """
+    r, p = r0, p0
+    for start in range(0, n_steps, _BLOCK):
+        ens = verlet_ensemble(pes, mu, r, p, dt, min(_BLOCK, n_steps - start))
+        yield ens
+        r, p = ens.R[-1], ens.P[-1]
 
 
 def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,

@@ -23,11 +23,10 @@ from .diagnostics import canonical_reference
 from .electronic import PesModel
 from .errors import ConfigurationError, ResolutionError, SingularityError
 from .grid import Basis, KvnState, PhaseSpaceGrid
-from .oracles import canonical_sampler, verlet_ensemble
+from .oracles import _BLOCK, canonical_sampler, verlet_blocks
 from .propagator import _preflight
 
 SURFACE_MASS_TOLERANCE = 0.01
-_BLOCK = 256  # Verlet steps held at once by crossing_reference
 
 
 @dataclass(frozen=True)
@@ -184,9 +183,8 @@ def crossing_reference(pes: PesModel, mu: float, t_kelvin: float,
     are conservative, so this is an equilibrium flux estimate, not a count
     of thermostated reaction events.  With zero observed crossings the
     result is pinned at the single-count floor k_min = 1/(n_traj * t_sim).
-    The trajectories run in blocks of _BLOCK steps, restarting each from
-    the last positions and momenta of the one before, which repeats the
-    same arithmetic; working memory is O(_BLOCK x n_traj) at any t_sim.
+    The trajectories run in the blocks of `verlet_blocks` (_BLOCK steps
+    each), so working memory is O(_BLOCK x n_traj) at any t_sim.
     """
     if n_traj < 1 or t_sim <= 0.0 or dt <= 0.0:
         raise ConfigurationError("need n_traj >= 1 and positive t_sim, dt")
@@ -195,13 +193,10 @@ def crossing_reference(pes: PesModel, mu: float, t_kelvin: float,
     r, p = canonical_sampler(pes, mu, kelvin_to_hartree(t_kelvin), n_traj,
                              seed, r_range)
     n_cross = 0
-    for start in range(0, n_steps, _BLOCK):
+    for ens in verlet_blocks(pes, mu, r, p, dt, n_steps):
         # a block's first record is the last of the one before, so the
         # step pair straddling each block boundary is counted once
-        ens = verlet_ensemble(pes, mu, r, p, dt,
-                              min(_BLOCK, n_steps - start))
         upward = (ens.R[:-1] < cfg.r_dividing) & (ens.R[1:] >= cfg.r_dividing)
         n_cross += int(np.count_nonzero(upward))
-        r, p = ens.R[-1], ens.P[-1]
     denom = n_traj * t_total
     return CrossingResult(n_cross, n_cross / denom, 1.0 / denom)

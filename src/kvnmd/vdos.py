@@ -14,21 +14,25 @@ a real, P-even equilibrium amplitude satisfy T alpha = conj(alpha) for
 the reflection T: P -> -P; the chain then reads two lags per power and
 takes about 2^(m-1) applications instead of 2^m - 1.
 
-A classical reference pipeline turns trajectory ensembles into a spectrum
-on the identical bin grid: windowed correlation transform, folding into
-the readout window, and convolution against the same finite-time kernel.
+A classical reference turns a trajectory ensemble into a spectrum on the
+identical bin grid: its windowed spectrum convolved with the same
+finite-time kernel is `qpe_distribution` of the windowed correlation's
+own autocorrelation at the readout's lag stride. The trajectories stream
+through in time blocks, keeping two sums per record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import WAVENUMBER_PER_HARTREE
 from .electronic import PesModel, tabulate_pes
-from .errors import ConfigurationError, DomainError, SingularityError
+from .errors import (ConfigurationError, DomainError, NonFiniteAmplitudeError,
+                     SingularityError)
 from .grid import Basis, KvnState
 from .oracles import TrajectoryEnsemble
 from .propagator import NvePropagator, _preflight
@@ -182,7 +186,11 @@ def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
     with theta_j = omega_shift tau + 2 pi j / M equals accumulating the
     full weighted sums without 2^m live registers; the sum over d for
     all j is one length-M inverse FFT of (M-d) c_d e^{i d omega_shift tau}.
+    A non-finite c_d raises NonFiniteAmplitudeError.
     """
+    if not np.all(np.isfinite(corr)):
+        raise NonFiniteAmplitudeError(
+            "non-finite lag in the readout autocorrelation")
     m_bins = cfg.n_bins
     d_idx = np.arange(m_bins)
     weighted = (m_bins - d_idx) * corr \
@@ -258,49 +266,86 @@ _WINDOWS = {
 }
 
 
-def aimd_reference_spectrum(trajectories: TrajectoryEnsemble, cfg: QpeConfig,
-                            window: str = "hann", pad_factor: int = 16,
-                            r_mean: float | None = None) -> SpectrumResult:
+def _trajectory_correlation(blocks: Iterable[TrajectoryEnsemble],
+                            tau: float) -> tuple[np.ndarray, int]:
+    """Centered autocorrelation c_t of an ensemble streamed in time blocks,
+    and the record stride tau / dt_rec.
+
+    A block after the first repeats the last record of the one before as
+    its first, which is skipped. The stride is checked on the first block,
+    before the rest are integrated. Only two sums per record are kept:
+    with r' = r - c, c the t = 0 ensemble mean, S_t = sum_i r'_t,i r'_0,i
+    and M_t = sum_i r'_t,i. With m_t = M_t / N and rbar the mean of m_t
+    over all records, c_t = S_t / N - rbar (m_t + m_0) + rbar^2 is the
+    correlation about the all-sample mean.
+    """
+    s_parts, m_parts = [], []
+    r0 = centre = stride = None
+    for ens in blocks:
+        r = ens.R
+        if r.ndim != 2 or r.shape[1] == 0:
+            raise ConfigurationError("empty trajectory set")
+        if r0 is None:
+            if len(ens.times) < 2:
+                raise ConfigurationError("need at least two trajectory records")
+            dt_rec = float(ens.times[1] - ens.times[0])
+            stride = round(tau / dt_rec) if dt_rec > 0.0 else 0
+            if stride < 1 or abs(tau - stride * dt_rec) > 1e-9 * tau:
+                raise ConfigurationError(
+                    f"tau = {tau:g} is not a whole number of record "
+                    f"spacings {dt_rec:g}")
+            centre = np.mean(r[0])
+            r0 = r[0] - centre
+        else:
+            r = r[1:]
+        shifted = r - centre
+        s_parts.append(shifted @ r0)
+        m_parts.append(shifted.sum(axis=1))
+    if r0 is None:
+        raise ConfigurationError("need at least two trajectory records")
+    n = len(r0)
+    s_t = np.concatenate(s_parts) / n
+    m_t = np.concatenate(m_parts) / n
+    r_bar = m_t.mean()
+    return s_t - r_bar * (m_t + m_t[0]) + r_bar * r_bar, stride
+
+
+def aimd_reference_spectrum(
+        trajectories: TrajectoryEnsemble | Iterable[TrajectoryEnsemble],
+        cfg: QpeConfig, window: str = "hann") -> SpectrumResult:
     """Bin a trajectory-ensemble spectrum onto the readout grid.
 
-    The centered coordinate subtracts r_mean, estimated from all samples
-    (time and ensemble average) when not given. The windowed correlation
-    transform is evaluated on a zero-padded frequency grid, and the
-    finite-time kernel is 2*pi-periodic, so convolving over the full fine
-    grid performs the fold into the readout window automatically. The
-    result is normalized to unit total weight; branch_weight reports
-    <Q^2>.
+    `trajectories` is a TrajectoryEnsemble or an iterable of time blocks
+    of one run, such as `oracles.verlet_blocks`; an ensemble is a single
+    block. The records are spaced by tau / L for an integer L.
+
+    The reference is the windowed correlation spectrum convolved with the
+    readout's Fejer kernel, K(theta) = sum_{|d|<M} (1 - |d|/M) e^{i d theta}.
+    By Wiener-Khinchin the kernel's term d picks out a(L d), the
+    autocorrelation of the windowed series w_t at lag L d (zero past the
+    last record), so the bins are `qpe_distribution` of the real lag
+    series a(L d), d < M: the same length-M transform as the quantum
+    readout. a comes from one rfft/irfft pair of length >= 2 n_t - 1,
+    which does not wrap. The result is normalized to unit total weight;
+    branch_weight reports <Q^2>.
     """
     if window not in _WINDOWS:
         raise ConfigurationError(f"unknown window {window!r}; "
                                  f"choose from {sorted(_WINDOWS)}")
-    r = trajectories.R
-    if r.ndim != 2 or r.shape[1] == 0:
-        raise ConfigurationError("empty trajectory set")
-    times = trajectories.times
-    if len(times) < 2:
-        raise ConfigurationError("need at least two trajectory records")
-    dt_rec = float(times[1] - times[0])
-
-    q = r - (np.mean(r) if r_mean is None else r_mean)
-    c_t = np.mean(q * q[0], axis=1)
+    if isinstance(trajectories, TrajectoryEnsemble):
+        trajectories = (trajectories,)
+    c_t, stride = _trajectory_correlation(trajectories, cfg.tau)
     n_t = len(c_t)
 
-    windowed = _WINDOWS[window](n_t) * c_t * dt_rec
-    n_fine = pad_factor * n_t
-    # L*ifft supplies the e^{+i omega t} transform convention
-    amp = n_fine * np.fft.ifft(windowed, n=n_fine)
-    s_fine = np.abs(amp) ** 2
-    omega_fine = 2.0 * math.pi * np.arange(n_fine) / (n_fine * dt_rec)
-    d_omega = omega_fine[1] - omega_fine[0]
-
-    centers = cfg.bin_centers()
-    binned = np.empty(cfg.n_bins)
-    for j, w_j in enumerate(centers):
-        binned[j] = np.sum(fejer_kernel((omega_fine - w_j) * cfg.tau, cfg.m)
-                           * s_fine) * d_omega
-    total = binned.sum()
+    windowed = _WINDOWS[window](n_t) * c_t
+    n_fft = 1 << (2 * n_t - 2).bit_length()
+    power = np.abs(np.fft.rfft(windowed, n_fft)) ** 2
+    lags = np.fft.irfft(power, n_fft)[:n_t:stride][:cfg.n_bins]
+    corr = np.zeros(cfg.n_bins)
+    corr[:len(lags)] = lags
+    prob = qpe_distribution(corr, cfg)
+    total = prob.sum()
     if total <= 0.0:
         raise SingularityError("trajectory spectrum carries no weight")
-    return SpectrumResult(omega_au=centers, prob=binned / total,
+    return SpectrumResult(omega_au=cfg.bin_centers(), prob=prob / total,
                           branch="aimd", branch_weight=float(c_t[0]))

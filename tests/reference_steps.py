@@ -12,8 +12,10 @@ the relaxation driver with one (R, P) state per record, each monitor
 read from its own density and D_KL taken against the canonical table.
 `two_step_pauli_force` is the coefficient-table force from the spline's
 full value and derivative rows, and `complex_bias_experiment` the bias
-loop on a complex row. `traced_peak` measures the peak allocation of one
-call.
+loop on a complex row. `fejer_loop_reference` bins a recorded
+ensemble's spectrum by evaluating the Fejer kernel on a zero-padded
+frequency grid, one bin at a time. `traced_peak` measures the peak
+allocation of one call.
 """
 
 import math
@@ -35,6 +37,7 @@ from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
                               LangevinStepper, NvePropagator, StepReport,
                               _filtered)
 from kvnmd.tst import CrossingResult, TstConfig
+from kvnmd.vdos import _WINDOWS, QpeConfig, SpectrumResult, fejer_kernel
 
 
 def nve_step(state: KvnState, pes: PesModel, mu: float, dt: float) -> KvnState:
@@ -281,3 +284,41 @@ def complex_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
                 return BiasResult(bias=bias, t_kin=t_kin, n_steps=step)
     raise ConvergenceError(
         f"kinetic temperature not stationary after {n_steps_max} steps")
+
+
+def fejer_loop_reference(trajectories: TrajectoryEnsemble, cfg: QpeConfig,
+                         window: str = "hann", pad_factor: int = 16,
+                         r_mean: float | None = None) -> SpectrumResult:
+    """Bin a trajectory-ensemble spectrum onto the readout grid.
+
+    The centered coordinate subtracts r_mean, estimated from all samples
+    (time and ensemble average) when not given. The windowed correlation
+    transform is evaluated on a zero-padded frequency grid, and the
+    finite-time kernel is 2*pi-periodic, so convolving over the full fine
+    grid performs the fold into the readout window automatically. The
+    result is normalized to unit total weight; branch_weight reports
+    <Q^2>.
+    """
+    r = trajectories.R
+    times = trajectories.times
+    dt_rec = float(times[1] - times[0])
+
+    q = r - (np.mean(r) if r_mean is None else r_mean)
+    c_t = np.mean(q * q[0], axis=1)
+    n_t = len(c_t)
+
+    windowed = _WINDOWS[window](n_t) * c_t * dt_rec
+    n_fine = pad_factor * n_t
+    # L*ifft supplies the e^{+i omega t} transform convention
+    amp = n_fine * np.fft.ifft(windowed, n=n_fine)
+    s_fine = np.abs(amp) ** 2
+    omega_fine = 2.0 * math.pi * np.arange(n_fine) / (n_fine * dt_rec)
+    d_omega = omega_fine[1] - omega_fine[0]
+
+    centers = cfg.bin_centers()
+    binned = np.empty(cfg.n_bins)
+    for j, w_j in enumerate(centers):
+        binned[j] = np.sum(fejer_kernel((omega_fine - w_j) * cfg.tau, cfg.m)
+                           * s_fine) * d_omega
+    return SpectrumResult(omega_au=centers, prob=binned / binned.sum(),
+                          branch="aimd", branch_weight=float(c_t[0]))

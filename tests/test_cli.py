@@ -488,6 +488,40 @@ class TestExitCodes:
         (band,) = manifest["warnings"]
         assert (band["category"], band["count"]) == ("FilterBandWarning", 1)
 
+    @pytest.mark.parametrize("where", ["chain", "trajectory"])
+    def test_nan_in_a_vdos_readout_is_exit_3(self, tmp_path, monkeypatch,
+                                             capsys, where):
+        # a NaN lag of the quantum chain, or a NaN initial position that
+        # runs through the classical reference, stops the readout
+        if where == "chain":
+            def poisoned(self, *args, **kwargs):
+                corr = chain(self, *args, **kwargs)
+                corr[3] = np.nan
+                return corr
+
+            chain = kvnmd.propagator.NvePropagator.autocorrelation
+            monkeypatch.setattr(kvnmd.propagator.NvePropagator,
+                                "autocorrelation", poisoned)
+        else:
+            def poisoned(*args, **kwargs):
+                r0, p0 = sample(*args, **kwargs)
+                r0[5] = np.nan
+                return r0, p0
+
+            sample = kvnmd.cli.canonical_sampler
+            monkeypatch.setattr(kvnmd.cli, "canonical_sampler", poisoned)
+        code, out = run_cli(tmp_path, VDOS_SMALL)
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 3
+        assert manifest["error"]["type"] == "NonFiniteAmplitudeError"
+        assert manifest["outputs"] == {}
+        assert not list(out.glob("*.csv"))
+        assert not (out / "vdos_meta.json").exists()
+        assert manifest["timings"]["tables"] > 0.0
+        assert manifest["timings"]["write"] == 0.0
+
     def test_memory_budget_error_is_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
         monkeypatch.setattr(kvnmd.propagator, "_physical_memory", lambda: 1)

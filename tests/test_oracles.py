@@ -11,7 +11,7 @@ from kvnmd.errors import MemoryBudgetError, SamplerWarning
 from kvnmd.grid import build_grid
 from kvnmd.oracles import (canonical_sampler, cos_filter_stationary_bias,
                            histogram_density, langevin_ensemble,
-                           trajectory_stream, verlet_ensemble)
+                           trajectory_stream, verlet_blocks, verlet_ensemble)
 from reference_steps import (full_grid_filter_bias, one_draw_langevin,
                              traced_peak, verlet_trajectory)
 
@@ -108,6 +108,26 @@ class TestVerlet:
             _, ri, pi = verlet_trajectory(MORSE, MU, float(r), 0.0, 1.0, 50)
             np.testing.assert_array_equal(ens.R[:, i], ri)
             np.testing.assert_array_equal(ens.P[:, i], pi)
+
+
+@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 640])
+def test_verlet_blocks_repeat_one_run(n_steps):
+    # blocks of _BLOCK steps, each restarting from the last record of the
+    # one before, hold the records of one run bit for bit
+    r0 = np.linspace(1.3, 1.7, 5)
+    p0 = np.linspace(-4.0, 4.0, 5)
+    full = verlet_ensemble(MORSE, MU, r0, p0, dt=1.0, n_steps=n_steps)
+    blocks = list(verlet_blocks(MORSE, MU, r0, p0, dt=1.0, n_steps=n_steps))
+    assert [len(b.times) - 1 for b in blocks] == \
+        [min(oracles._BLOCK, n_steps - s)
+         for s in range(0, n_steps, oracles._BLOCK)]
+    for prev, nxt in zip(blocks, blocks[1:]):
+        np.testing.assert_array_equal(prev.R[-1], nxt.R[0])
+        np.testing.assert_array_equal(prev.P[-1], nxt.P[0])
+    joined_r = np.concatenate([blocks[0].R] + [b.R[1:] for b in blocks[1:]])
+    joined_p = np.concatenate([blocks[0].P] + [b.P[1:] for b in blocks[1:]])
+    np.testing.assert_array_equal(joined_r, full.R)
+    np.testing.assert_array_equal(joined_p, full.P)
 
 
 @pytest.mark.parametrize("integrator", ["verlet", "langevin"])

@@ -7,18 +7,19 @@ from kvnmd.constants import WAVENUMBER_PER_HARTREE, kelvin_to_hartree
 from kvnmd.diagnostics import canonical_reference
 from kvnmd.electronic import PesModel, morse_pes
 from kvnmd.errors import (ConfigurationError, DomainError, MemoryBudgetError,
-                          SingularityError)
+                          NonFiniteAmplitudeError, SingularityError)
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
 from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
-                           verlet_ensemble)
+                           verlet_blocks, verlet_ensemble)
 import kvnmd.propagator
 from kvnmd.propagator import NvePropagator
 from kvnmd.tst import analytic_canonical_state
-from kvnmd.vdos import (QpeConfig, aimd_reference_spectrum, branch_spectra,
-                        fejer_kernel, kvn_autocorrelation,
-                        prepare_branch_states, qpe_distribution, qpe_spectrum,
-                        reference_frequency)
-from reference_steps import step_autocorrelation, traced_peak
+from kvnmd.vdos import (QpeConfig, _trajectory_correlation,
+                        aimd_reference_spectrum, branch_spectra, fejer_kernel,
+                        kvn_autocorrelation, prepare_branch_states,
+                        qpe_distribution, qpe_spectrum, reference_frequency)
+from reference_steps import (fejer_loop_reference, step_autocorrelation,
+                             traced_peak)
 
 MU = 918.0
 W0 = 0.02
@@ -480,3 +481,112 @@ class TestAimdReferenceSpectrum:
                                    P=np.empty((64, 0)))
         with pytest.raises(ConfigurationError):
             aimd_reference_spectrum(empty, cfg)
+
+
+class TestStreamedReference:
+    """The lag-series binning against the Fejer loop, and the blocked
+    correlation against the recorded one."""
+
+    @staticmethod
+    def noisy_ensemble(seed, n_t=1024, n_traj=32, dt=2.5):
+        # two lines with random phases per trajectory plus white noise
+        rng = np.random.default_rng(seed)
+        t = np.arange(n_t)[:, None] * dt
+        phase = rng.uniform(0.0, 2.0 * math.pi, n_traj)
+        r = (RE + 0.1 * np.cos(W0 * t + phase)
+             + 0.05 * np.cos(1.55 * W0 * t + 2.0 * phase)
+             + 0.02 * rng.standard_normal((n_t, n_traj)))
+        return TrajectoryEnsemble(times=t[:, 0], R=r, P=np.zeros_like(r))
+
+    @pytest.mark.parametrize("window,omega_shift", [
+        ("hann", 0.0), ("rect", 0.0), ("hann", 0.0123)])
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_binning_matches_the_fejer_loop(self, m, window, omega_shift):
+        # 1024 records at tau / 8: past m = 7 the lags 8d run beyond the
+        # last record, where the lag series is zero
+        cfg = QpeConfig(m=m, tau=20.0, omega_shift=omega_shift)
+        ens = self.noisy_ensemble(100 + m)
+        got = aimd_reference_spectrum(ens, cfg, window=window)
+        ref = fejer_loop_reference(ens, cfg, window=window)
+        assert got.peak_bin == ref.peak_bin
+        np.testing.assert_allclose(got.prob, ref.prob,
+                                   atol=1e-11 * ref.prob.max(), rtol=0.0)
+        assert got.branch_weight == pytest.approx(ref.branch_weight,
+                                                  rel=1e-12)
+        np.testing.assert_array_equal(got.omega_au, ref.omega_au)
+
+    @pytest.mark.parametrize("n_steps", [255, 256, 257, 640])
+    def test_streamed_correlation_matches_the_recorded_one(self, n_steps):
+        # one block, exactly one, one plus a step, and 2.5 blocks
+        t = kelvin_to_hartree(300.0)
+        r0, p0 = canonical_sampler(harmonic(), MU, t, 24, 4, (0.4, 2.4))
+        c_t, stride = _trajectory_correlation(
+            verlet_blocks(harmonic(), MU, r0, p0, 2.5, n_steps), 20.0)
+        full = verlet_ensemble(harmonic(), MU, r0, p0, 2.5, n_steps)
+        q = full.R - np.mean(full.R)
+        direct = np.mean(q * q[0], axis=1)
+        assert stride == 8
+        assert c_t.shape == (n_steps + 1,)
+        np.testing.assert_allclose(c_t, direct, atol=1e-12 * direct[0],
+                                   rtol=0.0)
+
+    def test_correlation_keeps_its_digits_far_from_the_origin(self):
+        # the provisional centre keeps the per-record sums at the scale of
+        # the spread: 1000 bohr away, c_t moves by about 4e-13 of c_0 with
+        # it and by about 4e-8 of c_0 without it
+        ens = self.noisy_ensemble(3, n_t=600)
+        far = TrajectoryEnsemble(times=ens.times, R=ens.R + 1e3, P=ens.P)
+        c_t, _ = _trajectory_correlation([ens], 20.0)
+        c_far, _ = _trajectory_correlation([far], 20.0)
+        np.testing.assert_allclose(c_far, c_t, atol=1e-10 * c_t[0], rtol=0.0)
+
+    def test_non_integer_stride_is_refused(self):
+        # tau = 20 over records 3 apart (6.67 per power) or 50 apart
+        for dt in (3.0, 50.0):
+            ens = self.noisy_ensemble(1, n_t=64, dt=dt)
+            with pytest.raises(ConfigurationError, match="whole number"):
+                aimd_reference_spectrum(ens, QpeConfig(m=4, tau=20.0))
+
+    def test_stride_is_checked_before_the_run(self):
+        # the first block settles the stride; no later block is drawn
+        drawn = []
+
+        def blocks():
+            for ens in verlet_blocks(harmonic(), MU, np.full(4, RE + 0.1),
+                                     np.zeros(4), 3.0, 1024):
+                drawn.append(ens)
+                yield ens
+
+        with pytest.raises(ConfigurationError):
+            aimd_reference_spectrum(blocks(), QpeConfig(m=4, tau=20.0))
+        assert len(drawn) == 1
+
+    def test_non_finite_lag_raises(self):
+        cfg = QpeConfig(m=5, tau=20.0)
+        corr = np.exp(-1j * W0 * cfg.tau * np.arange(cfg.n_bins))
+        assert np.isfinite(qpe_distribution(corr, cfg)).all()
+        for bad in (np.nan, np.inf):
+            poisoned = corr.copy()
+            poisoned[7] = bad
+            with pytest.raises(NonFiniteAmplitudeError, match="non-finite"):
+                qpe_distribution(poisoned, cfg)
+
+    def test_nan_record_raises(self):
+        ens = self.noisy_ensemble(2, n_t=257)
+        ens.R[100, 5] = np.nan
+        with pytest.raises(NonFiniteAmplitudeError):
+            aimd_reference_spectrum(ens, QpeConfig(m=5, tau=20.0))
+
+    def test_memory_does_not_grow_with_the_records(self):
+        # m = 12: 8 x 4096 Verlet steps of 64 trajectories. Recorded whole,
+        # R and P take 2 x 8 x 32 769 x 64 B = 32 MiB, with two 16 MiB
+        # temporaries beside them; the stream holds a 257-record block, two
+        # sums per record and the lag transform
+        cfg = QpeConfig(m=12, tau=20.0)
+        t = kelvin_to_hartree(300.0)
+        r0, p0 = canonical_sampler(harmonic(), MU, t, 64, 9, (0.4, 2.4))
+        blocks = verlet_blocks(harmonic(), MU, r0, p0, cfg.tau / 8,
+                               8 * cfg.n_bins)
+        spec, peak = traced_peak(aimd_reference_spectrum, blocks, cfg)
+        assert peak < 8 * 2 ** 20
+        assert abs(spec.peak_bin - W0 / cfg.bin_width) <= 2
