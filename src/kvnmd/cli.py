@@ -130,8 +130,9 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     rl = cfg.relax
     params = calibrate(cfg.pes.mu_au, lv.gamma_au, lv.dt_au,
                        kelvin_to_hartree(lv.t_phys_kelvin), lv.correction)
+    # encode_gaussian returns a float64 table: a stack of one
     memory["estimate_bytes"] = relax_memory_estimate(
-        grid, params, rl.n_steps, rl.snapshot_steps)
+        grid, params, rl.n_steps, rl.snapshot_steps, n_stack=1)
     clock.lap("tables")
     # no name here holds the initial table, so relax releases it once it
     # has read it; its encoding is booked to propagate

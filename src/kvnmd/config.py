@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .electronic import (PesModel, bundled_h2_table, load_pauli_table,
                          morse_pes, pauli_pes, raw_pes)
-from .errors import ConfigurationError
 
 MODES = ("relax", "vdos", "tst", "bias-check", "oracle")
 PES_KINDS = ("morse", "pauli_table", "raw_table", "bundled_h2")
@@ -517,11 +516,3 @@ def load_config(path, *, mode_override: str | None = None,
     return parse_config(text, mode_override=mode_override,
                         out_override=out_override,
                         seed_override=seed_override)
-
-
-def require(cfg: RunConfig, name: str):
-    """Internal guard: a mode handler asking for a section it validated."""
-    value = getattr(cfg, name)
-    if value is None:
-        raise ConfigurationError(f"mode {cfg.mode} needs the [{name}] section")
-    return value

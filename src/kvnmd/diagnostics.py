@@ -24,7 +24,8 @@ from .constants import (FS_PER_AU_TIME, bohr_to_angstrom, hartree_to_kelvin)
 from .electronic import PesModel, tabulate_pes
 from .errors import FilterCollapseError
 from .grid import Basis, KvnState, PhaseSpaceGrid, density
-from .propagator import LangevinParams, LangevinStepper, _preflight
+from .propagator import (LangevinParams, LangevinStepper, _preflight,
+                         _real_stack, _rp_table)
 
 KL_FLOOR = 1e-300
 _LOG_BLOCK = 1 << 13  # density values per block of sum rho log rho
@@ -154,12 +155,15 @@ def _sum_rho_log_rho(rho: np.ndarray) -> float:
 
 def relax_memory_estimate(grid: PhaseSpaceGrid, params: LangevinParams,
                           n_steps: int,
-                          snapshot_steps: tuple[int, ...] = ()) -> int:
-    """Bytes that `relax` holds: the stepper's fixed working set plus one
-    float64 density per snapshot taken."""
+                          snapshot_steps: tuple[int, ...] = (), *,
+                          n_stack: int) -> int:
+    """Bytes that `relax` holds for a stack of n_stack (1 for a real
+    initial table, 2 for a complex one, see `_real_stack`): the
+    stepper's fixed working set plus one float64 density per snapshot
+    taken."""
     n_r, n_p = grid.shape
     taken = set(snapshot_steps) & set(range(n_steps + 1))
-    return (LangevinStepper.memory_estimate(grid, params.s)
+    return (LangevinStepper.memory_estimate(grid, params.s, n_stack)
             + 8 * n_r * n_p * len(taken))
 
 
@@ -176,15 +180,20 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     table; afterwards the amplitude rests in the half-spectrum layout of
     the stepping core, two stacks that the steps alternate, and records
     and snapshots read its density from the stepper's real plane. The
-    final state is transformed back to (R, P) with the dtype of the
-    initial table. The initial table is released once it is read, so a
-    caller that passes a temporary does not hold it during the run.
+    working set is the stepper's tables, the two stacks and the plane:
+    the spare stack is dropped once the last step has returned, before
+    the last density and snapshot are formed, and the final state is
+    transformed back to (R, P), with the dtype of the initial table,
+    only after the stepper is released. The initial table is released
+    once it is read, so a caller that passes a temporary does not hold
+    it during the run.
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
     grid, dtype = initial.grid, initial.amplitudes.dtype
-    _preflight("relax", relax_memory_estimate(grid, params, n_steps,
-                                              snapshot_steps))
+    _preflight("relax", relax_memory_estimate(
+        grid, params, n_steps, snapshot_steps,
+        n_stack=len(_real_stack(initial.amplitudes))))
     stepper = LangevinStepper(grid, pes, params)
     monitors = _CanonicalMonitors(grid, pes, params.mu, params.t_phys)
 
@@ -205,7 +214,7 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     record(0, rho)
     if 0 in snapshot_steps:
         snapshots[0] = rho
-    del rho
+    rho = None
     spare = np.empty_like(a)
     last_recorded = 0
     for step in range(1, n_steps + 1):
@@ -217,6 +226,8 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
             trace.collapsed = True
             break
         a, spare = stepped, a
+        if step == n_steps:
+            spare = None  # a last snapshot reuses its memory
         log_cum += report.log_success
         trace.friction_leak_max = max(trace.friction_leak_max,
                                       report.friction_leak)
@@ -230,6 +241,7 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
             if recording:
                 record(step, rho)
                 last_recorded = step
-    del spare
-    final = KvnState(stepper.from_half_spectra(a, dtype), Basis.RP, grid)
+    # the tables and the plane go with the stepper; rho is a view of it
+    del spare, stepper, rho
+    final = KvnState(_rp_table(a, grid.shape[0], dtype), Basis.RP, grid)
     return trace, final, snapshots

@@ -23,6 +23,9 @@ from .propagator import _preflight
 # time steps per block: Verlet steps held at once by verlet_blocks, noise
 # steps drawn at once by langevin_ensemble
 _BLOCK = 256
+# per trajectory of langevin_ensemble: its Generator (about 1.7 KB under
+# tracemalloc) and the step's few float vectors
+_TRAJECTORY_BYTES = 2048
 
 
 def trajectory_stream(seed: int, index: int) -> np.random.Generator:
@@ -108,6 +111,15 @@ def verlet_blocks(pes: PesModel, mu: float, r0, p0, dt: float, n_steps: int):
         r, p = ens.R[-1], ens.P[-1]
 
 
+def langevin_memory_estimate(n_steps: int, n_traj: int,
+                             record_every: int = 1) -> int:
+    """Bytes that `langevin_ensemble` holds: the recorded R and P, one
+    noise block and one Generator per trajectory, and the record steps."""
+    n_records = -(-n_steps // record_every) + 1
+    return (n_traj * (16 * n_records + 8 * min(_BLOCK, n_steps)
+                      + _TRAJECTORY_BYTES) + 8 * n_records)
+
+
 def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
                       dt: float, n_steps: int, n_traj: int, seed: int,
                       r0, p0=0.0, record_every: int = 1) -> TrajectoryEnsemble:
@@ -117,8 +129,13 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
     blocks of _BLOCK steps, so working memory is O(_BLOCK x n_traj) at
     any run length and results do not depend on the block length.
     gamma = 0 turns the thermostat substep into the exact identity and
-    the integrator reduces to the energy-conserving one above.
+    the integrator reduces to the energy-conserving one above. The
+    working set is preflighted against physical memory before any of it
+    is allocated.
     """
+    _preflight("langevin_ensemble",
+               langevin_memory_estimate(n_steps, n_traj, record_every),
+               "record fewer steps or trajectories")
     # own copies, stepped in place below
     r = np.broadcast_to(np.asarray(r0, dtype=float), (n_traj,)).copy()
     p = np.broadcast_to(np.asarray(p0, dtype=float), (n_traj,)).copy()
@@ -129,6 +146,7 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
     steps = _record_steps(n_steps, record_every)
     out_r = np.empty((len(steps), n_traj))
     out_p = np.empty((len(steps), n_traj))
+    noise = np.empty((min(_BLOCK, n_steps), n_traj))
     f = pes.f(r)
     rec = 0
     for step in range(n_steps + 1):
@@ -139,9 +157,8 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
             break
         if step % _BLOCK == 0:
             n_block = min(_BLOCK, n_steps - step)
-            noise = np.empty((n_block, n_traj))
             for i, stream in enumerate(streams):
-                noise[:, i] = stream.standard_normal(n_block)
+                noise[:n_block, i] = stream.standard_normal(n_block)
         p += 0.5 * dt * f
         r += 0.5 * dt * p / mu
         p *= c1
@@ -152,6 +169,13 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
 
 
+def sampler_memory_estimate(n_samples: int) -> int:
+    """Bytes that `canonical_sampler` holds: per sample 8 for P, 8 for
+    the harvested R and 8 for their concatenation, and up to 16 for the
+    Python objects of the harvest rounds; 64 KiB for the burn-in."""
+    return 40 * n_samples + (1 << 16)
+
+
 def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
                       seed: int, r_range: tuple[float, float]):
     """Draw (R, P) from the canonical density on r_range.
@@ -159,8 +183,11 @@ def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
     P is an exact Maxwell draw. R runs an adaptive random-walk Metropolis
     chain on exp(-V/T): 1000-sweep burn-in with step adaptation, then one
     harvest every 10 sweeps across parallel walkers. A post-adaptation
-    acceptance rate outside [0.1, 0.9] emits SamplerWarning.
+    acceptance rate outside [0.1, 0.9] emits SamplerWarning. The samples
+    are preflighted against physical memory before they are drawn.
     """
+    _preflight("canonical_sampler", sampler_memory_estimate(n_samples),
+               "draw fewer samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     p = rng.normal(0.0, np.sqrt(mu * t), n_samples)
 

@@ -46,6 +46,14 @@ their real and imaginary parts, fft_P, cosine filter, ifft_P. The half
 tables are rows (columns) 0..N/2 of the full ones. All transforms are
 orthonormal, so norms keep their meaning in every representation once
 the half-spectrum rows carry the Hermitian weights 1, 2, ..., 2, 1.
+
+A step needs three state-sized arrays besides its tables: the input
+stack, the output stack and one real (S, N_R, N_P) plane. The kick's
+(R, k_P) half spectrum lives in the output stack, which is dead between
+irfft_R and rfft_R and holds N_P - N_R more complex values than the
+spectrum, so only an N_R > N_P grid gives the stepper a separate
+spectrum buffer. The friction products land in the real plane, free
+once rfft_R has read it.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ from .grid import Basis, KvnState, PhaseSpaceGrid
 BOUNDARY_LEAK_TOLERANCE = 1e-3
 FILTER_COLLAPSE_FLOOR = 1e-6
 TIME_REVERSAL_TOLERANCE = 1e-13
+_ABS_BLOCK = 1 << 13  # complex values per block of a stack-of-two density
 
 
 @dataclass(frozen=True)
@@ -484,6 +493,28 @@ def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepRepor
     return KvnState(amp, Basis.RP, g), report
 
 
+def _real_stack(amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real stack of an (R, P) table: (Re,) when the table has no
+    imaginary part and (Re, Im) otherwise."""
+    if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
+        return amplitudes.real, amplitudes.imag
+    return (amplitudes.real,)
+
+
+def _rp_table(a: np.ndarray, n_r: int, dtype=np.complex128) -> np.ndarray:
+    """(R, P) table of a resting stack; a stack of one has `dtype`.
+
+    irfft_R takes a fresh array, which a stack of one of dtype float64
+    returns as is.
+    """
+    planes = np.fft.irfft(a, n_r, axis=-2, norm="ortho")
+    if len(planes) == 1:
+        return planes[0].astype(dtype, copy=False)
+    table = np.empty(planes.shape[1:], np.complex128)
+    table.real, table.imag = planes
+    return table
+
+
 class LangevinStepper:
     """Fused step with all operator tables built once.
 
@@ -494,14 +525,18 @@ class LangevinStepper:
 
     The stepper also owns the scratch of a step, allocated for the first
     stack it meets and kept while the stack height S stays the same: a
-    real (S, N_R, N_P) plane, the (S, N_R, N_P//2 + 1) half spectrum of
-    the kick and the real (S, N_R//2 + 1, N_P) out-plane of the friction
-    products. A step into a stack the caller supplies allocates nothing.
+    real (S, N_R, N_P) plane, and on an N_R > N_P grid the
+    (S, N_R, N_P//2 + 1) half spectrum of the kick, which otherwise
+    lives in the output stack (see the module docstring). A step into a
+    stack the caller supplies allocates nothing else.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
                  params: LangevinParams):
-        _preflight("LangevinStepper", self.memory_estimate(grid, params.s))
+        # the minimum, a stack of one; `step` and `relax` preflight the
+        # height of the state they are given
+        _preflight("LangevinStepper",
+                   self.memory_estimate(grid, params.s, 1))
         self.grid = grid
         self.params = params
         _, force = tabulate_pes(pes, grid.R)
@@ -510,7 +545,7 @@ class LangevinStepper:
         self.friction = FrictionOperator(grid, params.s)
         self.cos_filter = np.cos(params.sigma_h * grid.k_P)
         self.row_weights = grid.cell * _hermitian_weights(grid.shape[0])
-        self._scratch: tuple[np.ndarray, ...] = ()
+        self._scratch: tuple[np.ndarray | None, ...] = ()
         # transport shears density into high k_P; if the filter argument
         # leaves the first quarter-wave there, |cos| ~ 1 lobes let that
         # content survive and alias instead of diffusing away, which can
@@ -524,40 +559,39 @@ class LangevinStepper:
                 f"the step", FilterBandWarning)
 
     @staticmethod
-    def memory_estimate(grid: PhaseSpaceGrid, s: float) -> int:
-        """Bytes of the fixed working set for a complex state (a stack of
-        two): the half phase tables, the friction table for
-        s = gamma*dt, the two resting stacks a step reads and writes, and
-        the step's three scratch planes."""
+    def memory_estimate(grid: PhaseSpaceGrid, s: float,
+                        n_stack: int) -> int:
+        """Bytes of the fixed working set for a stack of n_stack (1 for a
+        real state, 2 for a complex one): the half phase tables, the
+        friction table for s = gamma*dt, the two resting stacks a step
+        reads and writes, the real plane, and on an N_R > N_P grid the
+        kick's half spectrum."""
         n_r, n_p = grid.shape
         rows, cols = n_r // 2 + 1, n_p // 2 + 1
         half_tables = 16 * (rows * n_p + n_r * cols)
-        stacks = 2 * 2 * 16 * rows * n_p
-        scratch = 2 * (8 * n_r * n_p + 16 * n_r * cols + 8 * rows * n_p)
-        return (half_tables + _friction_table_bytes(grid, s) + stacks
-                + scratch)
+        stacks = 2 * 16 * rows * n_p
+        plane = 8 * n_r * n_p
+        spectrum = 16 * n_r * cols if n_r > n_p else 0
+        return (half_tables + _friction_table_bytes(grid, s)
+                + n_stack * (stacks + plane + spectrum))
 
-    def _planes(self, n_stack: int) -> tuple[np.ndarray, ...]:
-        """Real plane, half spectrum and out-plane for a stack of n_stack."""
+    def _planes(self, n_stack: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Real plane and, on an N_R > N_P grid, the kick's half spectrum
+        (None otherwise) for a stack of n_stack."""
         if not self._scratch or len(self._scratch[0]) != n_stack:
             n_r, n_p = self.grid.shape
             self._scratch = ()  # free the old set before allocating anew
-            self._scratch = (np.empty((n_stack, n_r, n_p)),
-                             np.empty((n_stack, n_r, n_p // 2 + 1),
-                                      np.complex128),
-                             np.empty((n_stack, n_r // 2 + 1, n_p)))
+            spectrum = None
+            if n_r > n_p:
+                spectrum = np.empty((n_stack, n_r, n_p // 2 + 1),
+                                    np.complex128)
+            self._scratch = (np.empty((n_stack, n_r, n_p)), spectrum)
         return self._scratch
 
     def to_half_spectra(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Resting layout of an (R, P) table: rfft_R of its real stack.
-
-        The stack is (Re,) when the table has no imaginary part and
-        (Re, Im) otherwise, so the layout is (S, N_R//2 + 1, N_P).
-        """
-        if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
-            parts = (amplitudes.real, amplitudes.imag)
-        else:
-            parts = (amplitudes.real,)
+        """Resting layout of an (R, P) table: rfft_R of its real stack
+        (see `_real_stack`), shape (S, N_R//2 + 1, N_P)."""
+        parts = _real_stack(amplitudes)
         n_r, n_p = self.grid.shape
         a = np.empty((len(parts), n_r // 2 + 1, n_p), np.complex128)
         for part, half in zip(parts, a):
@@ -567,53 +601,55 @@ class LangevinStepper:
     def from_half_spectra(self, a: np.ndarray, dtype=np.complex128) \
             -> np.ndarray:
         """(R, P) table of a resting stack; a stack of one has `dtype`."""
-        planes = np.fft.irfft(a, self.grid.shape[0], axis=-2, norm="ortho",
-                              out=self._planes(len(a))[0])
-        if len(planes) == 1:
-            return planes[0].astype(dtype)
-        table = np.empty(planes.shape[1:], np.complex128)
-        table.real, table.imag = planes
-        return table
+        return _rp_table(a, self.grid.shape[0], dtype)
 
     def density(self, a: np.ndarray) -> np.ndarray:
         """|psi|^2 of a resting stack on the (R, P) grid.
 
-        It is formed in the real plane, so the next `advance`, `density`
-        or `from_half_spectra` overwrites it.
+        It is formed in the real plane, so the next `advance` or
+        `density` overwrites it. A stack of two takes np.abs of its
+        complex table, as `grid.density` reads it (np.hypot differs in
+        the last bit), built _ABS_BLOCK values at a time.
         """
-        plane, spectrum, _ = self._planes(len(a))
-        planes = np.fft.irfft(a, self.grid.shape[0], axis=-2, norm="ortho",
-                              out=plane)
+        n_r, n_p = self.grid.shape
+        planes = np.fft.irfft(a, n_r, axis=-2, norm="ortho",
+                              out=self._planes(len(a))[0])
         rho = planes[0]
         if len(planes) == 2:
-            # np.abs of the complex table, as `grid.density` reads it (np.hypot
-            # differs in the last bit); the half spectrum is free between
-            # steps and holds N_R x (N_P + 2) complex values
-            table = spectrum.reshape(-1)[:rho.size].reshape(rho.shape)
-            table.real, table.imag = planes
-            np.abs(table, out=rho)
+            rows = max(1, _ABS_BLOCK // n_p)
+            block = np.empty((rows, n_p), np.complex128)
+            for i in range(0, n_r, rows):
+                table = block[:min(rows, n_r - i)]
+                table.real, table.imag = planes[:, i:i + rows]
+                np.abs(table, out=rho[i:i + rows])
         return np.square(rho, out=rho)
 
     def advance(self, a: np.ndarray, out: np.ndarray | None = None) \
             -> tuple[np.ndarray, StepReport]:
-        """One step of a resting stack into `out`, or into a new stack
-        without it; `a` is kept."""
+        """One step of a resting stack into `out`, a C-contiguous stack
+        of the shape of `a`, or into a new stack without it; `a` is
+        kept."""
         n_r, n_p = self.grid.shape
-        x, y, plane = self._planes(len(a))
+        x, y = self._planes(len(a))
         b = np.multiply(a, self.half_drift, out=out)
         np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
+        if y is None:  # b is dead until rfft_R refills it
+            shape = (len(a), n_r, n_p // 2 + 1)
+            y = b.reshape(-1)[:math.prod(shape)].reshape(shape)
         np.fft.rfft(x, axis=-1, norm="ortho", out=y)
         y *= self.kick
         np.fft.irfft(y, n_p, axis=-1, norm="ortho", out=x)
         np.fft.rfft(x, axis=-2, norm="ortho", out=b)
         b *= self.half_drift
         return _filtered(b, self.friction.matrix, self.cos_filter,
-                         self.row_weights, plane)
+                         self.row_weights, x[:, :n_r // 2 + 1])
 
     def step(self, state: KvnState) -> tuple[KvnState, StepReport]:
         if state.basis is not Basis.RP:
             raise BasisMismatchError(
                 f"the step expects the (R, P) basis, got {state.basis}")
+        _preflight("LangevinStepper", self.memory_estimate(
+            self.grid, self.params.s, len(_real_stack(state.amplitudes))))
         a, report = self.advance(self.to_half_spectra(state.amplitudes))
         amplitudes = self.from_half_spectra(a, state.amplitudes.dtype)
         return KvnState(amplitudes, Basis.RP, state.grid), report

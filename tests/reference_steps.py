@@ -14,8 +14,10 @@ read from its own density and D_KL taken against the canonical table.
 full value and derivative rows, and `complex_bias_experiment` the bias
 loop on a complex row. `fejer_loop_reference` bins a recorded
 ensemble's spectrum by evaluating the Fejer kernel on a zero-padded
-frequency grid, one bin at a time. `traced_peak` measures the peak
-allocation of one call.
+frequency grid, one bin at a time. `separate_buffer_advance` is the
+stepping core with a buffer of its own for every intermediate, where
+`LangevinStepper.advance` lets them share the output stack and the real
+plane. `traced_peak` measures the peak allocation of one call.
 """
 
 import math
@@ -169,6 +171,25 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
         if step in snapshot_steps:
             snapshots[step] = density(state)
     return trace, state, snapshots
+
+
+def separate_buffer_advance(stepper: LangevinStepper, a: np.ndarray) \
+        -> tuple[np.ndarray, StepReport]:
+    """`LangevinStepper.advance` into a new stack, with a real plane, the
+    kick's half spectrum and the friction out-plane of its own."""
+    n_r, n_p = stepper.grid.shape
+    x = np.empty((len(a), n_r, n_p))
+    y = np.empty((len(a), n_r, n_p // 2 + 1), np.complex128)
+    plane = np.empty((len(a), n_r // 2 + 1, n_p))
+    b = np.multiply(a, stepper.half_drift)
+    np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
+    np.fft.rfft(x, axis=-1, norm="ortho", out=y)
+    y *= stepper.kick
+    np.fft.irfft(y, n_p, axis=-1, norm="ortho", out=x)
+    np.fft.rfft(x, axis=-2, norm="ortho", out=b)
+    b *= stepper.half_drift
+    return _filtered(b, stepper.friction.matrix, stepper.cos_filter,
+                     stepper.row_weights, plane)
 
 
 def traced_peak(fn, *args):

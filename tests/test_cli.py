@@ -12,6 +12,7 @@ from kvnmd.cli import PHASES, main
 from kvnmd.errors import BoundaryLeakWarning, FilterBandWarning
 from kvnmd.config import parse_config
 from kvnmd.grid import build_grid
+from kvnmd.oracles import langevin_memory_estimate
 from kvnmd.propagator import LangevinStepper
 
 MORSE_BLOCK = """
@@ -331,10 +332,11 @@ class TestCliRelax:
         assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
         for value in memory.values():
             assert isinstance(value, int) and value > 0
-        # the stepper's working set on 2^6 x 2^6 plus the two snapshots
+        # the stepper's working set on 2^6 x 2^6 for the real initial
+        # table, a stack of one, plus the two snapshots
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         assert memory["estimate_bytes"] == \
-            LangevinStepper.memory_estimate(grid, 0.01) + 2 * 8 * 64 * 64
+            LangevinStepper.memory_estimate(grid, 0.01, 1) + 2 * 8 * 64 * 64
 
 
 class TestCliVdos:
@@ -552,6 +554,22 @@ class TestExitCodes:
         assert code == 2
         assert "arrhenius_sweep" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+
+    def test_oracle_preflight_is_exit_2(self, tmp_path, monkeypatch,
+                                        capsys):
+        # one byte short of the records, noise block and Generators of
+        # 64 trajectories over 100 steps
+        need = langevin_memory_estimate(100, 64, 25)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        code, out = run_cli(tmp_path, ORACLE_SMALL)
+        assert code == 2
+        assert "langevin_ensemble" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        code, out = run_cli(tmp_path, ORACLE_SMALL)
+        assert code == 0 and (out / "oracle_summary.csv").exists()
 
     def test_seed_override_changes_sampled_outputs(self, tmp_path):
         cfg = tmp_path / "o.ini"

@@ -369,6 +369,7 @@ class TestRelaxWorkingSet:
     # a 2^9 grid with the 2^10 workload's P spacing, three steps and one
     # snapshot
     N = 1 << 9
+    HEIGHTS = {"real": 1, "complex": 2}  # stack heights of the states
 
     def setup_run(self, stack="real"):
         grid = build_grid(9, 9, (0.5, 4.5), (-170.0, 170.0))
@@ -379,22 +380,36 @@ class TestRelaxWorkingSet:
 
     def test_estimate_counts_each_snapshot_taken(self):
         st, _, params = self.setup_run()
-        fixed = LangevinStepper.memory_estimate(st.grid, params.s)
+        fixed = LangevinStepper.memory_estimate(st.grid, params.s, 1)
         table = 8 * self.N * self.N
-        assert relax_memory_estimate(st.grid, params, 3) == fixed
+        assert relax_memory_estimate(st.grid, params, 3, n_stack=1) == fixed
         # step 9 is never reached and step 3 counts once
-        assert relax_memory_estimate(st.grid, params, 3, (0, 3, 3, 9)) == \
-            fixed + 2 * table
+        assert relax_memory_estimate(st.grid, params, 3, (0, 3, 3, 9),
+                                     n_stack=1) == fixed + 2 * table
 
     @pytest.mark.parametrize("stack", ["real", "complex"])
     def test_peak_stays_within_the_estimate(self, stack):
-        # the estimate is the working set of a stack of two; numpy's ufunc
-        # buffers add up to 512 KiB
+        # the estimate is the working set of the state's stack height;
+        # numpy's ufunc buffers add up to 512 KiB
         st, pes, params = self.setup_run(stack)
         relax(st, pes, params, 1)  # leaves the FFT plan caches warm
         _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
-        assert peak <= relax_memory_estimate(st.grid, params, 3, (3,)) \
-            + 2 ** 19
+        assert peak <= relax_memory_estimate(
+            st.grid, params, 3, (3,), n_stack=self.HEIGHTS[stack]) + 2 ** 19
+
+    @pytest.mark.parametrize("stack", ["real", "complex"])
+    def test_peak_is_the_tables_and_three_state_arrays(self, stack):
+        # the input and output stacks and the real plane: the kick's
+        # half spectrum and the friction products share them, the last
+        # snapshot takes the spare stack's place, and the final table is
+        # formed once the stepper is gone; 512 KiB for numpy's buffers
+        st, pes, params = self.setup_run(stack)
+        n, rows = self.N, self.N // 2 + 1
+        tables = 2 * 16 * rows * n + 8 * n * n
+        arrays = self.HEIGHTS[stack] * (2 * 16 * rows * n + 8 * n * n)
+        relax(st, pes, params, 1)  # leaves the FFT plan caches warm
+        _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
+        assert peak <= tables + arrays + 2 ** 19
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="the caller's frame holds call arguments "
@@ -421,7 +436,7 @@ class TestRelaxWorkingSet:
 
     def test_preflight_refuses_below_the_estimate(self, monkeypatch):
         st, pes, params = self.setup_run()
-        need = relax_memory_estimate(st.grid, params, 3, (3,))
+        need = relax_memory_estimate(st.grid, params, 3, (3,), n_stack=1)
         monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
                             lambda: need - 1)
 

@@ -11,6 +11,7 @@ from kvnmd.errors import MemoryBudgetError, SamplerWarning
 from kvnmd.grid import build_grid
 from kvnmd.oracles import (canonical_sampler, cos_filter_stationary_bias,
                            histogram_density, langevin_ensemble,
+                           langevin_memory_estimate, sampler_memory_estimate,
                            trajectory_stream, verlet_blocks, verlet_ensemble)
 from reference_steps import (full_grid_filter_bias, one_draw_langevin,
                              traced_peak, verlet_trajectory)
@@ -195,6 +196,40 @@ class TestLangevin:
         assert t_kin == pytest.approx(t, rel=0.03)
         assert t_conf == pytest.approx(t, rel=0.03)
 
+    @pytest.mark.parametrize("n_traj, n_steps, record_every",
+                             [(64, 100, 25), (1000, 600, 20), (100, 700, 1)])
+    def test_peak_stays_within_the_estimate(self, n_traj, n_steps,
+                                            record_every):
+        # one noise block is reused; 64 KiB for numpy's and the PES's
+        # temporaries
+        args = (MORSE, MU, 0.02, 0.003, 0.5, n_steps, n_traj, 11, 1.40201,
+                0.0, record_every)
+        langevin_ensemble(*args)
+        _, peak = traced_peak(langevin_ensemble, *args)
+        assert peak <= langevin_memory_estimate(n_steps, n_traj,
+                                                record_every) + 2 ** 16
+
+    def test_preflight_refuses_before_allocating(self, monkeypatch):
+        # the shipped oracle run at 100 times its trajectories: records,
+        # noise and Generators for 10^5 trajectories, about 0.57 GB
+        n_steps, n_traj = 2000, 100_000
+        need = langevin_memory_estimate(n_steps, n_traj, 20)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetError,
+                               match="langevin_ensemble"):
+                langevin_ensemble(MORSE, MU, 0.02, 0.003, 0.5, n_steps,
+                                  n_traj, 11, 1.40201, 0.0, 20)
+
+        _, peak = traced_peak(refused)
+        assert peak < 2 ** 16
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: langevin_memory_estimate(3, 2))
+        assert langevin_ensemble(MORSE, MU, 0.02, 0.003, 0.5, 3, 2, 11,
+                                 1.40201).R.shape == (4, 2)
+
 
 class TestCanonicalSampler:
     def test_harmonic_moments(self):
@@ -232,6 +267,32 @@ class TestCanonicalSampler:
         with pytest.warns(SamplerWarning):
             canonical_sampler(pes, 1.0, 1.0e-4, n_samples=64, seed=1,
                               r_range=(-50.0, 50.0))
+
+    @pytest.mark.parametrize("n_samples", [1, 64, 1000, 30000])
+    def test_peak_stays_within_the_estimate(self, n_samples):
+        canonical_sampler(MORSE, MU, 0.003, 64, 11, (0.8, 3.0))
+        _, peak = traced_peak(canonical_sampler, MORSE, MU, 0.003,
+                              n_samples, 11, (0.8, 3.0))
+        assert peak <= sampler_memory_estimate(n_samples)
+
+    def test_preflight_refuses_before_allocating(self, monkeypatch):
+        n_samples = 10 ** 8  # 4 GB of samples and harvest rounds
+        monkeypatch.setattr(
+            kvnmd.propagator, "_physical_memory",
+            lambda: sampler_memory_estimate(n_samples) - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetError,
+                               match="canonical_sampler"):
+                canonical_sampler(MORSE, MU, 0.003, n_samples, 11,
+                                  (0.8, 3.0))
+
+        _, peak = traced_peak(refused)
+        assert peak < 2 ** 16
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: sampler_memory_estimate(64))
+        r, p = canonical_sampler(MORSE, MU, 0.003, 64, 11, (0.8, 3.0))
+        assert r.shape == p.shape == (64,)
 
 
 class TestHistogramDensity:

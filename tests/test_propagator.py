@@ -21,7 +21,7 @@ from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               _filtered, momentum_bias_experiment)
 from reference_steps import (complex_bias_experiment, friction_step,
                              ideal_diffusion_step, langevin_step, nve_step,
-                             traced_peak)
+                             separate_buffer_advance, traced_peak)
 
 
 def linear_pes(slope: float) -> PesModel:
@@ -358,6 +358,73 @@ class TestThermostatedStep:
         np.testing.assert_array_equal(a, kept)
 
 
+class TestSharedScratch:
+    # the kick's half spectrum lives in the output stack where
+    # N_R <= N_P, and the friction products land in the real plane
+    SHAPES = [(5, 6), (6, 6), (6, 5)]
+
+    @staticmethod
+    def setup_run(n_r, n_p, n_stack, gamma, p_max=22.0):
+        params = dataclasses.replace(
+            calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                      t_phys=kelvin_to_hartree(947.0)), gamma=gamma)
+        grid = build_grid(n_r, n_p, (0.6, 2.6), (-p_max, p_max))
+        amp = encode_gaussian(grid, 1.5, 3.0, 0.15, 3.0).amplitudes
+        if n_stack == 2:
+            amp = amp + 0.5j * encode_gaussian(grid, 1.7, -2.0, 0.2,
+                                               3.0).amplitudes
+            amp /= math.sqrt(np.sum(np.abs(amp) ** 2) * grid.cell)
+        stepper = LangevinStepper(grid, morse_pes(de=0.17, alpha=1.0,
+                                                  re=1.4), params)
+        a = stepper.to_half_spectra(amp)
+        assert len(a) == n_stack
+        return stepper, a
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n_stack", [1, 2])
+    @pytest.mark.parametrize("gamma", [0.0, 0.02])
+    @pytest.mark.parametrize("into", ["new", "spare"])
+    def test_matches_the_separate_buffer_step(self, shape, n_stack, gamma,
+                                              into):
+        stepper, a = self.setup_run(*shape, n_stack, gamma)
+        ref = a.copy()
+        spare = np.empty_like(a) if into == "spare" else None
+        for _ in range(10):
+            kept = a.copy()
+            stepped, report = stepper.advance(a, out=spare)
+            assert a.tobytes() == kept.tobytes()  # the input is kept
+            ref, ref_report = separate_buffer_advance(stepper, ref)
+            assert stepped.tobytes() == ref.tobytes()
+            assert report == ref_report
+            if into == "spare":
+                a, spare = stepped, a
+            else:
+                a = stepped
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_spectrum_buffer_only_where_the_stack_cannot_hold_it(self,
+                                                                 shape):
+        stepper, a = self.setup_run(*shape, 2, 0.02)
+        stepper.advance(a)
+        plane, spectrum = stepper._planes(2)
+        assert plane.shape == (2, 1 << shape[0], 1 << shape[1])
+        assert (spectrum is None) == (shape[0] <= shape[1])
+
+    @pytest.mark.parametrize("block", [None, 3 * 128, 1])
+    @pytest.mark.parametrize("shape", [(8, 7), (7, 8)])
+    def test_stack_of_two_density_is_grid_density(self, monkeypatch, block,
+                                                  shape):
+        # the default block spans several rows of 2^15 values; 3 x 128
+        # values leave a ragged last block, and 1 takes a row per block
+        if block is not None:
+            monkeypatch.setattr(kvnmd.propagator, "_ABS_BLOCK", block)
+        stepper, a = self.setup_run(*shape, 2, 0.02, p_max=88.0)
+        a, _ = stepper.advance(a)
+        table = KvnState(stepper.from_half_spectra(a), Basis.RP,
+                         stepper.grid)
+        assert stepper.density(a).tobytes() == density(table).tobytes()
+
+
 class TestMomentumBiasExperiment:
     def test_matches_product_oracle_and_weak_friction_law(self):
         params = calibrate(mu=1.0, gamma=0.05, dt=1.0, t_phys=1.0)
@@ -475,16 +542,32 @@ class TestMemoryPreflight:
             8 * n * n + state
         assert FrictionOperator.memory_estimate(grid, 0.0) == state
         half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
-        # a complex state, a stack of two: the two resting stacks, the
-        # real plane, the half spectrum and the friction out-plane
-        stacks = 2 * 2 * 16 * (n // 2 + 1) * n
-        scratch = 2 * (8 * n * n + 16 * n * (n // 2 + 1)
-                       + 8 * (n // 2 + 1) * n)
-        assert LangevinStepper.memory_estimate(grid, 0.01) == \
-            half + 8 * n * n + stacks + scratch
-        assert LangevinStepper.memory_estimate(grid, 0.01) == 25_772_163_072
-        assert LangevinStepper.memory_estimate(grid, 0.0) == \
-            half + stacks + scratch
+        # per stack height: the two resting stacks and the real plane;
+        # on a square grid the kick's half spectrum lives in the output
+        # stack
+        per_stack = 2 * 16 * (n // 2 + 1) * n + 8 * n * n
+        assert LangevinStepper.memory_estimate(grid, 0.01, 1) == \
+            half + 8 * n * n + per_stack
+        assert LangevinStepper.memory_estimate(grid, 0.01, 1) == 12_885_950_464
+        assert LangevinStepper.memory_estimate(grid, 0.01, 2) == \
+            half + 8 * n * n + 2 * per_stack
+        assert LangevinStepper.memory_estimate(grid, 0.01, 2) == \
+            19_328_925_696
+        assert LangevinStepper.memory_estimate(grid, 0.0, 2) == \
+            half + 2 * per_stack
+
+    def test_estimate_counts_the_spectrum_where_the_stack_cannot_hold_it(
+            self):
+        # 2^14 x 2^12: an (R, k_P) half spectrum holds N_R - N_P more
+        # complex values than the output stack
+        grid = build_grid(14, 12, (0.5, 4.5), (-340.0, 340.0))
+        n_r, n_p = 1 << 14, 1 << 12
+        half = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
+        per_stack = (2 * 16 * (n_r // 2 + 1) * n_p + 8 * n_r * n_p
+                     + 16 * n_r * (n_p // 2 + 1))
+        for n_stack in (1, 2):
+            assert LangevinStepper.memory_estimate(grid, 0.0, n_stack) == \
+                half + n_stack * per_stack
 
     @pytest.mark.parametrize("kind", ["time-symmetric", "random"])
     def test_autocorrelation_holds_two_working_tables(self, kind):
@@ -522,6 +605,26 @@ class TestMemoryPreflight:
                             lambda: 4 * 2 ** 30)
         with pytest.raises(MemoryBudgetError, match="GiB"):
             build(grid, pes, params)
+
+    def test_step_checks_the_height_of_its_state(self, monkeypatch):
+        # the constructor checks a stack of one; a complex state needs a
+        # stack of two, which `step` checks before it allocates
+        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
+        params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                           t_phys=kelvin_to_hartree(947.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        real = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
+        cplx = KvnState(real.amplitudes * np.exp(0.3j), Basis.RP, grid)
+        need = LangevinStepper.memory_estimate(grid, params.s, 2)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        stepper = LangevinStepper(grid, pes, params)
+        stepper.step(real)
+        with pytest.raises(MemoryBudgetError, match="LangevinStepper"):
+            stepper.step(cplx)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        stepper.step(cplx)
 
     def test_estimate_at_the_limit_passes(self, monkeypatch):
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
