@@ -4,11 +4,12 @@ Every invocation executes one mode (relax, vdos, tst, bias-check,
 oracle), writes its data series as plot-ready CSVs plus a manifest.json
 recording the resolved configuration, derived parameters, library
 versions, wall time (in total and per phase: tables, propagate, readout,
-write), memory (the process's peak resident set and, for relax, the
-preflight's estimate of the working set), the warnings shown under the
-active filters (category, count, first message) and a content hash per
-output file. Reruns with the same config and seed reproduce the CSVs
-byte for byte; timings and memory go only into the manifest.
+write), memory (the process's peak resident set and, for relax and
+bias-check, the preflight's estimate of the working set), the warnings
+shown under the active filters (category, count, first message) and a
+content hash per output file. Reruns with the same config and seed
+reproduce the CSVs byte for byte; timings and memory go only into the
+manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 manifest records the exit status. A run stopped by a numerical error
@@ -47,7 +48,7 @@ from .errors import (BasisMismatchError, ConfigurationError, DomainError,
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
     langevin_ensemble, verlet_blocks, verlet_ensemble
-from .propagator import calibrate, momentum_bias_experiment
+from .propagator import _RowDilation, calibrate, momentum_bias_experiment
 from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
     crossing_reference
 from .vdos import QpeConfig, aimd_reference_spectrum, branch_spectra, \
@@ -278,6 +279,8 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
         params = calibrate(b.mu_au, gamma=s, dt=1.0, t_phys=t_phys)
         p_max = 8.0 * math.sqrt(b.mu_au * params.t_int)
         grid = build_grid(3, b.n_p, (0.0, 1.0), (-p_max, p_max))
+        memory["estimate_bytes"] = max(memory.get("estimate_bytes", 0),
+                                       _RowDilation.memory_estimate(grid))
         clock.lap("tables")
         result = momentum_bias_experiment(grid, params)
         clock.lap("propagate")

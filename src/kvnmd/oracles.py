@@ -170,10 +170,10 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
 
 
 def sampler_memory_estimate(n_samples: int) -> int:
-    """Bytes that `canonical_sampler` holds: per sample 8 for P, 8 for
-    the harvested R and 8 for their concatenation, and up to 16 for the
-    Python objects of the harvest rounds; 64 KiB for the burn-in."""
-    return 40 * n_samples + (1 << 16)
+    """Bytes that `canonical_sampler` holds: per sample 8 for P and 8
+    for R, harvested into one preallocated array; 64 KiB for the
+    burn-in."""
+    return 16 * n_samples + (1 << 16)
 
 
 def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
@@ -201,7 +201,8 @@ def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
     v = pes.v(r)
     step = 0.1 * (hi - lo)
 
-    def sweep(step, count_stats=False):
+    def sweep(step):
+        """One Metropolis move of every walker; returns the accepted count."""
         nonlocal r, v
         prop = r + step * rng.standard_normal(n_chains)
         inside = (prop >= lo) & (prop <= hi)
@@ -210,27 +211,27 @@ def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
                            < -(v_prop - v) / t)
         r = np.where(accept, prop, r)
         v = np.where(accept, v_prop, v)
-        return accept.mean()
+        return int(np.count_nonzero(accept))
 
     # burn-in with step adaptation toward ~50% acceptance
     acc_window = []
     for i in range(1000):
-        acc_window.append(sweep(step))
+        acc_window.append(sweep(step) / n_chains)
         if (i + 1) % 50 == 0:
             rate = float(np.mean(acc_window[-50:]))
             step *= np.exp(rate - 0.5)
 
-    harvested = []
-    acc_after = []
-    while sum(len(h) for h in harvested) < n_samples:
+    r_out = np.empty(n_samples)
+    n_rounds = -(-n_samples // n_chains)
+    accepted = 0
+    for start in range(0, n_rounds * n_chains, n_chains):
         for _ in range(10):
-            acc_after.append(sweep(step))
-        harvested.append(r.copy())
-    rate = float(np.mean(acc_after))
+            accepted += sweep(step)
+        r_out[start:start + n_chains] = r[:n_samples - start]
+    rate = accepted / (10 * n_rounds * n_chains)
     if not (0.1 <= rate <= 0.9):
         warnings.warn(f"Metropolis acceptance {rate:.2f} outside [0.1, 0.9] "
                       "after adaptation", SamplerWarning)
-    r_out = np.concatenate(harvested)[:n_samples]
     return r_out, p
 
 

@@ -54,6 +54,14 @@ irfft_R and rfft_R and holds N_P - N_R more complex values than the
 spectrum, so only an N_R > N_P grid gives the stepper a separate
 spectrum buffer. The friction products land in the real plane, free
 once rfft_R has read it.
+
+Friction has two implementations of one interpolant, because its two
+callers differ. A Langevin step multiplies its N_R/2 + 1 rows per
+product by the real N_P x N_P table `FrictionOperator.matrix`, which
+spreads the table over all of them; there a chirp-z transform was
+measured slower. The bias experiment steps one real row, which would
+stream the whole table per product, so it takes `_RowDilation`: the same
+interpolant by chirp-z, in O(N_P log N_P) time and O(N_P) memory.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,7 +367,10 @@ class FrictionOperator:
     D(x) = sin(pi x) cot(pi x / n) / n between node k and abscissa u_j.
 
     `matrix` is that real P -> P table with the e^{s/2} amplitude factor,
-    so that rows @ matrix are the dilated P rows.
+    so that rows @ matrix are the dilated P rows. `LangevinStepper` uses
+    it: one product spreads the table over N_R/2 + 1 rows. For one row
+    the product streams the whole table, so `momentum_bias_experiment`
+    evaluates the same interpolant by chirp-z (`_RowDilation`) instead.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, s: float):
@@ -434,7 +446,99 @@ def _dilate(x: np.ndarray, friction: np.ndarray,
     return x
 
 
-def _filtered(x: np.ndarray, friction: np.ndarray | None,
+def _exact_chirp(a: float, n: int) -> np.ndarray:
+    """exp(i pi a t^2 / n) for t = 0..n - 1, a the float as given.
+
+    a t^2 / n is reduced mod 2 in integers, as the exact quotient of
+    a's integer ratio, so each phase is correctly rounded in [0, 2)
+    however large t^2 grows.
+    """
+    num, den = a.as_integer_ratio()
+    period, scale = 2 * n * den, n * den
+    phase = np.fromiter((num * t * t % period / scale for t in range(n)),
+                        np.float64, n)
+    return np.exp(1j * np.pi * phase)
+
+
+class _RowDilation:
+    """`FrictionOperator`'s dilation of real P rows by chirp-z, no table.
+
+    It evaluates the table's interpolant, the symmetric-cosine Nyquist
+    term and the e^{s/2} factor included and zero where e^s P leaves the
+    grid, at the affine abscissas u_j = e^s j + (e^s - 1) p_min / dP.
+    With X = fft_P(x) of a real row that is
+
+        e^{s/2} / N [Re sum_{m < N/2} c_m X_m e^{2 pi i m u_j / N}
+                     + X_{N/2} cos(pi u_j)],    c_0 = 1, c_m = 2,
+
+    whose sum is a chirp-z transform (Bluestein's m j = (m^2 + j^2 -
+    (j - m)^2) / 2): a pre-chirp, one length-L circular convolution by
+    FFT with L the power of two >= N + N/2 - 1, and a post-chirp, in
+    O(N log N) time and O(N) memory.
+
+    Only the bias experiment uses it: a product with the N x N table
+    would stream all of the table for its one row. A Langevin step
+    spreads the table over N_R/2 + 1 rows per product, where the matrix
+    product is faster, so `LangevinStepper` keeps `FrictionOperator`.
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, s: float):
+        if s < 0:
+            raise ConfigurationError("gamma*dt must be nonnegative")
+        n = grid.shape[1]
+        half, length = n // 2, self._length(n)
+        a = float(np.exp(s))  # the table's factor, so both drop the same P
+        target = a * grid.P
+        valid = (target >= grid.p_min) & (target < grid.p_min + n * grid.dP)
+        offset = (a - 1.0) * grid.p_min / grid.dP
+        u = a * np.arange(n) + offset
+        # cos(pi u) = (-1)^k cos(pi (u - k)) for the integer k nearest u
+        nearest = np.rint(u)
+        scale = math.exp(0.5 * s) / n
+        chirp = _exact_chirp(a, n)
+        kernel = np.zeros(length, np.complex128)
+        kernel[:n] = chirp.conj()
+        kernel[length - half + 1:] = kernel[half - 1:0:-1]
+        self._kernel = np.fft.fft(kernel, out=kernel)
+        shift = (np.arange(half) * offset / n) % 1.0  # e^{2 pi i m c / N}
+        self._pre = chirp[:half] * np.exp(2j * np.pi * shift)
+        self._pre *= 2.0 * scale
+        self._pre[0] *= 0.5
+        self._post = np.where(valid, chirp, 0.0)
+        self._nyquist = np.where(
+            valid, scale * np.cos(np.pi * (u - nearest)), 0.0)
+        self._nyquist[nearest % 2 == 1] *= -1.0
+
+    @staticmethod
+    def _length(n: int) -> int:
+        """The convolution length: the power of two >= n + n/2 - 1."""
+        return 1 << (n + n // 2 - 2).bit_length()
+
+    @staticmethod
+    def memory_estimate(grid: PhaseSpaceGrid) -> int:
+        """Bytes that the bias experiment holds for its operator and one
+        step: the kernel and one work row of length L (complex), and
+        twelve real rows of length N for the chirps, the Nyquist term,
+        the Maxwell row, P^2, the filter and the spectra and outputs of
+        a step."""
+        n = grid.shape[1]
+        return 2 * 16 * _RowDilation._length(n) + 12 * 8 * n
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The dilated real rows x[..., :] over P, as a fresh array."""
+        n, half = x.shape[-1], x.shape[-1] // 2
+        spectrum = np.fft.rfft(x, axis=-1)
+        work = np.zeros(x.shape[:-1] + self._kernel.shape, np.complex128)
+        np.multiply(spectrum[..., :half], self._pre, out=work[..., :half])
+        np.fft.fft(work, axis=-1, out=work)
+        work *= self._kernel
+        np.fft.ifft(work, axis=-1, out=work)
+        rows = work[..., :n]
+        rows *= self._post
+        return rows.real + spectrum[..., half:].real * self._nyquist
+
+
+def _filtered(x: np.ndarray, friction: np.ndarray | _RowDilation | None,
               cos_filter: np.ndarray, row_weights: np.ndarray,
               plane: np.ndarray | None = None) \
         -> tuple[np.ndarray, StepReport]:
@@ -443,9 +547,10 @@ def _filtered(x: np.ndarray, friction: np.ndarray | None,
     x[..., i, :] are rows over P, row i carrying the quadrature weight
     row_weights[i]; both blocks act on the P axis alone, so the rows may
     be R rows or half-spectrum k_R rows. `friction` is
-    FrictionOperator.matrix (None for s = 0), `plane` the optional real
-    out-plane of its products (see `_dilate`) and `cos_filter` the
-    filter over k_P. Returns the renormalized rows over P.
+    FrictionOperator.matrix (None for s = 0), or for real rows a
+    `_RowDilation`; `plane` is the optional real out-plane of the
+    table's products (see `_dilate`) and `cos_filter` the filter over
+    k_P. Returns the renormalized rows over P.
 
     Complex rows are overwritten and filtered by fft_P. Real rows stay
     real under both blocks (the table is real, the filter even), so they
@@ -455,7 +560,8 @@ def _filtered(x: np.ndarray, friction: np.ndarray | None,
     if friction is None:
         n2, leak = 1.0, 0.0
     else:
-        x = _dilate(x, friction, plane)
+        x = friction(x) if callable(friction) else _dilate(x, friction,
+                                                           plane)
         n2, leak = _friction_norm(x, row_weights)
     if np.iscomplexobj(x):
         np.fft.fft(x, axis=-1, norm="ortho", out=x)
@@ -666,8 +772,12 @@ def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
     keep real, until the kinetic temperature is stationary: relative
     change below rel_tol across a `window`-step window. Returns the
     relative deviation of T_kin from T_int.
+
+    Friction is a `_RowDilation`, preflighted with its estimate: the
+    dense table would be streamed whole for the one row of every step.
     """
-    friction = FrictionOperator(grid, params.s)
+    _preflight("_RowDilation", _RowDilation.memory_estimate(grid))
+    friction = _RowDilation(grid, params.s)
     cos_filter = np.cos(params.sigma_h * grid.k_P)
     weight = grid.shape[0] * grid.cell
 
@@ -675,14 +785,13 @@ def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
     row = np.exp(-p_sq / (4.0 * params.mu * params.t_int))
     row /= np.sqrt(np.sum(row ** 2) * weight)
 
-    history = []
+    history = deque(maxlen=window + 1)  # T_kin now and `window` steps ago
     for step in range(1, n_steps_max + 1):
-        row, _ = _filtered(row, friction.matrix, cos_filter,
-                           np.array([weight]))
+        row, _ = _filtered(row, friction, cos_filter, np.array([weight]))
         t_kin = float(np.sum(row ** 2 * p_sq) * weight / params.mu)
         history.append(t_kin)
         if step > window:
-            if abs(history[-1] - history[-1 - window]) < rel_tol * history[-1]:
+            if abs(t_kin - history[0]) < rel_tol * t_kin:
                 bias = (t_kin - params.t_int) / params.t_int
                 return BiasResult(bias=bias, t_kin=t_kin, n_steps=step)
     raise ConvergenceError(

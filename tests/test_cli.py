@@ -13,7 +13,7 @@ from kvnmd.errors import BoundaryLeakWarning, FilterBandWarning
 from kvnmd.config import parse_config
 from kvnmd.grid import build_grid
 from kvnmd.oracles import langevin_memory_estimate
-from kvnmd.propagator import LangevinStepper
+from kvnmd.propagator import LangevinStepper, _RowDilation
 
 MORSE_BLOCK = """
 [pes]
@@ -405,6 +405,30 @@ class TestCliBiasCheck:
         assert rows[0]["status"] == "PASS"
         assert float(rows[0]["rel_err_predicted"]) < 0.10
         assert float(rows[0]["rel_err_oracle"]) < 0.01
+
+    def test_manifest_records_the_estimate(self, tmp_path):
+        code, out = run_cli(tmp_path,
+                            BIAS_SMALL.replace("0.01", "0.01, 0.05"))
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
+        # the operator's size depends on N_P alone, not on s
+        grid = build_grid(3, 8, (0.0, 1.0), (-1.0, 1.0))
+        assert memory["estimate_bytes"] == _RowDilation.memory_estimate(grid)
+
+    def test_preflight_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        need = _RowDilation.memory_estimate(
+            build_grid(3, 8, (0.0, 1.0), (-1.0, 1.0)))
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+        code, out = run_cli(tmp_path, BIAS_SMALL)
+        assert code == 2
+        assert "_RowDilation" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need)
+        code, out = run_cli(tmp_path, BIAS_SMALL)
+        assert code == 0 and (out / "bias_check.csv").exists()
 
 
 class TestCliOracle:

@@ -276,7 +276,7 @@ class TestCanonicalSampler:
         assert peak <= sampler_memory_estimate(n_samples)
 
     def test_preflight_refuses_before_allocating(self, monkeypatch):
-        n_samples = 10 ** 8  # 4 GB of samples and harvest rounds
+        n_samples = 10 ** 8  # 1.6 GB of samples
         monkeypatch.setattr(
             kvnmd.propagator, "_physical_memory",
             lambda: sampler_memory_estimate(n_samples) - 1)

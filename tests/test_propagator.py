@@ -16,7 +16,7 @@ from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
                         fourier_P, norm_squared)
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (FrictionOperator, LangevinStepper,
-                              NvePropagator, calibrate,
+                              NvePropagator, _RowDilation, calibrate,
                               corrected_internal_temperature, diffusion_step,
                               _filtered, momentum_bias_experiment)
 from reference_steps import (complex_bias_experiment, friction_step,
@@ -496,6 +496,62 @@ class TestRealRows:
             _filtered(row, friction, np.zeros_like(cos_filter), np.ones(1))
         with pytest.warns(BoundaryLeakWarning):
             _filtered(np.roll(row, 120), friction, cos_filter, np.ones(1))
+
+
+class TestRowDilation:
+    @staticmethod
+    def bias_grid(n_p, s):
+        # the shipped bias-check grid: H2 mass at 947 K
+        params = calibrate(mu=918.0, gamma=s, dt=1.0,
+                           t_phys=kelvin_to_hartree(947.0))
+        p_max = 8.0 * math.sqrt(918.0 * params.t_int)
+        return build_grid(3, n_p, (0.0, 1.0), (-p_max, p_max)), params
+
+    @pytest.mark.parametrize("s", [0.005, 0.05, 0.3])
+    def test_maxwell_row_matches_the_table(self, s):
+        grid, params = self.bias_grid(10, s)
+        row = np.exp(-grid.P[None, :] ** 2 / (4.0 * params.mu * params.t_int))
+        ref = row @ FrictionOperator(grid, s).matrix
+        got = _RowDilation(grid, s)(row)
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_real_rows_keep_the_failure_checks(self):
+        grid = build_grid(3, 8, (0.0, 1.0), (-40.0, 40.0))
+        friction = _RowDilation(grid, 0.01)
+        cos_filter = np.cos(0.4 * grid.k_P)
+        row = np.exp(-(grid.P / 12.0) ** 2)[None, :]
+        row /= math.sqrt(np.sum(row ** 2))
+        bad = row.copy()
+        bad[0, 100] = np.nan
+        with pytest.raises(NonFiniteAmplitudeError):
+            _filtered(bad, friction, cos_filter, np.ones(1))
+        with pytest.raises(FilterCollapseError):
+            _filtered(row, friction, np.zeros_like(cos_filter), np.ones(1))
+        with pytest.warns(BoundaryLeakWarning):
+            _filtered(np.roll(row, 120), friction, cos_filter, np.ones(1))
+
+    @pytest.mark.parametrize("n_p", [8, 10, 12])
+    def test_bias_experiment_peak_stays_within_the_estimate(self, n_p):
+        # no N_P x N_P table: 2^12 nodes would take 128 MiB for it
+        grid, params = self.bias_grid(n_p, 0.05)
+        res, peak = traced_peak(momentum_bias_experiment, grid, params)
+        assert isinstance(res.n_steps, int)
+        assert peak <= _RowDilation.memory_estimate(grid) + 2 ** 14
+        assert peak <= 2 * 2 ** 20
+
+    def test_bias_preflight_refuses_before_allocating(self, monkeypatch):
+        grid, params = self.bias_grid(14, 0.05)
+        need = _RowDilation.memory_estimate(grid)
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: need - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetError, match="_RowDilation"):
+                momentum_bias_experiment(grid, params)
+
+        _, peak = traced_peak(refused)
+        assert peak < 2 ** 16
 
 
 def test_warns_when_filter_band_exceeds_half_pi():

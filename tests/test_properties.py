@@ -3,12 +3,14 @@
 Each case draws grid sizes 2^3..2^6 per axis and a random complex state,
 then checks the half-spectrum core on its (Re, Im) stack against the
 composed complex substep helpers, the closed-form friction table against
-the dense interpolant, the Strang-fused autocorrelation against the
-unfused step loop (also where time-reversal symmetry halves the chain),
-unitarity of the conservative chain, that transport, the thermostated
-step and the readout branches commute with complex conjugation, the
-corrected internal temperature against the filter's product oracle, and
-the relaxation monitors read from marginals against the table monitors.
+the dense interpolant, the chirp-z row dilation against that table on
+up to 2^11 P nodes and off-centre grids, the Strang-fused
+autocorrelation against the unfused step loop (also where time-reversal
+symmetry halves the chain), unitarity of the conservative chain, that
+transport, the thermostated step and the readout branches commute with
+complex conjugation, the corrected internal temperature against the
+filter's product oracle, and the relaxation monitors read from marginals
+against the table monitors.
 """
 
 import dataclasses
@@ -27,8 +29,9 @@ from kvnmd.electronic import morse_pes
 from kvnmd.grid import Basis, KvnState, build_grid, density, norm_squared
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
-                              LangevinStepper, NvePropagator, calibrate,
-                              corrected_internal_temperature, diffusion_step)
+                              LangevinStepper, NvePropagator, _RowDilation,
+                              calibrate, corrected_internal_temperature,
+                              diffusion_step)
 from kvnmd.vdos import prepare_branch_states
 from reference_steps import (dense_friction_table, friction_step, nve_step,
                              step_autocorrelation)
@@ -88,6 +91,24 @@ def test_fused_friction_table_matches_dense_interpolant(n_r, n_p, seed, s):
                                     @ dense_friction_table(state.grid, s))
     closed_form = a @ FrictionOperator(state.grid, s).matrix
     assert l2_distance(closed_form, expected, state.grid.cell) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(n_p=st.integers(min_value=3, max_value=11), seed=seeds,
+       s=st.floats(min_value=1e-6, max_value=0.3),
+       p_shift=st.sampled_from([0.0, 7.5, -13.0]),
+       n_rows=st.integers(min_value=1, max_value=3))
+def test_row_dilation_matches_the_friction_table(n_p, seed, s, p_shift,
+                                                 n_rows):
+    # the table's own abscissas round differently; both agree far below
+    # 1e-11 of the largest entry up to 2^11 nodes
+    grid = build_grid(3, n_p, (0.6, 2.6), (-22.0 + p_shift, 22.0 + p_shift))
+    rows = np.random.default_rng(seed).standard_normal((n_rows, 1 << n_p))
+    expected = rows @ FrictionOperator(grid, s).matrix
+    got = _RowDilation(grid, s)(rows)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=1e-11 * np.max(np.abs(expected)))
 
 
 @PROPERTY_SETTINGS
