@@ -4,8 +4,8 @@ Every invocation executes one mode (relax, vdos, tst, bias-check,
 oracle), writes its data series as plot-ready CSVs plus a manifest.json
 recording the resolved configuration, derived parameters, library
 versions, wall time (in total and per phase: tables, propagate, readout,
-write), memory (the process's peak resident set and, for relax and
-bias-check, the preflight's estimate of the working set), the warnings
+write), memory (the process's peak resident set and, for relax, vdos
+and bias-check, the preflight's estimate of the working set), the warnings
 shown under the active filters (category, count, first message) and a
 content hash per output file. Reruns with the same config and seed
 reproduce the CSVs byte for byte; timings and memory go only into the
@@ -48,11 +48,12 @@ from .errors import (BasisMismatchError, ConfigurationError, DomainError,
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
     langevin_ensemble, verlet_blocks, verlet_ensemble
-from .propagator import _RowDilation, calibrate, momentum_bias_experiment
+from .propagator import (_RowDilation, _preflight, calibrate,
+                         momentum_bias_experiment)
 from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
     crossing_reference
-from .vdos import QpeConfig, aimd_reference_spectrum, branch_spectra, \
-    reference_frequency
+from .vdos import QpeConfig, aimd_reference_spectrum, branch_memory_estimate, \
+    branch_spectra, reference_frequency
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -178,6 +179,9 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     v = cfg.vdos
     base = QpeConfig(m=v.m, tau=v.tau_au, omega_shift=v.omega_shift_au,
                      inner_steps=v.inner_steps)
+    # refused before the equilibrium table is built
+    memory["estimate_bytes"] = branch_memory_estimate(grid)
+    _preflight("branch_spectra", memory["estimate_bytes"])
     eq = analytic_canonical_state(grid, pes, mu,
                                   kelvin_to_hartree(v.t_kelvin))
     omega_ref = (v.omega_ref_au if v.omega_ref_au is not None

@@ -1,15 +1,17 @@
-"""Relaxation monitors and the thermostated relaxation driver.
+"""Relaxation monitors, the canonical density and the relaxation driver.
 
 Monitors are plain Riemann sums over the phase-space density: mean bond
 length, kinetic temperature <P^2>/mu, mean energy, and the KL divergence
-against the canonical reference at the physical temperature. The driver
-repeats the thermostated step, records the monitors on the normalized
-state after each step, and accumulates the postselection success
-probability. It reads <R>, T_kin and D_KL from one density per record,
-through its two marginals and the factorized canonical weight, so no
-(R, P) table of the reference is built. All internal quantities are
-atomic units; the trace carries fs/angstrom/kelvin columns ready for
-plotting.
+against the canonical reference at the physical temperature. That
+reference is `CanonicalDensity`, the separable product w_R(R) w_P(P) / Z
+built once per temperature; the relaxation monitors, the vdos
+equilibrium state and the static rate all read it. The driver repeats
+the thermostated step, records the monitors on the normalized state
+after each step, and accumulates the postselection success probability.
+It reads <R>, T_kin and D_KL from one density per record, through its
+two marginals and the factorized canonical weight, so no (R, P) table
+of the reference is built. All internal quantities are atomic units;
+the trace carries fs/angstrom/kelvin columns ready for plotting.
 """
 
 from __future__ import annotations
@@ -55,14 +57,10 @@ def mean_energy(state: KvnState, pes: PesModel, mu: float) -> float:
 
 def canonical_reference(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
                         t: float) -> np.ndarray:
-    """Grid-normalized canonical density exp[-(P^2/2mu + V)/T] / Z."""
-    if t <= 0:
-        raise ValueError("temperature must be positive")
-    v, _ = tabulate_pes(pes, grid.R)
-    exponent = -(grid.P[None, :] ** 2 / (2.0 * mu) + v[:, None]) / t
-    exponent -= exponent.max()  # overflow guard; divides out in Z
-    rho = np.exp(exponent)
-    return rho / (np.sum(rho) * grid.cell)
+    """Grid-normalized canonical density exp[-(P^2/2mu + V)/T] / Z, the
+    table of `CanonicalDensity`'s product."""
+    c = CanonicalDensity(grid, pes, mu, t)
+    return np.outer(c.w_r / (c.z_r * grid.dR), c.w_p / (c.z_p * grid.dP))
 
 
 def kl_divergence(rho: np.ndarray, rho_eq: np.ndarray, cell: float) -> float:
@@ -105,31 +103,46 @@ class RelaxationTrace:
         return len(self.time_fs)
 
 
-class _CanonicalMonitors:
-    """<R>, T_kin and D_KL of a density, read from its two marginals.
+class CanonicalDensity:
+    """The canonical density rho_eq = w_R(R) w_P(P) / (Z cell) at one T.
 
-    H = P^2/2mu + V(R) separates, so the canonical reference
-    rho_eq = e^{-H/T} / (Z cell) has Z = Z_R Z_P, and for a density of
-    norm n = sum rho cell
+    H = P^2/2mu + V(R) separates, so e^{-H/T} is the product of
+    w_R = e^{-v/T} and w_P = e^{-k/T}, with v and k = P^2/2mu shifted by
+    their minima (the shifts divide out of rho_eq), and Z = Z_R Z_P with
+    Z_R = sum w_R, Z_P = sum w_P. Readers take sums over the marginals
+    in O(N_R + N_P); the only (R, P) tables formed from it are
+    `amplitudes` and `canonical_reference`.
+
+    `read` gives <R>, T_kin and D_KL of a density of norm
+    n = sum rho cell, with
         D_KL = sum rho log rho cell + <H>/T + n log(Z cell)
-    with <H> = sum rho H cell. Only sum rho log rho needs the whole
-    density; no (R, P) table of rho_eq is built. Both energy terms are
-    shifted by their minima, which cancel between <H>/T and log Z.
-    Where rho_eq underflows, this is its exact logarithm, where
+    and <H> = sum rho H cell. Only sum rho log rho needs the whole
+    density. The energy shifts cancel between <H>/T and log Z. Where
+    rho_eq underflows, this is its exact logarithm, where
     `kl_divergence` floors it at KL_FLOOR.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel, mu: float,
                  t: float):
+        if t <= 0:
+            raise ValueError("temperature must be positive")
         v, _ = tabulate_pes(pes, grid.R)
         self.grid = grid
         self.mu = mu
         self.p2 = grid.P ** 2
         self.v_over_t = (v - v.min()) / t
         self.k_over_t = (self.p2 - self.p2.min()) / (2.0 * mu * t)
-        self.log_z_cell = (math.log(np.sum(np.exp(-self.v_over_t)))
-                           + math.log(np.sum(np.exp(-self.k_over_t)))
+        self.w_r = np.exp(-self.v_over_t)
+        self.w_p = np.exp(-self.k_over_t)
+        self.z_r = float(np.sum(self.w_r))
+        self.z_p = float(np.sum(self.w_p))
+        self.log_z_cell = (math.log(self.z_r) + math.log(self.z_p)
                            + math.log(grid.cell))
+
+    def amplitudes(self) -> np.ndarray:
+        """sqrt(rho_eq) with zero phase: one float64 (R, P) table."""
+        return np.outer(np.sqrt(self.w_r / (self.z_r * self.grid.dR)),
+                        np.sqrt(self.w_p / (self.z_p * self.grid.dP)))
 
     def read(self, rho: np.ndarray) -> tuple[float, float, float]:
         """<R> in bohr, T_kin in hartree and D_KL in nats."""
@@ -195,7 +208,7 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
         grid, params, n_steps, snapshot_steps,
         n_stack=len(_real_stack(initial.amplitudes))))
     stepper = LangevinStepper(grid, pes, params)
-    monitors = _CanonicalMonitors(grid, pes, params.mu, params.t_phys)
+    monitors = CanonicalDensity(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
     snapshots: dict[int, np.ndarray] = {}

@@ -429,16 +429,13 @@ def _friction_table_bytes(grid: PhaseSpaceGrid, s: float) -> int:
 
 def _dilate(x: np.ndarray, friction: np.ndarray,
             plane: np.ndarray | None = None) -> np.ndarray:
-    """x @ friction for rows over P.
+    """x @ friction for complex rows over P, in place.
 
-    Real rows go through one real matrix product into `plane`, a real
-    array of the shape of x, or into a fresh array without it; x is
-    kept. Complex rows are overwritten: their real and imaginary planes
-    go through a real product each, half the work of one complex
-    product, both landing in `plane` or in one fresh array.
+    Their real and imaginary planes go through a real product each,
+    half the work of one complex product, both landing in `plane`, a
+    real array of the shape of x, or in one fresh array. Real rows take
+    `_RowDilation` instead.
     """
-    if not np.iscomplexobj(x):
-        return np.matmul(x, friction, out=plane)
     plane = np.matmul(x.real, friction, out=plane)
     x.real = plane
     np.matmul(x.imag, friction, out=plane)
@@ -546,15 +543,15 @@ def _filtered(x: np.ndarray, friction: np.ndarray | _RowDilation | None,
 
     x[..., i, :] are rows over P, row i carrying the quadrature weight
     row_weights[i]; both blocks act on the P axis alone, so the rows may
-    be R rows or half-spectrum k_R rows. `friction` is
-    FrictionOperator.matrix (None for s = 0), or for real rows a
-    `_RowDilation`; `plane` is the optional real out-plane of the
-    table's products (see `_dilate`) and `cos_filter` the filter over
-    k_P. Returns the renormalized rows over P.
+    be R rows or half-spectrum k_R rows. `friction` is None for s = 0;
+    otherwise complex rows take FrictionOperator.matrix, with `plane`
+    the optional real out-plane of its products (see `_dilate`), and
+    real rows a `_RowDilation`. `cos_filter` is the filter over k_P.
+    Returns the renormalized rows over P.
 
     Complex rows are overwritten and filtered by fft_P. Real rows stay
-    real under both blocks (the table is real, the filter even), so they
-    take rfft_P, the filter's first N_P//2 + 1 entries and irfft_P
+    real under both blocks (the dilation is real, the filter even), so
+    they take rfft_P, the filter's first N_P//2 + 1 entries and irfft_P
     instead; they are kept, and the result is a fresh array.
     """
     if friction is None:

@@ -1,11 +1,15 @@
 """Static canonical rate readout on the phase-space grid.
 
 The rate comes out of a single canonical state with no propagation at
-all: encode the Boltzmann density with zero phase, weight the positive
-momentum flux with a smoothed delta at the dividing surface, and divide
-by the reactant-side population.  Because the state covers the whole
-grid at once there is no trajectory-count detection floor; a classical
-crossing counter is included to exhibit exactly that floor.
+all: the positive momentum flux through a smoothed delta at the
+dividing surface, divided by the reactant-side population. The state's
+density is the separable product w_R(R) w_P(P) / Z of
+`diagnostics.CanonicalDensity`, so both sums factor into sums over the
+two marginals, in O(N_R + N_P) time and memory with no (R, P) table;
+the vdos readout encodes the same density with zero phase as its
+equilibrium amplitude. Because the state covers the whole grid at once
+there is no trajectory-count detection floor; a classical crossing
+counter is included to exhibit exactly that floor.
 
 Temperatures cross module boundaries in kelvin; everything else is in
 atomic units.
@@ -19,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SECONDS_PER_AU_TIME, kelvin_to_hartree
-from .diagnostics import canonical_reference
+from .diagnostics import CanonicalDensity
 from .electronic import PesModel
 from .errors import ConfigurationError, ResolutionError, SingularityError
 from .grid import Basis, KvnState, PhaseSpaceGrid
 from .oracles import _BLOCK, canonical_sampler, verlet_blocks
-from .propagator import _preflight
 
 SURFACE_MASS_TOLERANCE = 0.01
 
@@ -75,9 +78,9 @@ class CrossingResult:
 def analytic_canonical_state(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
                              t_phys: float) -> KvnState:
     """Boltzmann amplitudes sqrt(rho_eq) with zero phase, normalized: a
-    real float64 table."""
-    rho = canonical_reference(grid, pes, mu, t_phys)
-    return KvnState(np.sqrt(rho), Basis.RP, grid)
+    real float64 table, the outer product of the marginals' roots."""
+    return KvnState(CanonicalDensity(grid, pes, mu, t_phys).amplitudes(),
+                    Basis.RP, grid)
 
 
 def _check_surface(grid: PhaseSpaceGrid, cfg: TstConfig) -> None:
@@ -104,65 +107,33 @@ def _surface_weights(grid: PhaseSpaceGrid, cfg: TstConfig) -> np.ndarray:
     return delta / mass
 
 
-def dividing_surface_flux(state: KvnState, mu: float,
-                          cfg: TstConfig) -> float:
-    """Positive-momentum probability flux through the dividing surface.
-
-    Diagonal sum delta_sigma(R - R_div) * P/mu over P > 0, weighted by the
-    cell probabilities |psi|^2 dR dP.
-    """
-    if state.basis is not Basis.RP:
-        raise ConfigurationError("flux needs the (R, P) basis")
-    grid = state.grid
-    delta = _surface_weights(grid, cfg)
-    velocity = np.where(grid.P > 0.0, grid.P / mu, 0.0)
-    prob = (np.abs(state.amplitudes) ** 2) * grid.cell
-    return float(delta @ prob @ velocity)
-
-
-def reactant_population(state: KvnState, cfg: TstConfig) -> float:
-    """Total probability on the reactant side R < R_div."""
-    if state.basis is not Basis.RP:
-        raise ConfigurationError("population needs the (R, P) basis")
-    grid = state.grid
-    _check_surface(grid, cfg)
-    mask = grid.R < cfg.r_dividing
-    prob = (np.abs(state.amplitudes[mask]) ** 2) * grid.cell
-    return float(prob.sum())
-
-
 def tst_rate(grid: PhaseSpaceGrid, pes: PesModel, mu: float, t_kelvin: float,
              cfg: TstConfig) -> TstResult:
-    """Flux-over-population rate from the analytic canonical state."""
+    """Flux-over-population rate of the canonical state.
+
+    The positive momentum flux through the grid-renormalized surface
+    delta, over the reactant-side population. With rho_eq cell =
+    w_R w_P / (Z_R Z_P) both sums factor:
+        flux = (delta . w_R)(w_P . v_+) / (Z_R Z_P),  v_+ = max(P, 0)/mu,
+        population = sum_{R < R_div} w_R / Z_R.
+    """
     if t_kelvin <= 0.0:
         raise ConfigurationError("temperature must be positive")
-    state = analytic_canonical_state(grid, pes, mu,
-                                     kelvin_to_hartree(t_kelvin))
-    flux = dividing_surface_flux(state, mu, cfg)
-    population = reactant_population(state, cfg)
+    c = CanonicalDensity(grid, pes, mu, kelvin_to_hartree(t_kelvin))
+    delta = _surface_weights(grid, cfg)
+    velocity = np.where(grid.P > 0.0, grid.P / mu, 0.0)
+    flux = float(delta @ c.w_r) * float(c.w_p @ velocity) / (c.z_r * c.z_p)
+    population = float(np.sum(c.w_r[grid.R < cfg.r_dividing])) / c.z_r
     if population <= 0.0:
         raise SingularityError("no canonical weight on the reactant side")
     return TstResult(t_kelvin, flux, population, flux / population)
 
 
-def rate_memory_estimate(grid: PhaseSpaceGrid) -> int:
-    """Bytes that `tst_rate` holds at its peak: three float64 (R, P)
-    tables, live together when the canonical density is normalized
-    (the exponent, its exponential and the quotient)."""
-    n_r, n_p = grid.shape
-    return 3 * 8 * n_r * n_p
-
-
 def arrhenius_sweep(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
                     cfg: TstConfig) -> ArrheniusFit:
-    """Rates over the temperature ladder plus a line through (1/T, ln k).
-
-    The tables of one rate are preflighted against physical memory
-    before the first temperature.
-    """
+    """Rates over the temperature ladder plus a line through (1/T, ln k)."""
     if len(cfg.temperatures) < 3:
         raise ConfigurationError("Arrhenius fit needs at least 3 temperatures")
-    _preflight("arrhenius_sweep", rate_memory_estimate(grid))
     results = tuple(tst_rate(grid, pes, mu, t, cfg)
                     for t in cfg.temperatures)
     if any(r.k_au <= 0.0 for r in results):

@@ -33,7 +33,7 @@ from .constants import WAVENUMBER_PER_HARTREE
 from .electronic import PesModel, tabulate_pes
 from .errors import (ConfigurationError, DomainError, NonFiniteAmplitudeError,
                      SingularityError)
-from .grid import Basis, KvnState
+from .grid import Basis, KvnState, PhaseSpaceGrid
 from .oracles import TrajectoryEnsemble
 from .propagator import NvePropagator, _preflight
 
@@ -211,6 +211,17 @@ def qpe_spectrum(state: KvnState, pes: PesModel, mu: float,
                           branch=cfg.branch, branch_weight=branch_weight)
 
 
+def branch_memory_estimate(grid: PhaseSpaceGrid,
+                           complex_state: bool = False) -> int:
+    """Bytes that `branch_spectra` holds: the chain
+    (`NvePropagator.memory_estimate`) plus the equilibrium state, 8 B
+    per point for a real one and 32 for a complex one with its
+    alpha_minus."""
+    n_r, n_p = grid.shape
+    return (NvePropagator.memory_estimate(grid)
+            + (32 if complex_state else 8) * n_r * n_p)
+
+
 def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
                    cfg: QpeConfig, omega_ref: float | None = None):
     """Read out both rotating branches of eq_state.
@@ -218,16 +229,12 @@ def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
     Transport is a real operator, so for a real equilibrium amplitude
     alpha_minus = conj(alpha_plus) and c_minus(d) = conj(c_plus(d)): only
     the plus state is built and its chain propagated. A state with an
-    imaginary part propagates both.
-
-    The memory preflight counts the chain (`NvePropagator.memory_estimate`)
-    and what this call holds besides: eq_state and, for a complex one,
-    alpha_minus.
+    imaginary part propagates both. The memory preflight counts
+    `branch_memory_estimate`.
     """
     amplitudes = eq_state.amplitudes
-    held = amplitudes.nbytes * (2 if np.iscomplexobj(amplitudes) else 1)
-    _preflight("branch_spectra",
-               NvePropagator.memory_estimate(eq_state.grid) + held)
+    _preflight("branch_spectra", branch_memory_estimate(
+        eq_state.grid, np.iscomplexobj(amplitudes)))
     if omega_ref is None:
         omega_ref = reference_frequency(pes, mu, eq_state.grid.R)
     alpha_p, alpha_m, (w_p, w_m) = prepare_branch_states(eq_state, omega_ref, mu)

@@ -27,9 +27,10 @@ import numpy as np
 
 from kvnmd.constants import (FS_PER_AU_TIME, bohr_to_angstrom,
                              hartree_to_kelvin, kelvin_to_hartree)
-from kvnmd.diagnostics import (RelaxationTrace, canonical_reference,
-                               kinetic_temperature, kl_divergence, mean_R)
-from kvnmd.electronic import PauliCoefficientTable, PesModel, _CubicTable
+from kvnmd.diagnostics import (RelaxationTrace, kinetic_temperature,
+                               kl_divergence, mean_R)
+from kvnmd.electronic import (PauliCoefficientTable, PesModel, _CubicTable,
+                              tabulate_pes)
 from kvnmd.errors import ConvergenceError, FilterCollapseError
 from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, density, fourier_P
 from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
@@ -38,7 +39,7 @@ from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
                               FrictionOperator, LangevinParams,
                               LangevinStepper, NvePropagator, StepReport,
                               _filtered)
-from kvnmd.tst import CrossingResult, TstConfig
+from kvnmd.tst import CrossingResult, TstConfig, _surface_weights
 from kvnmd.vdos import _WINDOWS, QpeConfig, SpectrumResult, fejer_kernel
 
 
@@ -118,6 +119,39 @@ def dense_friction_table(grid: PhaseSpaceGrid, s: float) -> np.ndarray:
     return np.ascontiguousarray(e.T)
 
 
+def table_canonical_reference(grid: PhaseSpaceGrid, pes: PesModel,
+                              mu: float, t: float) -> np.ndarray:
+    """Grid-normalized canonical density exp[-(P^2/2mu + V)/T] / Z from
+    the full exponent table."""
+    v, _ = tabulate_pes(pes, grid.R)
+    exponent = -(grid.P[None, :] ** 2 / (2.0 * mu) + v[:, None]) / t
+    exponent -= exponent.max()  # overflow guard; divides out in Z
+    rho = np.exp(exponent)
+    return rho / (np.sum(rho) * grid.cell)
+
+
+def dividing_surface_flux(state: KvnState, mu: float,
+                          cfg: TstConfig) -> float:
+    """Positive-momentum probability flux through the dividing surface.
+
+    Diagonal sum delta_sigma(R - R_div) * P/mu over P > 0, weighted by the
+    cell probabilities |psi|^2 dR dP.
+    """
+    grid = state.grid
+    delta = _surface_weights(grid, cfg)
+    velocity = np.where(grid.P > 0.0, grid.P / mu, 0.0)
+    prob = (np.abs(state.amplitudes) ** 2) * grid.cell
+    return float(delta @ prob @ velocity)
+
+
+def reactant_population(state: KvnState, cfg: TstConfig) -> float:
+    """Total probability on the reactant side R < R_div."""
+    grid = state.grid
+    mask = grid.R < cfg.r_dividing
+    prob = (np.abs(state.amplitudes[mask]) ** 2) * grid.cell
+    return float(prob.sum())
+
+
 def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
                 n_steps: int, record_every: int = 1,
                 snapshot_steps: tuple[int, ...] = ()) \
@@ -126,7 +160,8 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     canonical reference as a table."""
     grid = initial.grid
     stepper = LangevinStepper(grid, pes, params)
-    rho_eq = canonical_reference(grid, pes, params.mu, params.t_phys)
+    rho_eq = table_canonical_reference(grid, pes, params.mu,
+                                       params.t_phys)
     trace = RelaxationTrace()
     snapshots = {}
     state = initial

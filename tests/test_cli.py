@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from kvnmd.config import parse_config
 from kvnmd.grid import build_grid
 from kvnmd.oracles import langevin_memory_estimate
 from kvnmd.propagator import LangevinStepper, _RowDilation
+from kvnmd.vdos import branch_memory_estimate
+from reference_steps import traced_peak
 
 MORSE_BLOCK = """
 [pes]
@@ -366,6 +372,16 @@ class TestCliVdos:
         rows = read_csv(out / "vdos_spectrum.csv")
         assert {r["branch"] for r in rows} == {"plus"}
 
+    def test_manifest_records_the_estimate(self, tmp_path):
+        text = VDOS_SMALL.replace("aimd_n_traj = 32",
+                                  "aimd_n_traj = 32\naimd_reference = false")
+        code, out = run_cli(tmp_path, text)
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
+        grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
+        assert memory["estimate_bytes"] == branch_memory_estimate(grid)
+
 
 class TestCliTst:
     def test_rates_and_crossing_files(self, tmp_path):
@@ -568,16 +584,29 @@ class TestExitCodes:
         assert "verlet_ensemble" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
-    def test_rate_preflight_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        # the three float64 tables of a rate take 1.5 MiB on 2^8 x 2^8
-        text = TST_SMALL.replace("n_r = 7", "n_r = 8").replace("n_p = 7",
-                                                             "n_p = 8")
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
-                            lambda: 1_000_000)
-        code, out = run_cli(tmp_path, text)
+    def test_vdos_is_refused_before_its_tables(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the equilibrium table of 2^9 x 2^9 nodes alone takes 2 MiB
+        text = VDOS_SMALL.replace("n_r = 6", "n_r = 9").replace("n_p = 6",
+                                                               "n_p = 9")
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory", lambda: 1)
+        (code, out), peak = traced_peak(run_cli, tmp_path, text)
         assert code == 2
-        assert "arrhenius_sweep" in capsys.readouterr().err
+        assert "branch_spectra" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+        assert peak < 2 ** 20
+
+    def test_rate_runs_on_the_largest_grid(self, tmp_path, monkeypatch):
+        # 2^14 x 2^14 nodes, where (R, P) tables of the canonical state
+        # would take 2 GiB each; the rate reads 2^14-node marginals
+        text = TST_SMALL.replace("n_r = 7", "n_r = 14").replace(
+            "n_p = 7", "n_p = 14").replace("crossing = true",
+                                           "crossing = false")
+        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+                            lambda: 64 * 2 ** 20)
+        code, out = run_cli(tmp_path, text)
+        assert code == 0
+        assert len(read_csv(out / "tst_rates.csv")) == 3
 
     def test_oracle_preflight_is_exit_2(self, tmp_path, monkeypatch,
                                         capsys):
@@ -604,3 +633,18 @@ class TestExitCodes:
                      "--seed", "99"]) == 0
         assert (out1 / "oracle_summary.csv").read_bytes() != (
             out2 / "oracle_summary.csv").read_bytes()
+
+
+class TestBenchmarkSetupProbe:
+    def test_probe_builds_the_shipped_configs(self):
+        # the benchmark times this probe before every workload; a name it
+        # imports from kvnmd that goes missing fails all of them
+        root = Path(__file__).resolve().parents[1]
+        configs = sorted(str(p) for p in (root / "configs").glob("*.ini"))
+        assert len(configs) == 5
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "setup_child.py"),
+             *configs], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -9,8 +9,9 @@ autocorrelation against the unfused step loop (also where time-reversal
 symmetry halves the chain), unitarity of the conservative chain, that
 transport, the thermostated step and the readout branches commute with
 complex conjugation, the corrected internal temperature against the
-filter's product oracle, and the relaxation monitors read from marginals
-against the table monitors.
+filter's product oracle, the relaxation monitors read from marginals
+against the table monitors, and the canonical product's rate sums and
+tables against the sums over the exponent table.
 """
 
 import dataclasses
@@ -18,23 +19,27 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kvnmd.constants import kelvin_to_hartree
-from kvnmd.diagnostics import (KL_FLOOR, _CanonicalMonitors,
+from kvnmd.diagnostics import (KL_FLOOR, CanonicalDensity,
                                canonical_reference, kinetic_temperature,
                                kl_divergence, mean_R)
 from kvnmd.electronic import morse_pes
+from kvnmd.errors import ResolutionError
 from kvnmd.grid import Basis, KvnState, build_grid, density, norm_squared
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
                               LangevinStepper, NvePropagator, _RowDilation,
                               calibrate, corrected_internal_temperature,
                               diffusion_step)
+from kvnmd.tst import TstConfig, tst_rate
 from kvnmd.vdos import prepare_branch_states
-from reference_steps import (dense_friction_table, friction_step, nve_step,
-                             step_autocorrelation)
+from reference_steps import (dense_friction_table, dividing_surface_flux,
+                             friction_step, nve_step, reactant_population,
+                             step_autocorrelation, table_canonical_reference)
 
 MU = 918.0
 PES = morse_pes(de=0.17, alpha=1.0, re=1.4)
@@ -313,12 +318,46 @@ def test_separable_monitors_match_the_canonical_table(n_r, n_p, seed,
     # the canonical table wherever that table is not floored
     state = random_state(n_r, n_p, seed)
     grid, t = state.grid, kelvin_to_hartree(t_kelvin)
-    rho_eq = canonical_reference(grid, PES, MU, t)
+    rho_eq = table_canonical_reference(grid, PES, MU, t)
     assume(rho_eq.min() > KL_FLOOR)
-    r, t_kin, d_kl = _CanonicalMonitors(grid, PES, MU, t).read(
+    r, t_kin, d_kl = CanonicalDensity(grid, PES, MU, t).read(
         density(state))
     assert math.isclose(d_kl, kl_divergence(density(state), rho_eq,
                                             grid.cell), rel_tol=1e-12)
     assert math.isclose(r, mean_R(state), rel_tol=1e-12)
     assert math.isclose(t_kin, kinetic_temperature(state, MU),
                         rel_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(n_r=st.integers(min_value=3, max_value=9),
+       n_p=st.integers(min_value=3, max_value=9),
+       t_kelvin=st.floats(min_value=2000.0, max_value=20000.0),
+       r_frac=st.floats(min_value=0.3, max_value=0.7),
+       p_shift=st.sampled_from([0.0, 7.5, -13.0]))
+def test_canonical_product_matches_the_tables(n_r, n_p, t_kelvin, r_frac,
+                                              p_shift):
+    # the rate's flux and population from the two marginals, and the
+    # product's tables, equal the sums over the exponent table; a surface
+    # too wide for the grid is refused by both
+    grid = build_grid(n_r, n_p, (0.6, 4.6), (-22.0 + p_shift, 22.0 + p_shift))
+    cfg = TstConfig(0.6 + 4.0 * r_frac)
+    t = kelvin_to_hartree(t_kelvin)
+    rho = table_canonical_reference(grid, PES, MU, t)
+    table = KvnState(np.sqrt(rho), Basis.RP, grid)
+    try:
+        flux = dividing_surface_flux(table, MU, cfg)
+    except ResolutionError:
+        with pytest.raises(ResolutionError):
+            tst_rate(grid, PES, MU, t_kelvin, cfg)
+        return
+    res = tst_rate(grid, PES, MU, t_kelvin, cfg)
+    assert math.isclose(res.flux_au, flux, rel_tol=1e-13)
+    assert math.isclose(res.population, reactant_population(table, cfg),
+                        rel_tol=1e-13)
+    amplitudes = CanonicalDensity(grid, PES, MU, t).amplitudes()
+    assert amplitudes.dtype == np.float64
+    np.testing.assert_allclose(amplitudes, table.amplitudes, rtol=1e-13,
+                               atol=0.0)
+    np.testing.assert_allclose(canonical_reference(grid, PES, MU, t), rho,
+                               rtol=1e-13, atol=0.0)

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-import kvnmd.propagator
 from kvnmd.constants import SECONDS_PER_AU_TIME, kelvin_to_hartree
 from kvnmd.diagnostics import canonical_reference, kinetic_temperature
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import (ConfigurationError, MemoryBudgetError,
-                          ResolutionError, SingularityError)
-from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
+from kvnmd.errors import ConfigurationError, ResolutionError
+from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian
 from kvnmd.oracles import canonical_sampler
-from kvnmd.tst import (_BLOCK, ArrheniusFit, TstConfig, TstResult,
+from kvnmd.tst import (_BLOCK, ArrheniusFit, TstConfig,
                        analytic_canonical_state, arrhenius_sweep,
-                       crossing_reference, dividing_surface_flux,
-                       rate_memory_estimate, reactant_population, tst_rate)
-from reference_steps import full_history_crossings, traced_peak
+                       crossing_reference, tst_rate)
+from reference_steps import (dividing_surface_flux, full_history_crossings,
+                             reactant_population, table_canonical_reference,
+                             traced_peak)
 
 MU = 918.0
 TEMPS = (2500.0, 5000.0, 10000.0)
@@ -110,85 +109,67 @@ class TestSurfaceFlux:
         cfg = TstConfig(r_dividing=0.0)
         for t_kelvin in TEMPS:
             t = kelvin_to_hartree(t_kelvin)
-            state = analytic_canonical_state(grid, flat_pes(), MU, t)
-            flux = dividing_surface_flux(state, MU, cfg)
+            flux = tst_rate(grid, flat_pes(), MU, t_kelvin, cfg).flux_au
             ref = math.sqrt(t / (2 * math.pi * MU)) / 4.0  # marginal 1/L
             assert flux == pytest.approx(ref, rel=0.01)
 
     def test_negative_momentum_support_gives_zero_flux(self):
-        grid = build_grid(6, 6, (-2.0, 2.0), (-20.0, 20.0))
-        state = encode_gaussian(grid, 0.0, -8.0, 0.3, 1.5)
-        amps = state.amplitudes.copy()
-        amps[:, grid.P >= 0.0] = 0.0
-        state = KvnState(amps, Basis.RP, grid)
-        assert dividing_surface_flux(state, MU, TstConfig(0.0)) == 0.0
+        grid = build_grid(6, 6, (-2.0, 2.0), (-20.0, -0.5))
+        res = tst_rate(grid, flat_pes(), MU, 5000.0, TstConfig(0.0))
+        assert res.flux_au == 0.0 and res.population > 0.0
 
     def test_flux_positive_on_canonical_state(self):
         grid = build_grid(6, 6, (-2.0, 2.0), (-20.0, 20.0))
-        state = analytic_canonical_state(grid, double_well(), MU,
-                                         kelvin_to_hartree(5000.0))
-        assert dividing_surface_flux(state, MU, TstConfig(0.0)) > 0.0
+        assert tst_rate(grid, double_well(), MU, 5000.0,
+                        TstConfig(0.0)).flux_au > 0.0
 
     def test_surface_outside_grid_rejected(self):
         grid = build_grid(5, 5, (-2.0, 2.0), (-20.0, 20.0))
-        state = encode_gaussian(grid, 0.0, 0.0, 0.3, 3.0)
         with pytest.raises(ConfigurationError):
-            dividing_surface_flux(state, MU, TstConfig(r_dividing=2.5))
+            tst_rate(grid, flat_pes(), MU, 5000.0, TstConfig(r_dividing=2.5))
 
     def test_under_resolved_width_rejected(self):
         grid = build_grid(5, 5, (-2.0, 2.0), (-20.0, 20.0))
-        state = encode_gaussian(grid, 0.0, 0.0, 0.3, 3.0)
         with pytest.raises(ResolutionError):
-            dividing_surface_flux(state, MU,
-                                  TstConfig(0.0, sigma=0.5 * grid.dR))
+            tst_rate(grid, flat_pes(), MU, 5000.0,
+                     TstConfig(0.0, sigma=0.5 * grid.dR))
 
     def test_surface_hanging_off_the_edge_rejected(self):
         # half the delta mass falls outside the grid here
         grid = build_grid(6, 6, (-2.0, 2.0), (-20.0, 20.0))
-        state = encode_gaussian(grid, 0.0, 0.0, 0.3, 3.0)
         with pytest.raises(ResolutionError):
-            dividing_surface_flux(state, MU,
-                                  TstConfig(-1.99, sigma=0.2))
-
-    def test_requires_position_momentum_basis(self):
-        grid = build_grid(5, 5, (-2.0, 2.0), (-20.0, 20.0))
-        state = fourier_P(encode_gaussian(grid, 0.0, 0.0, 0.3, 3.0))
-        with pytest.raises(ConfigurationError):
-            dividing_surface_flux(state, MU, TstConfig(0.0))
+            tst_rate(grid, flat_pes(), MU, 5000.0,
+                     TstConfig(-1.99, sigma=0.2))
 
 
 class TestReactantPopulation:
     def test_symmetric_state_splits_in_half(self):
         grid = build_grid(8, 8, (-3.0, 3.0), (-33.0, 33.0))
-        state = analytic_canonical_state(grid, plateau_barrier(), MU,
-                                         kelvin_to_hartree(5000.0))
-        pop = reactant_population(state, TstConfig(0.0))
+        pop = tst_rate(grid, plateau_barrier(), MU, 5000.0,
+                       TstConfig(0.0)).population
         assert abs(pop - 0.5) < grid.dR
 
     def test_flat_symmetric_split_is_exact(self):
         grid = build_grid(7, 7, (-2.0, 2.0), (-33.0, 33.0))
-        state = analytic_canonical_state(grid, flat_pes(), MU,
-                                         kelvin_to_hartree(5000.0))
-        assert reactant_population(state, TstConfig(0.0)) == pytest.approx(
+        assert tst_rate(grid, flat_pes(), MU, 5000.0,
+                        TstConfig(0.0)).population == pytest.approx(
             0.5, abs=1e-12)
 
     def test_agrees_with_metropolis_sampler(self):
         pes = morse_pes(0.1744, 1.02764, 1.40201)
         grid = build_grid(7, 7, (0.5, 2.5), (-33.0, 33.0))
         r_div = 0.5 + 66 * grid.dR + grid.dR / 2  # half-cell off a node
-        t = kelvin_to_hartree(2500.0)
-        state = analytic_canonical_state(grid, pes, MU, t)
-        pop = reactant_population(state, TstConfig(r_div))
-        samples, _ = canonical_sampler(pes, MU, t, 200_000, 17, (0.5, 2.5))
+        pop = tst_rate(grid, pes, MU, 2500.0, TstConfig(r_div)).population
+        samples, _ = canonical_sampler(pes, MU, kelvin_to_hartree(2500.0),
+                                       200_000, 17, (0.5, 2.5))
         p_mc = float(np.mean(samples < r_div))
         sigma_mc = math.sqrt(p_mc * (1.0 - p_mc) / len(samples))
         assert abs(pop - p_mc) < 3.0 * sigma_mc
 
     def test_surface_beyond_grid_rejected(self):
         grid = build_grid(5, 5, (-2.0, 2.0), (-20.0, 20.0))
-        state = encode_gaussian(grid, 0.0, 0.0, 0.3, 3.0)
         with pytest.raises(ConfigurationError):
-            reactant_population(state, TstConfig(r_dividing=4.0))
+            tst_rate(grid, flat_pes(), MU, 5000.0, TstConfig(r_dividing=4.0))
 
 
 class TestRate:
@@ -205,16 +186,28 @@ class TestRate:
                 res.k_au / SECONDS_PER_AU_TIME)
 
     def test_rate_is_normalization_independent(self):
+        # the table sums of an unnormalized canonical state give the
+        # product's rate
         grid = build_grid(7, 7, (-3.0, 3.0), (-33.0, 33.0))
         cfg = TstConfig(r_dividing=0.0)
-        state = analytic_canonical_state(grid, plateau_barrier(), MU,
-                                         kelvin_to_hartree(5000.0))
-        scaled = KvnState(3.7 * state.amplitudes, Basis.RP, grid)
-        k = dividing_surface_flux(state, MU, cfg) / reactant_population(
-            state, cfg)
+        rho = table_canonical_reference(grid, plateau_barrier(), MU,
+                                        kelvin_to_hartree(5000.0))
+        scaled = KvnState(3.7 * np.sqrt(rho), Basis.RP, grid)
         k_scaled = dividing_surface_flux(scaled, MU, cfg) / (
             reactant_population(scaled, cfg))
+        k = tst_rate(grid, plateau_barrier(), MU, 5000.0, cfg).k_au
         assert k_scaled == pytest.approx(k, rel=1e-12)
+
+    def test_peak_is_linear_in_the_axes(self):
+        # a few vectors of 2^11 nodes; the (R, P) tables of the
+        # canonical state would take 32 MiB each
+        grid = build_grid(11, 11, (-3.0, 3.0), (-33.0, 33.0))
+        cfg = TstConfig(0.0)
+        tst_rate(grid, plateau_barrier(), MU, 5000.0, cfg)  # warm caches
+        res, peak = traced_peak(tst_rate, grid, plateau_barrier(), MU,
+                                5000.0, cfg)
+        assert res.k_au > 0.0
+        assert peak <= 2 ** 20
 
     def test_halving_surface_width_barely_moves_rate(self):
         grid = build_grid(8, 8, (-3.0, 3.0), (-33.0, 33.0))
@@ -275,30 +268,6 @@ class TestArrheniusSweep:
         with pytest.raises(ConfigurationError):
             arrhenius_sweep(grid, flat_pes(), MU,
                             TstConfig(0.0, temperatures=(300.0, 600.0)))
-
-    def test_peak_stays_within_the_estimate(self):
-        # three float64 tables of a rate: 24 B per point
-        grid = build_grid(9, 9, (-3.0, 3.0), (-33.0, 33.0))
-        cfg = TstConfig(0.0, temperatures=TEMPS)
-        arrhenius_sweep(grid, plateau_barrier(), MU, cfg)  # warm caches
-        _, peak = traced_peak(arrhenius_sweep, grid, plateau_barrier(), MU,
-                              cfg)
-        need = rate_memory_estimate(grid)
-        assert need == 3 * 8 * 2 ** 18
-        assert 2 * 8 * 2 ** 18 < peak <= need + 2 ** 19
-
-    def test_preflight_refuses_below_the_estimate(self, monkeypatch):
-        grid = build_grid(9, 9, (-3.0, 3.0), (-33.0, 33.0))
-        cfg = TstConfig(0.0, temperatures=TEMPS)
-        need = rate_memory_estimate(grid)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
-                            lambda: need - 1)
-        with pytest.raises(MemoryBudgetError, match="arrhenius_sweep"):
-            arrhenius_sweep(grid, plateau_barrier(), MU, cfg)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
-                            lambda: need)
-        assert len(arrhenius_sweep(grid, plateau_barrier(), MU,
-                                   cfg).results) == 3
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
