@@ -486,19 +486,26 @@ class TestRealRows:
             ref_report.friction_leak, rel=0, abs=1e-14)
 
     def test_real_rows_keep_the_failure_checks(self):
+        # each failure the complex path reports with the friction table,
+        # the real path reports with the row dilation
         grid = build_grid(3, 8, (0.0, 1.0), (-40.0, 40.0))
-        friction = _RowDilation(grid, 0.01)
+        frictions = {np.float64: _RowDilation(grid, 0.01),
+                     np.complex128: FrictionOperator(grid, 0.01).matrix}
         cos_filter = np.cos(0.4 * grid.k_P)
         row = np.exp(-(grid.P / 12.0) ** 2)[None, :]
         row /= math.sqrt(np.sum(row ** 2))
         bad = row.copy()
         bad[0, 100] = np.nan
-        with pytest.raises(NonFiniteAmplitudeError):
-            _filtered(bad, friction, cos_filter, np.ones(1))
-        with pytest.raises(FilterCollapseError):
-            _filtered(row, friction, np.zeros_like(cos_filter), np.ones(1))
-        with pytest.warns(BoundaryLeakWarning):
-            _filtered(np.roll(row, 120), friction, cos_filter, np.ones(1))
+        for dtype, friction in frictions.items():
+            with pytest.raises(NonFiniteAmplitudeError):
+                _filtered(bad.astype(dtype), friction, cos_filter,
+                          np.ones(1))
+            with pytest.raises(FilterCollapseError):
+                _filtered(row.astype(dtype), friction,
+                          np.zeros_like(cos_filter), np.ones(1))
+            with pytest.warns(BoundaryLeakWarning):
+                _filtered(np.roll(row, 120).astype(dtype), friction,
+                          cos_filter, np.ones(1))
 
 
 class TestRowDilation:
@@ -518,6 +525,21 @@ class TestRowDilation:
         got = _RowDilation(grid, s)(row)
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_real_rows_keep_the_failure_checks(self):
+        grid = build_grid(3, 8, (0.0, 1.0), (-40.0, 40.0))
+        friction = _RowDilation(grid, 0.01)
+        cos_filter = np.cos(0.4 * grid.k_P)
+        row = np.exp(-(grid.P / 12.0) ** 2)[None, :]
+        row /= math.sqrt(np.sum(row ** 2))
+        bad = row.copy()
+        bad[0, 100] = np.nan
+        with pytest.raises(NonFiniteAmplitudeError):
+            _filtered(bad, friction, cos_filter, np.ones(1))
+        with pytest.raises(FilterCollapseError):
+            _filtered(row, friction, np.zeros_like(cos_filter), np.ones(1))
+        with pytest.warns(BoundaryLeakWarning):
+            _filtered(np.roll(row, 120), friction, cos_filter, np.ones(1))
 
     @pytest.mark.parametrize("n_p", [8, 10, 12])
     def test_bias_experiment_peak_stays_within_the_estimate(self, n_p):
