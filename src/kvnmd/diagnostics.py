@@ -198,8 +198,8 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     the last density and snapshot are formed, and the final state is
     transformed back to (R, P), with the dtype of the initial table,
     only after the stepper is released. The initial table is released
-    once it is read, so a caller that passes a temporary does not hold
-    it during the run.
+    once it is read, before the stepper's tables are built, so a caller
+    that passes a temporary does not hold it during the run.
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
@@ -207,7 +207,6 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     _preflight("relax", relax_memory_estimate(
         grid, params, n_steps, snapshot_steps,
         n_stack=len(_real_stack(initial.amplitudes))))
-    stepper = LangevinStepper(grid, pes, params)
     monitors = CanonicalDensity(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
@@ -221,9 +220,14 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
                      hartree_to_kelvin(t_kin), d_kl, math.exp(log_cum))
         trace.monitor_seconds += time.perf_counter() - start
 
-    a = stepper.to_half_spectra(initial.amplitudes)
+    a = LangevinStepper.to_half_spectra(initial.amplitudes)
     rho = density(initial)
     del initial  # the last reference when the caller passed a temporary
+    # built once the initial table is gone, so that the allocator can
+    # reuse its block for the friction table, the same size on a square
+    # grid; a step's arrays, two rows longer, do not fit there, and the
+    # block would stay resident but unused through the run
+    stepper = LangevinStepper(grid, pes, params)
     record(0, rho)
     if 0 in snapshot_steps:
         snapshots[0] = rho

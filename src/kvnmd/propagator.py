@@ -48,12 +48,16 @@ orthonormal, so norms keep their meaning in every representation once
 the half-spectrum rows carry the Hermitian weights 1, 2, ..., 2, 1.
 
 A step needs three state-sized arrays besides its tables: the input
-stack, the output stack and one real (S, N_R, N_P) plane. The kick's
+stack, the output stack and one real (S, N_R + 2, N_P) plane. The kick's
 (R, k_P) half spectrum lives in the output stack, which is dead between
 irfft_R and rfft_R and holds N_P - N_R more complex values than the
 spectrum, so only an N_R > N_P grid gives the stepper a separate
-spectrum buffer. The friction products land in the real plane, free
-once rfft_R has read it.
+spectrum buffer. The transforms use the plane's first N_R rows. Once
+rfft_R has read them, friction takes all N_R + 2 = 2 (N_R/2 + 1): the
+real or imaginary part of the k_R rows is copied into one half, so that
+BLAS reads a contiguous operand, and multiplied into the other. Without
+the two extra rows numpy would make that copy itself, in a buffer of
+its own outside the working set.
 
 Friction has two implementations of one interpolant, because its two
 callers differ. A Langevin step multiplies its N_R/2 + 1 rows per
@@ -201,8 +205,13 @@ def _phase_tables(grid: PhaseSpaceGrid, force: np.ndarray, mu: float,
     if half:
         n_r, n_p = grid.shape
         k_r, k_p = k_r[:n_r // 2 + 1], k_p[:n_p // 2 + 1]
-    return (np.exp(-0.5j * dt * np.outer(k_r, _drift_momenta(grid)) / mu),
-            np.exp(-1j * dt * np.outer(force, k_p)))
+    # each table is formed in place in its own complex array, in the
+    # operation order of exp(-0.5j dt outer / mu), so the bits are the
+    # same and the real outer product is the only other temporary
+    drift = np.multiply(-0.5j * dt, np.outer(k_r, _drift_momenta(grid)))
+    drift /= mu
+    kick = np.multiply(-1j * dt, np.outer(force, k_p))
+    return np.exp(drift, out=drift), np.exp(kick, out=kick)
 
 
 def _mirrored_dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -432,14 +441,23 @@ def _dilate(x: np.ndarray, friction: np.ndarray,
     """x @ friction for complex rows over P, in place.
 
     Their real and imaginary planes go through a real product each,
-    half the work of one complex product, both landing in `plane`, a
-    real array of the shape of x, or in one fresh array. Real rows take
-    `_RowDilation` instead.
+    half the work of one complex product. `plane` is a real array of
+    x's shape but with at least twice its rows, or None for a fresh
+    one: each part is copied into rows [n, 2n) of it, n the rows of x,
+    multiplied into rows [0, n) and written back. x.real and x.imag
+    are views with a 16-byte stride, which BLAS cannot read, so numpy
+    would copy each operand into a buffer of its own anyway; the
+    contiguous copy in the plane takes the place of that buffer. Real
+    rows take `_RowDilation` instead.
     """
-    plane = np.matmul(x.real, friction, out=plane)
-    x.real = plane
-    np.matmul(x.imag, friction, out=plane)
-    x.imag = plane
+    n = x.shape[-2]
+    if plane is None:
+        plane = np.empty(x.shape[:-2] + (2 * n, x.shape[-1]))
+    product, operand = plane[..., :n, :], plane[..., n:2 * n, :]
+    for part in (x.real, x.imag):
+        operand[...] = part
+        np.matmul(operand, friction, out=product)
+        part[...] = product
     return x
 
 
@@ -545,7 +563,7 @@ def _filtered(x: np.ndarray, friction: np.ndarray | _RowDilation | None,
     row_weights[i]; both blocks act on the P axis alone, so the rows may
     be R rows or half-spectrum k_R rows. `friction` is None for s = 0;
     otherwise complex rows take FrictionOperator.matrix, with `plane`
-    the optional real out-plane of its products (see `_dilate`), and
+    the optional real scratch of its products (see `_dilate`), and
     real rows a `_RowDilation`. `cos_filter` is the filter over k_P.
     Returns the renormalized rows over P.
 
@@ -628,9 +646,12 @@ class LangevinStepper:
 
     The stepper also owns the scratch of a step, allocated for the first
     stack it meets and kept while the stack height S stays the same: a
-    real (S, N_R, N_P) plane, and on an N_R > N_P grid the
+    real (S, N_R + 2, N_P) plane, and on an N_R > N_P grid the
     (S, N_R, N_P//2 + 1) half spectrum of the kick, which otherwise
-    lives in the output stack (see the module docstring). A step into a
+    lives in the output stack (see the module docstring). The
+    transforms use the plane's rows [0, N_R); friction takes all
+    N_R + 2 = 2 (N_R/2 + 1) rows, half for the contiguous copy of an
+    operand and half for its product (see `_dilate`). A step into a
     stack the caller supplies allocates nothing else.
     """
 
@@ -667,13 +688,13 @@ class LangevinStepper:
         """Bytes of the fixed working set for a stack of n_stack (1 for a
         real state, 2 for a complex one): the half phase tables, the
         friction table for s = gamma*dt, the two resting stacks a step
-        reads and writes, the real plane, and on an N_R > N_P grid the
-        kick's half spectrum."""
+        reads and writes, the real plane of N_R + 2 rows, and on an
+        N_R > N_P grid the kick's half spectrum."""
         n_r, n_p = grid.shape
         rows, cols = n_r // 2 + 1, n_p // 2 + 1
         half_tables = 16 * (rows * n_p + n_r * cols)
         stacks = 2 * 16 * rows * n_p
-        plane = 8 * n_r * n_p
+        plane = 8 * 2 * rows * n_p
         spectrum = 16 * n_r * cols if n_r > n_p else 0
         return (half_tables + _friction_table_bytes(grid, s)
                 + n_stack * (stacks + plane + spectrum))
@@ -688,14 +709,16 @@ class LangevinStepper:
             if n_r > n_p:
                 spectrum = np.empty((n_stack, n_r, n_p // 2 + 1),
                                     np.complex128)
-            self._scratch = (np.empty((n_stack, n_r, n_p)), spectrum)
+            self._scratch = (np.empty((n_stack, n_r + 2, n_p)), spectrum)
         return self._scratch
 
-    def to_half_spectra(self, amplitudes: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def to_half_spectra(amplitudes: np.ndarray) -> np.ndarray:
         """Resting layout of an (R, P) table: rfft_R of its real stack
-        (see `_real_stack`), shape (S, N_R//2 + 1, N_P)."""
+        (see `_real_stack`), shape (S, N_R//2 + 1, N_P). It needs no
+        tables, so a caller may form it before the stepper exists."""
         parts = _real_stack(amplitudes)
-        n_r, n_p = self.grid.shape
+        n_r, n_p = amplitudes.shape
         a = np.empty((len(parts), n_r // 2 + 1, n_p), np.complex128)
         for part, half in zip(parts, a):
             np.fft.rfft(part, axis=0, norm="ortho", out=half)
@@ -716,7 +739,7 @@ class LangevinStepper:
         """
         n_r, n_p = self.grid.shape
         planes = np.fft.irfft(a, n_r, axis=-2, norm="ortho",
-                              out=self._planes(len(a))[0])
+                              out=self._planes(len(a))[0][:, :n_r])
         rho = planes[0]
         if len(planes) == 2:
             rows = max(1, _ABS_BLOCK // n_p)
@@ -733,7 +756,8 @@ class LangevinStepper:
         of the shape of `a`, or into a new stack without it; `a` is
         kept."""
         n_r, n_p = self.grid.shape
-        x, y = self._planes(len(a))
+        plane, y = self._planes(len(a))
+        x = plane[:, :n_r]
         b = np.multiply(a, self.half_drift, out=out)
         np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
         if y is None:  # b is dead until rfft_R refills it
@@ -745,7 +769,7 @@ class LangevinStepper:
         np.fft.rfft(x, axis=-2, norm="ortho", out=b)
         b *= self.half_drift
         return _filtered(b, self.friction.matrix, self.cos_filter,
-                         self.row_weights, x[:, :n_r // 2 + 1])
+                         self.row_weights, plane)
 
     def step(self, state: KvnState) -> tuple[KvnState, StepReport]:
         if state.basis is not Basis.RP:

@@ -17,7 +17,9 @@ ensemble's spectrum by evaluating the Fejer kernel on a zero-padded
 frequency grid, one bin at a time. `separate_buffer_advance` is the
 stepping core with a buffer of its own for every intermediate, where
 `LangevinStepper.advance` lets them share the output stack and the real
-plane. `traced_peak` measures the peak allocation of one call.
+plane. `one_expression_phase_tables` is the transport tables' formula as
+one expression per table, with its table-sized temporaries. `traced_peak`
+measures the peak allocation of one call.
 """
 
 import math
@@ -38,7 +40,7 @@ from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
 from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
                               FrictionOperator, LangevinParams,
                               LangevinStepper, NvePropagator, StepReport,
-                              _filtered)
+                              _drift_momenta, _filtered, _zero_nyquist)
 from kvnmd.tst import CrossingResult, TstConfig, _surface_weights
 from kvnmd.vdos import _WINDOWS, QpeConfig, SpectrumResult, fejer_kernel
 
@@ -211,11 +213,12 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
 def separate_buffer_advance(stepper: LangevinStepper, a: np.ndarray) \
         -> tuple[np.ndarray, StepReport]:
     """`LangevinStepper.advance` into a new stack, with a real plane, the
-    kick's half spectrum and the friction out-plane of its own."""
+    kick's half spectrum and the friction scratch of its own: 2 (N_R/2 +
+    1) rows for an operand and its product."""
     n_r, n_p = stepper.grid.shape
     x = np.empty((len(a), n_r, n_p))
     y = np.empty((len(a), n_r, n_p // 2 + 1), np.complex128)
-    plane = np.empty((len(a), n_r // 2 + 1, n_p))
+    plane = np.empty((len(a), 2 * (n_r // 2 + 1), n_p))
     b = np.multiply(a, stepper.half_drift)
     np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
     np.fft.rfft(x, axis=-1, norm="ortho", out=y)
@@ -225,6 +228,18 @@ def separate_buffer_advance(stepper: LangevinStepper, a: np.ndarray) \
     b *= stepper.half_drift
     return _filtered(b, stepper.friction.matrix, stepper.cos_filter,
                      stepper.row_weights, plane)
+
+
+def one_expression_phase_tables(grid: PhaseSpaceGrid, force: np.ndarray,
+                                mu: float, dt: float, half: bool) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Half-drift and kick tables, each formed by one expression."""
+    k_r, k_p = _zero_nyquist(grid.k_R), _zero_nyquist(grid.k_P)
+    if half:
+        n_r, n_p = grid.shape
+        k_r, k_p = k_r[:n_r // 2 + 1], k_p[:n_p // 2 + 1]
+    return (np.exp(-0.5j * dt * np.outer(k_r, _drift_momenta(grid)) / mu),
+            np.exp(-1j * dt * np.outer(force, k_p)))
 
 
 def traced_peak(fn, *args):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -272,6 +273,25 @@ class TestCliRelax:
             "snapshot_step000040.csv"}
         assert "wall_time_seconds" in manifest
         assert manifest["versions"]["numpy"] == np.__version__
+
+    def test_manifest_hash_of_a_multi_chunk_output(self, tmp_path):
+        # the snapshot spans more than one of the hash's 1 MiB chunks;
+        # dP >= 2 sigma_H on this P range
+        text = RELAX_SMALL.replace("n_r = 6\nn_p = 6", "n_r = 8\nn_p = 7") \
+            .replace("p_min_au = -22.0\np_max_au = 22.0",
+                     "p_min_au = -44.0\np_max_au = 44.0") \
+            .replace("n_steps = 40", "n_steps = 2") \
+            .replace("record_every = 10", "record_every = 1") \
+            .replace("snapshot_steps = 0, 40", "snapshot_steps = 2")
+        code, out = run_cli(tmp_path, text)
+        assert code == 0
+        snapshot = out / "snapshot_step000002.csv"
+        assert snapshot.stat().st_size > 1 << 20
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in ("relax_trace.csv", snapshot.name):
+            data = (out / name).read_bytes()
+            assert manifest["outputs"][name] == \
+                "sha256:" + hashlib.sha256(data).hexdigest()
 
     def test_manifest_records_timings_and_step_extremes(self, tmp_path):
         code, out = run_cli(tmp_path, RELAX_SMALL)
@@ -633,6 +653,20 @@ class TestExitCodes:
                      "--seed", "99"]) == 0
         assert (out1 / "oracle_summary.csv").read_bytes() != (
             out2 / "oracle_summary.csv").read_bytes()
+
+
+def test_import_leaves_openssl_unloaded():
+    # hashlib maps OpenSSL, 3.6 MiB of resident memory that a run does
+    # not use; the manifest imports it only to hash the outputs
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kvnmd.cli; print(sorted({'hashlib', '_hashlib'}"
+         " & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestBenchmarkSetupProbe:

@@ -399,14 +399,15 @@ class TestRelaxWorkingSet:
 
     @pytest.mark.parametrize("stack", ["real", "complex"])
     def test_peak_is_the_tables_and_three_state_arrays(self, stack):
-        # the input and output stacks and the real plane: the kick's
-        # half spectrum and the friction products share them, the last
-        # snapshot takes the spare stack's place, and the final table is
-        # formed once the stepper is gone; 512 KiB for numpy's buffers
+        # the input and output stacks and the real plane of N_R + 2 rows:
+        # the kick's half spectrum and the friction products share them,
+        # the last snapshot takes the spare stack's place, and the final
+        # table is formed once the stepper is gone; 512 KiB for numpy's
+        # buffers
         st, pes, params = self.setup_run(stack)
         n, rows = self.N, self.N // 2 + 1
         tables = 2 * 16 * rows * n + 8 * n * n
-        arrays = self.HEIGHTS[stack] * (2 * 16 * rows * n + 8 * n * n)
+        arrays = self.HEIGHTS[stack] * (2 * 16 * rows * n + 8 * 2 * rows * n)
         relax(st, pes, params, 1)  # leaves the FFT plan caches warm
         _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
         assert peak <= tables + arrays + 2 ** 19
@@ -433,6 +434,30 @@ class TestRelaxWorkingSet:
         _, pes, params = self.setup_run()
         relax(packet(), pes, params, 2, 1, (0,))
         assert alive == [False, False]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="the caller's frame holds call arguments "
+                               "until the call returns before 3.11")
+    def test_builds_the_stepper_once_the_initial_table_is_gone(
+            self, monkeypatch):
+        # the friction table can then take the block the table freed
+        tables, alive = [], []
+
+        def packet():
+            st, _, _ = self.setup_run()
+            tables.append(weakref.ref(st.amplitudes))
+            return st
+
+        init = LangevinStepper.__init__
+
+        def watched(stepper, *args):
+            alive.append(tables[0]() is not None)
+            init(stepper, *args)
+
+        monkeypatch.setattr(LangevinStepper, "__init__", watched)
+        _, pes, params = self.setup_run()
+        relax(packet(), pes, params, 2, 1, (0,))
+        assert alive == [False]
 
     def test_preflight_refuses_below_the_estimate(self, monkeypatch):
         st, pes, params = self.setup_run()

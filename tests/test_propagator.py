@@ -186,6 +186,24 @@ class TestTimeReversal:
                                     / 918.0))
 
 
+class TestPhaseTables:
+    def test_half_tables_peak_at_the_tables_and_one_outer_product(self):
+        # each table is formed in its own array: besides the two tables
+        # only a real outer product is alive at once, and 256 KiB of
+        # numpy's buffers; one expression per table held three
+        # table-sized temporaries (24.06 MiB at 2^10)
+        grid = build_grid(10, 10, (0.5, 4.5), (-340.0, 340.0))
+        force = np.linspace(-0.2, 0.3, grid.shape[0])
+        n_r, n_p = grid.shape
+        rows, cols = n_r // 2 + 1, n_p // 2 + 1
+        tables = 16 * (rows * n_p + n_r * cols)
+        outer = 8 * max(rows * n_p, n_r * cols)
+        (drift, kick), peak = traced_peak(
+            kvnmd.propagator._phase_tables, grid, force, 918.0, 0.5, True)
+        assert drift.nbytes + kick.nbytes == tables
+        assert peak <= tables + outer + 2 ** 18
+
+
 class TestFriction:
     def test_second_moment_contracts_by_expected_factor(self):
         grid = build_grid(4, 8, (0.0, 1.0), (-12.0, 12.0))
@@ -407,7 +425,8 @@ class TestSharedScratch:
         stepper, a = self.setup_run(*shape, 2, 0.02)
         stepper.advance(a)
         plane, spectrum = stepper._planes(2)
-        assert plane.shape == (2, 1 << shape[0], 1 << shape[1])
+        # two rows more than the grid, for friction's operand and product
+        assert plane.shape == (2, (1 << shape[0]) + 2, 1 << shape[1])
         assert (spectrum is None) == (shape[0] <= shape[1])
 
     @pytest.mark.parametrize("block", [None, 3 * 128, 1])
@@ -608,17 +627,17 @@ class TestMemoryPreflight:
             8 * n * n + state
         assert FrictionOperator.memory_estimate(grid, 0.0) == state
         half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
-        # per stack height: the two resting stacks and the real plane;
-        # on a square grid the kick's half spectrum lives in the output
-        # stack
-        per_stack = 2 * 16 * (n // 2 + 1) * n + 8 * n * n
+        # per stack height: the two resting stacks and the real plane of
+        # N_R + 2 rows; on a square grid the kick's half spectrum lives
+        # in the output stack
+        per_stack = 2 * 16 * (n // 2 + 1) * n + 8 * (n + 2) * n
         assert LangevinStepper.memory_estimate(grid, 0.01, 1) == \
             half + 8 * n * n + per_stack
-        assert LangevinStepper.memory_estimate(grid, 0.01, 1) == 12_885_950_464
+        assert LangevinStepper.memory_estimate(grid, 0.01, 1) == 12_886_212_608
         assert LangevinStepper.memory_estimate(grid, 0.01, 2) == \
             half + 8 * n * n + 2 * per_stack
         assert LangevinStepper.memory_estimate(grid, 0.01, 2) == \
-            19_328_925_696
+            19_329_449_984
         assert LangevinStepper.memory_estimate(grid, 0.0, 2) == \
             half + 2 * per_stack
 
@@ -629,7 +648,7 @@ class TestMemoryPreflight:
         grid = build_grid(14, 12, (0.5, 4.5), (-340.0, 340.0))
         n_r, n_p = 1 << 14, 1 << 12
         half = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
-        per_stack = (2 * 16 * (n_r // 2 + 1) * n_p + 8 * n_r * n_p
+        per_stack = (2 * 16 * (n_r // 2 + 1) * n_p + 8 * (n_r + 2) * n_p
                      + 16 * n_r * (n_p // 2 + 1))
         for n_stack in (1, 2):
             assert LangevinStepper.memory_estimate(grid, 0.0, n_stack) == \

@@ -3,15 +3,17 @@
 Each case draws grid sizes 2^3..2^6 per axis and a random complex state,
 then checks the half-spectrum core on its (Re, Im) stack against the
 composed complex substep helpers, the closed-form friction table against
-the dense interpolant, the chirp-z row dilation against that table on
-up to 2^11 P nodes and off-centre grids, the Strang-fused
-autocorrelation against the unfused step loop (also where time-reversal
-symmetry halves the chain), unitarity of the conservative chain, that
-transport, the thermostated step and the readout branches commute with
-complex conjugation, the corrected internal temperature against the
-filter's product oracle, the relaxation monitors read from marginals
-against the table monitors, and the canonical product's rate sums and
-tables against the sums over the exponent table.
+the dense interpolant, the in-place friction product and the transport
+tables bit for bit against their one-expression forms, the chirp-z row
+dilation against that table on up to 2^11 P nodes and off-centre grids,
+the Strang-fused autocorrelation against the unfused step loop (also
+where time-reversal symmetry halves the chain), unitarity of the
+conservative chain, that transport, the thermostated step and the
+readout branches commute with complex conjugation, the corrected
+internal temperature against the filter's product oracle, the
+relaxation monitors read from marginals against the table monitors, and
+the canonical product's rate sums and tables against the sums over the
+exponent table.
 """
 
 import dataclasses
@@ -27,18 +29,19 @@ from kvnmd.constants import kelvin_to_hartree
 from kvnmd.diagnostics import (KL_FLOOR, CanonicalDensity,
                                canonical_reference, kinetic_temperature,
                                kl_divergence, mean_R)
-from kvnmd.electronic import morse_pes
+from kvnmd.electronic import morse_pes, tabulate_pes
 from kvnmd.errors import ResolutionError
 from kvnmd.grid import Basis, KvnState, build_grid, density, norm_squared
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
                               LangevinStepper, NvePropagator, _RowDilation,
-                              calibrate, corrected_internal_temperature,
-                              diffusion_step)
+                              _dilate, _phase_tables, calibrate,
+                              corrected_internal_temperature, diffusion_step)
 from kvnmd.tst import TstConfig, tst_rate
 from kvnmd.vdos import prepare_branch_states
 from reference_steps import (dense_friction_table, dividing_surface_flux,
-                             friction_step, nve_step, reactant_population,
+                             friction_step, nve_step,
+                             one_expression_phase_tables, reactant_population,
                              step_autocorrelation, table_canonical_reference)
 
 MU = 918.0
@@ -96,6 +99,46 @@ def test_fused_friction_table_matches_dense_interpolant(n_r, n_p, seed, s):
                                     @ dense_friction_table(state.grid, s))
     closed_form = a @ FrictionOperator(state.grid, s).matrix
     assert l2_distance(closed_form, expected, state.grid.cell) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(n_r=st.integers(min_value=3, max_value=9),
+       n_p=st.integers(min_value=3, max_value=9), seed=seeds,
+       n_stack=st.sampled_from([1, 2]),
+       plane=st.sampled_from(["stepper", "fresh"]))
+def test_dilation_matches_the_products_of_its_parts(n_r, n_p, seed, n_stack,
+                                                    plane):
+    # the parts pass through a contiguous copy in the plane, not numpy's
+    # own buffer; BLAS sees the same operand either way
+    grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
+    # a cold filter keeps dP >= 2 sigma_H up to 2^9 nodes; the friction
+    # table does not depend on the temperature
+    stepper = LangevinStepper(grid, PES, calibrate(MU, 0.02, 0.5, 1e-5))
+    table = stepper.friction.matrix
+    rng = np.random.default_rng(seed)
+    shape = (n_stack, (1 << n_r) // 2 + 1, 1 << n_p)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected_re, expected_im = x.real @ table, x.imag @ table
+    scratch = stepper._planes(n_stack)[0] if plane == "stepper" else None
+    got = _dilate(x, table, scratch)
+    assert got is x
+    assert x.real.tobytes() == expected_re.tobytes()
+    assert x.imag.tobytes() == expected_im.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(n_r=qubits, n_p=qubits, dt=st.floats(min_value=0.1, max_value=5.0),
+       p_shift=st.sampled_from([0.0, 7.5, -13.0]), half=st.booleans())
+def test_phase_tables_match_the_one_expression_tables(n_r, n_p, dt, p_shift,
+                                                      half):
+    # centred and off-centre P grids: the drift momenta differ there
+    grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0 + p_shift, 22.0 + p_shift))
+    _, force = tabulate_pes(PES, grid.R)
+    got = _phase_tables(grid, force, MU, dt, half)
+    expected = one_expression_phase_tables(grid, force, MU, dt, half)
+    for table, oracle in zip(got, expected):
+        assert table.shape == oracle.shape
+        assert table.tobytes() == oracle.tobytes()
 
 
 @PROPERTY_SETTINGS
