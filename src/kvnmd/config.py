@@ -5,12 +5,19 @@ One file drives one run. Sections are per concern ([grid], [pes],
 ([pes.morse]). Validation aggregates every problem it can find into a
 list of "section.key: message" strings instead of stopping at the first,
 so a bad file is fixable in one pass.
+
+Each key is declared once, as a field of its section's dataclass: the
+annotation gives its type, the default (none: required) and the rules
+in `field(metadata=...)` its bounds. `_Section.read` reads any field;
+only the rules that depend on the mode or on another key are written
+out (`_parse_pes`, `_parse_oracle`, `_cross_validate`).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
 from .electronic import (PesModel, bundled_h2_table, load_pauli_table,
@@ -19,13 +26,17 @@ from .electronic import (PesModel, bundled_h2_table, load_pauli_table,
 MODES = ("relax", "vdos", "tst", "bias-check", "oracle")
 PES_KINDS = ("morse", "pauli_table", "raw_table", "bundled_h2")
 
-_REQUIRED = object()
+
+def _key(default=MISSING, **rules):
+    """A config key: its default (none: required) and its rules,
+    `positive`, `minimum` and `choices`."""
+    return field(default=default, metadata=rules)
 
 
 @dataclass
 class GridSection:
-    n_r: int
-    n_p: int
+    n_r: int = _key(minimum=1)
+    n_p: int = _key(minimum=1)
     r_min_bohr: float
     r_max_bohr: float
     p_min_au: float
@@ -34,12 +45,13 @@ class GridSection:
 
 @dataclass
 class PesSection:
-    kind: str
-    mu_au: float
-    path: str | None = None
-    de_hartree: float | None = None
-    alpha_per_bohr: float | None = None
-    re_bohr: float | None = None
+    kind: str = _key(choices=PES_KINDS)
+    mu_au: float = _key(positive=True)
+    path: str | None = None  # required when kind is a table
+    # read from [pes.morse], required there when kind = morse
+    de_hartree: float | None = _key(None, positive=True)
+    alpha_per_bohr: float | None = _key(None, positive=True)
+    re_bohr: float | None = _key(None, positive=True)
 
     def build(self) -> PesModel:
         if self.kind == "morse":
@@ -54,74 +66,83 @@ class PesSection:
 
 @dataclass
 class LangevinSection:
-    gamma_au: float
-    dt_au: float
-    t_phys_kelvin: float
+    gamma_au: float = _key(positive=True)
+    dt_au: float = _key(positive=True)
+    t_phys_kelvin: float = _key(positive=True)
     correction: bool = True
 
 
 @dataclass
 class InitSection:
-    r0_angstrom: float
-    sigma_r_bohr: float
-    sigma_p_au: float
+    r0_angstrom: float = _key(positive=True)
+    sigma_r_bohr: float = _key(positive=True)
+    sigma_p_au: float = _key(positive=True)
     p0_au: float = 0.0
 
 
 @dataclass
 class RelaxSection:
-    n_steps: int
-    record_every: int = 1
+    n_steps: int = _key(minimum=1)
+    record_every: int = _key(1, minimum=1)
     snapshot_steps: tuple[int, ...] = ()
 
 
 @dataclass
 class VdosSection:
-    t_kelvin: float
-    m: int
-    tau_au: float
+    t_kelvin: float = _key(positive=True)
+    m: int = _key(minimum=1)
+    tau_au: float = _key(positive=True)
     omega_shift_au: float = 0.0
-    inner_steps: int = 1
-    branch: str = "both"
-    omega_ref_au: float | None = None
+    inner_steps: int = _key(1, minimum=1)
+    branch: str = _key("both", choices=("plus", "minus", "both"))
+    omega_ref_au: float | None = _key(None, positive=True)
     aimd_reference: bool = True
-    aimd_n_traj: int = 256
-    aimd_window: str = "hann"
+    aimd_n_traj: int = _key(256, minimum=1)
+    aimd_window: str = _key("hann", choices=("hann", "rect"))
 
 
 @dataclass
 class TstSection:
     r_dividing_bohr: float
-    temperatures_kelvin: tuple[float, ...]
-    sigma_bohr: float | None = None
+    temperatures_kelvin: tuple[float, ...] = _key(positive=True)
+    sigma_bohr: float | None = _key(None, positive=True)
     crossing: bool = False
-    crossing_n_traj: int = 512
-    crossing_t_sim_au: float = 20000.0
-    crossing_dt_au: float = 2.0
+    crossing_n_traj: int = _key(512, minimum=1)
+    crossing_t_sim_au: float = _key(20000.0, positive=True)
+    crossing_dt_au: float = _key(2.0, positive=True)
 
 
 @dataclass
 class BiasCheckSection:
-    s_values: tuple[float, ...] = (0.005, 0.01, 0.05)
-    n_p: int = 10
-    mu_au: float = 918.0
-    t_kelvin: float = 947.0
+    s_values: tuple[float, ...] = _key((0.005, 0.01, 0.05), positive=True)
+    n_p: int = _key(10, minimum=3)
+    mu_au: float = _key(918.0, positive=True)
+    t_kelvin: float = _key(947.0, positive=True)
 
 
 @dataclass
 class OracleSection:
-    kind: str
-    n_traj: int
-    n_steps: int
-    dt_au: float
-    t_kelvin: float
-    record_every: int = 1
-    gamma_au: float | None = None
-    r0_bohr: float | None = None
+    # in read order: the last four are read by `_parse_oracle` per kind
+    kind: str = _key(choices=("langevin", "verlet"))
+    n_traj: int = _key(minimum=1)
+    n_steps: int = _key(minimum=1)
+    dt_au: float = _key(positive=True)
+    t_kelvin: float = _key(positive=True)
+    record_every: int = _key(1, minimum=1)
     p0_au: float = 0.0
+    dump_trajectories: bool = False
+    gamma_au: float | None = _key(None, positive=True)
+    r0_bohr: float | None = _key(None, positive=True)
     r_min_bohr: float | None = None
     r_max_bohr: float | None = None
-    dump_trajectories: bool = False
+
+
+@dataclass
+class _RunKeys:
+    """[run]; the command line overrides each key."""
+    mode: str | None = None
+    out: str = "out"
+    seed: int = _key(0, minimum=0)
 
 
 @dataclass
@@ -140,8 +161,41 @@ class RunConfig:
     oracle: OracleSection | None = None
 
 
+def _convert(typ: str, text: str, rules, what: str = ""):
+    """text as one value of typ ("str", "bool", "int" or "float") under
+    rules; raises ValueError with the message. `what` prefixes the
+    bound messages ("entries " for list items)."""
+    if typ == "str":
+        choices = rules.get("choices")
+        if choices and text not in choices:
+            raise ValueError(
+                f"got {text!r}, expected one of {sorted(choices)}")
+        return text
+    if typ == "bool":
+        low = text.lower()
+        if low in ("true", "yes", "on", "1"):
+            return True
+        if low in ("false", "no", "off", "0"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    try:
+        out = int(text) if typ == "int" else float(text)
+    except ValueError:
+        kind = "an integer" if typ == "int" else "a number"
+        raise ValueError(f"not {kind}: {text!r}") from None
+    if typ == "float" and not math.isfinite(out):
+        raise ValueError(f"not a finite number: {text!r}")
+    if rules.get("positive") and out <= 0.0:
+        raise ValueError(f"{what}must be > 0, got {out}")
+    minimum = rules.get("minimum")
+    if minimum is not None and out < minimum:
+        raise ValueError(f"{what}must be >= {minimum}, got {out}")
+    return out
+
+
 class _Section:
-    """Typed key reader that funnels problems into a shared error list."""
+    """Field reader for one INI section that funnels problems into a
+    shared error list."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str,
                  errors: list[str]):
@@ -150,254 +204,98 @@ class _Section:
         self.raw = dict(parser[name]) if parser.has_section(name) else {}
         self.seen: set[str] = set()
 
-    def _fetch(self, key, default):
-        self.seen.add(key)
-        if key in self.raw:
-            val = self.raw[key].strip()
-            if val != "":
-                return val
-        if default is _REQUIRED:
-            self.errors.append(f"{self.name}.{key}: required key missing")
-        return default
-
     def fail(self, key: str, message: str) -> None:
         self.errors.append(f"{self.name}.{key}: {message}")
 
-    def get_str(self, key, default=_REQUIRED, choices=None):
-        val = self._fetch(key, default)
-        if val is _REQUIRED or val is None:
-            return None
-        if choices and val not in choices:
-            self.fail(key, f"got {val!r}, expected one of {sorted(choices)}")
-            return None
-        return val
-
-    def get_float(self, key, default=_REQUIRED, positive=False):
-        val = self._fetch(key, default)
-        if val is _REQUIRED:
-            return None
-        if not isinstance(val, str):
-            return val
+    def read(self, f: Field, required: bool = False, bounded: bool = True):
+        """The value of key f.name, its default when absent or empty, or
+        None after recording the problem. `required` overrides the
+        default; with `bounded` False only the type is checked."""
+        self.seen.add(f.name)
+        text = self.raw.get(f.name, "").strip()
+        if not text:
+            if required or f.default is MISSING:
+                self.fail(f.name, "required key missing")
+                return None
+            return f.default
+        rules = f.metadata if bounded else {}
+        typ = f.type.removesuffix(" | None")
         try:
-            out = float(val)
-        except ValueError:
-            self.fail(key, f"not a number: {val!r}")
+            if not typ.startswith("tuple["):
+                return _convert(typ, text, rules)
+            # "tuple[int, ...]": comma-separated, empty pieces skipped;
+            # a list may be empty only where its default is
+            out = tuple(_convert(typ[6:-6], piece.strip(), rules, "entries ")
+                        for piece in text.split(",") if piece.strip())
+            if not out and f.default != ():
+                raise ValueError("empty list")
+            return out
+        except ValueError as exc:
+            self.fail(f.name, str(exc))
             return None
-        if positive and out <= 0.0:
-            self.fail(key, f"must be > 0, got {out}")
-            return None
-        return out
 
-    def get_int(self, key, default=_REQUIRED, minimum=None):
-        val = self._fetch(key, default)
-        if val is _REQUIRED:
-            return None
-        if not isinstance(val, str):
-            return val
-        try:
-            out = int(val)
-        except ValueError:
-            self.fail(key, f"not an integer: {val!r}")
-            return None
-        if minimum is not None and out < minimum:
-            self.fail(key, f"must be >= {minimum}, got {out}")
-            return None
-        return out
-
-    def get_bool(self, key, default=_REQUIRED):
-        val = self._fetch(key, default)
-        if val is _REQUIRED:
-            return None
-        if not isinstance(val, str):
-            return val
-        low = val.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self.fail(key, f"not a boolean: {val!r}")
-        return None
-
-    def get_float_list(self, key, default=_REQUIRED, positive=False):
-        val = self._fetch(key, default)
-        if val is _REQUIRED:
-            return None
-        if not isinstance(val, str):
-            return val
-        out = []
-        for piece in val.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                num = float(piece)
-            except ValueError:
-                self.fail(key, f"not a number: {piece!r}")
-                return None
-            if positive and num <= 0.0:
-                self.fail(key, f"entries must be > 0, got {num}")
-                return None
-            out.append(num)
-        if not out:
-            self.fail(key, "empty list")
-            return None
-        return tuple(out)
-
-    def get_int_list(self, key, default=_REQUIRED):
-        val = self._fetch(key, default)
-        if val is _REQUIRED:
-            return None
-        if not isinstance(val, str):
-            return val
-        out = []
-        for piece in val.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                out.append(int(piece))
-            except ValueError:
-                self.fail(key, f"not an integer: {piece!r}")
-                return None
-        return tuple(out)
+    def fill(self, cls):
+        """cls with every field read, in declaration order."""
+        return cls(**{f.name: self.read(f) for f in fields(cls)})
 
     def reject_unknown(self) -> None:
         for key in sorted(set(self.raw) - self.seen):
             self.errors.append(f"{self.name}.{key}: unknown key")
 
 
-def _parse_grid(sec: _Section) -> GridSection:
-    return GridSection(
-        n_r=sec.get_int("n_r", minimum=1),
-        n_p=sec.get_int("n_p", minimum=1),
-        r_min_bohr=sec.get_float("r_min_bohr"),
-        r_max_bohr=sec.get_float("r_max_bohr"),
-        p_min_au=sec.get_float("p_min_au"),
-        p_max_au=sec.get_float("p_max_au"))
-
-
 def _parse_pes(sec: _Section, morse: _Section) -> PesSection:
-    kind = sec.get_str("kind", choices=PES_KINDS)
-    out = PesSection(kind=kind, mu_au=sec.get_float("mu_au", positive=True))
-    if kind in ("pauli_table", "raw_table"):
-        out.path = sec.get_str("path")
-        if out.path is None:
-            # already reported as missing; sharpen the message for tables
-            sec.errors[-1] = (f"pes.path: required when pes.kind = {kind}")
-    else:
-        out.path = sec.get_str("path", default=None)
-        if kind == "bundled_h2" and out.path is not None:
-            sec.fail("path", "not used when pes.kind = bundled_h2")
+    kind_f, mu_f, path_f, *morse_fields = fields(PesSection)
+    kind = sec.read(kind_f)
+    out = PesSection(kind=kind, mu_au=sec.read(mu_f))
+    table = kind in ("pauli_table", "raw_table")
+    out.path = sec.read(path_f, required=table)
+    if table and out.path is None:
+        # already reported as missing; sharpen the message for tables
+        sec.errors[-1] = f"pes.path: required when pes.kind = {kind}"
+    if kind == "bundled_h2" and out.path is not None:
+        sec.fail("path", "not used when pes.kind = bundled_h2")
     if kind == "morse":
-        out.de_hartree = morse.get_float("de_hartree", positive=True)
-        out.alpha_per_bohr = morse.get_float("alpha_per_bohr", positive=True)
-        out.re_bohr = morse.get_float("re_bohr", positive=True)
+        for f in morse_fields:
+            setattr(out, f.name, morse.read(f, required=True))
     elif morse.raw:
         morse.errors.append(
             "pes.morse: section only valid when pes.kind = morse")
     return out
 
 
-def _parse_langevin(sec: _Section) -> LangevinSection:
-    return LangevinSection(
-        gamma_au=sec.get_float("gamma_au", positive=True),
-        dt_au=sec.get_float("dt_au", positive=True),
-        t_phys_kelvin=sec.get_float("t_phys_kelvin", positive=True),
-        correction=sec.get_bool("correction", default=True))
-
-
-def _parse_init(sec: _Section) -> InitSection:
-    return InitSection(
-        r0_angstrom=sec.get_float("r0_angstrom", positive=True),
-        sigma_r_bohr=sec.get_float("sigma_r_bohr", positive=True),
-        sigma_p_au=sec.get_float("sigma_p_au", positive=True),
-        p0_au=sec.get_float("p0_au", default=0.0))
-
-
-def _parse_relax(sec: _Section) -> RelaxSection:
-    return RelaxSection(
-        n_steps=sec.get_int("n_steps", minimum=1),
-        record_every=sec.get_int("record_every", default=1, minimum=1),
-        snapshot_steps=sec.get_int_list("snapshot_steps", default=()))
-
-
-def _parse_vdos(sec: _Section) -> VdosSection:
-    return VdosSection(
-        t_kelvin=sec.get_float("t_kelvin", positive=True),
-        m=sec.get_int("m", minimum=1),
-        tau_au=sec.get_float("tau_au", positive=True),
-        omega_shift_au=sec.get_float("omega_shift_au", default=0.0),
-        inner_steps=sec.get_int("inner_steps", default=1, minimum=1),
-        branch=sec.get_str("branch", default="both",
-                           choices=("plus", "minus", "both")),
-        omega_ref_au=sec.get_float("omega_ref_au", default=None,
-                                   positive=True),
-        aimd_reference=sec.get_bool("aimd_reference", default=True),
-        aimd_n_traj=sec.get_int("aimd_n_traj", default=256, minimum=1),
-        aimd_window=sec.get_str("aimd_window", default="hann",
-                                choices=("hann", "rect")))
-
-
-def _parse_tst(sec: _Section) -> TstSection:
-    return TstSection(
-        r_dividing_bohr=sec.get_float("r_dividing_bohr"),
-        temperatures_kelvin=sec.get_float_list("temperatures_kelvin",
-                                               positive=True),
-        sigma_bohr=sec.get_float("sigma_bohr", default=None, positive=True),
-        crossing=sec.get_bool("crossing", default=False),
-        crossing_n_traj=sec.get_int("crossing_n_traj", default=512,
-                                    minimum=1),
-        crossing_t_sim_au=sec.get_float("crossing_t_sim_au", default=20000.0,
-                                        positive=True),
-        crossing_dt_au=sec.get_float("crossing_dt_au", default=2.0,
-                                     positive=True))
-
-
-def _parse_bias(sec: _Section) -> BiasCheckSection:
-    return BiasCheckSection(
-        s_values=sec.get_float_list("s_values",
-                                    default=(0.005, 0.01, 0.05),
-                                    positive=True),
-        n_p=sec.get_int("n_p", default=10, minimum=3),
-        mu_au=sec.get_float("mu_au", default=918.0, positive=True),
-        t_kelvin=sec.get_float("t_kelvin", default=947.0, positive=True))
-
-
 def _parse_oracle(sec: _Section) -> OracleSection:
-    kind = sec.get_str("kind", choices=("langevin", "verlet"))
-    out = OracleSection(
-        kind=kind,
-        n_traj=sec.get_int("n_traj", minimum=1),
-        n_steps=sec.get_int("n_steps", minimum=1),
-        dt_au=sec.get_float("dt_au", positive=True),
-        t_kelvin=sec.get_float("t_kelvin", positive=True),
-        record_every=sec.get_int("record_every", default=1, minimum=1),
-        p0_au=sec.get_float("p0_au", default=0.0),
-        dump_trajectories=sec.get_bool("dump_trajectories", default=False))
-    if kind == "langevin":
-        out.gamma_au = sec.get_float("gamma_au", positive=True)
-        out.r0_bohr = sec.get_float("r0_bohr", positive=True)
-        sec.get_float("r_min_bohr", default=None)
-        sec.get_float("r_max_bohr", default=None)
-    elif kind == "verlet":
+    *common, gamma, r0, r_min, r_max = fields(OracleSection)
+    out = OracleSection(**{f.name: sec.read(f) for f in common})
+    if out.kind == "langevin":
+        out.gamma_au = sec.read(gamma, required=True)
+        out.r0_bohr = sec.read(r0, required=True)
+        sec.read(r_min)
+        sec.read(r_max)
+    elif out.kind == "verlet":
         # canonical initial conditions need the sampler support
-        out.r_min_bohr = sec.get_float("r_min_bohr")
-        out.r_max_bohr = sec.get_float("r_max_bohr")
-        sec.get_float("gamma_au", default=None)
-        sec.get_float("r0_bohr", default=None)
+        out.r_min_bohr = sec.read(r_min, required=True)
+        out.r_max_bohr = sec.read(r_max, required=True)
+        sec.read(gamma, bounded=False)
+        sec.read(r0, bounded=False)
     return out
 
+
+# INI section name -> its dataclass, in read order; the RunConfig
+# attribute is the name with "-" as "_"
+_SECTIONS = {"grid": GridSection, "pes": PesSection,
+             "langevin": LangevinSection, "init": InitSection,
+             "relax": RelaxSection, "vdos": VdosSection, "tst": TstSection,
+             "bias-check": BiasCheckSection, "oracle": OracleSection}
 
 _MODE_SECTIONS = {
     "relax": ("grid", "pes", "langevin", "init", "relax"),
     "vdos": ("grid", "pes", "vdos"),
     "tst": ("grid", "pes", "tst"),
-    "bias-check": (),
+    "bias-check": ("bias-check",),
     "oracle": ("pes", "oracle"),
 }
 
-_KNOWN_SECTIONS = ("run", "grid", "pes", "pes.morse", "langevin", "init",
-                   "relax", "vdos", "tst", "bias-check", "oracle")
+_KNOWN_SECTIONS = ("run", "pes.morse", *_SECTIONS)
 
 
 def parse_config(text: str, *, mode_override: str | None = None,
@@ -422,12 +320,10 @@ def parse_config(text: str, *, mode_override: str | None = None,
             errors.append(f"{name}: unknown section")
 
     run = _Section(parser, "run", errors)
-    file_mode = run.get_str("mode", default=None)
-    file_out = run.get_str("out", default="out")
-    file_seed = run.get_int("seed", default=0, minimum=0)
-    mode = mode_override if mode_override is not None else file_mode
-    out_dir = out_override if out_override is not None else file_out
-    seed = seed_override if seed_override is not None else file_seed
+    keys = run.fill(_RunKeys)
+    mode = mode_override if mode_override is not None else keys.mode
+    out_dir = out_override if out_override is not None else keys.out
+    seed = seed_override if seed_override is not None else keys.seed
     run.reject_unknown()
     if mode is None:
         errors.append("run.mode: required (set in [run] or pass --mode)")
@@ -436,42 +332,29 @@ def parse_config(text: str, *, mode_override: str | None = None,
         errors.append(f"run.mode: got {mode!r}, expected one of {MODES}")
         return None, errors
 
-    required = _MODE_SECTIONS[mode]
     sections: dict[str, _Section] = {}
-    for name in ("grid", "pes", "langevin", "init", "relax", "vdos", "tst",
-                 "bias-check", "oracle"):
+    for name, cls in _SECTIONS.items():
         present = parser.has_section(name)
-        needed = name in required or (name == "bias-check"
-                                      and mode == "bias-check")
-        if needed and not present and name != "bias-check":
+        needed = name in _MODE_SECTIONS[mode]
+        # a section whose every key has a default may be left out
+        optional = all(f.default is not MISSING for f in fields(cls))
+        if needed and not present and not optional:
             errors.append(f"{name}: section required for mode {mode}")
-            continue
-        if present and not needed:
+        elif present and not needed:
             errors.append(f"{name}: section not used by mode {mode}")
-            continue
-        if present or needed:
+        elif needed:
             sections[name] = _Section(parser, name, errors)
 
     morse = _Section(parser, "pes.morse", errors)
     cfg = RunConfig(mode=mode, out_dir=out_dir, seed=seed)
-    if "grid" in sections:
-        cfg.grid = _parse_grid(sections["grid"])
-    if "pes" in sections:
-        cfg.pes = _parse_pes(sections["pes"], morse)
-    if "langevin" in sections:
-        cfg.langevin = _parse_langevin(sections["langevin"])
-    if "init" in sections:
-        cfg.init = _parse_init(sections["init"])
-    if "relax" in sections:
-        cfg.relax = _parse_relax(sections["relax"])
-    if "vdos" in sections:
-        cfg.vdos = _parse_vdos(sections["vdos"])
-    if "tst" in sections:
-        cfg.tst = _parse_tst(sections["tst"])
-    if "bias-check" in sections:
-        cfg.bias_check = _parse_bias(sections["bias-check"])
-    if "oracle" in sections:
-        cfg.oracle = _parse_oracle(sections["oracle"])
+    for name, sec in sections.items():
+        if name == "pes":
+            value = _parse_pes(sec, morse)
+        elif name == "oracle":
+            value = _parse_oracle(sec)
+        else:
+            value = sec.fill(_SECTIONS[name])
+        setattr(cfg, name.replace("-", "_"), value)
 
     for sec in sections.values():
         sec.reject_unknown()
@@ -497,6 +380,12 @@ def _cross_validate(cfg: RunConfig, errors: list[str]) -> None:
         errors.append("tst.r_dividing_bohr: outside the grid R range")
     if t and t.temperatures_kelvin and len(t.temperatures_kelvin) < 3:
         errors.append("tst.temperatures_kelvin: need at least 3 entries")
+    r = cfg.relax
+    if r and r.n_steps is not None and r.snapshot_steps:
+        bad = [s for s in r.snapshot_steps if not 0 <= s <= r.n_steps]
+        if bad:
+            errors.append(f"relax.snapshot_steps: outside [0, relax.n_steps"
+                          f" = {r.n_steps}]: {', '.join(map(str, bad))}")
     o = cfg.oracle
     if (o and o.kind == "verlet"
             and None not in (o.r_min_bohr, o.r_max_bohr)

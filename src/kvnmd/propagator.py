@@ -401,12 +401,15 @@ class FrictionOperator:
         sin_u = np.sin(np.pi * (u - nearest))
         sin_u[nearest % 2 == 1] *= -1.0
         d = u[None, :] - np.arange(n)[:, None]
-        on_node = d == 0.0
         d *= np.pi / n
         np.tan(d, out=d)
-        np.divide(sin_u, d, out=d, where=~on_node)
+        # d is zero only where u is node k itself, at most one row per
+        # column; the 0/0 there is overwritten with the limit n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(sin_u, d, out=d)
         d[1::2] *= -1.0
-        d[on_node] = n
+        cols = np.flatnonzero((u == nearest) & (u >= 0) & (u < n))
+        d[nearest[cols].astype(np.intp), cols] = n
         d[:, ~valid] = 0.0
         d *= math.exp(0.5 * s) / n
         self.matrix = d

@@ -2,8 +2,9 @@
 
 One-shot wrappers that build their operator tables per call, the
 Gaussian stand-in for the cosine filter, a single velocity-Verlet
-trajectory, the step-callable autocorrelation loop and the dense
-friction interpolant. They serve as independent routes for the fused
+trajectory, the step-callable autocorrelation loop, the dense
+friction interpolant and the friction table built through boolean masks
+of its on-node entries. They serve as independent routes for the fused
 array-level core and are not part of the package. The classical
 references come in their one-pass forms: a crossing counter over the
 full trajectory history, a Langevin ensemble that draws all its noise up
@@ -119,6 +120,28 @@ def dense_friction_table(grid: PhaseSpaceGrid, s: float) -> np.ndarray:
     e[:, n // 2] = np.cos(np.pi * u) / n
     e[~valid, :] = 0.0
     return np.ascontiguousarray(e.T)
+
+
+def masked_friction_table(grid: PhaseSpaceGrid, s: float) -> np.ndarray:
+    """`FrictionOperator.matrix` through two N_P x N_P boolean masks of
+    the on-node entries, d == 0, and their complement."""
+    n = grid.shape[1]
+    target = np.exp(s) * grid.P
+    u = (target - grid.p_min) / grid.dP
+    valid = (target >= grid.p_min) & (target < grid.p_min + n * grid.dP)
+    nearest = np.rint(u)
+    sin_u = np.sin(np.pi * (u - nearest))
+    sin_u[nearest % 2 == 1] *= -1.0
+    d = u[None, :] - np.arange(n)[:, None]
+    on_node = d == 0.0
+    d *= np.pi / n
+    np.tan(d, out=d)
+    np.divide(sin_u, d, out=d, where=~on_node)
+    d[1::2] *= -1.0
+    d[on_node] = n
+    d[:, ~valid] = 0.0
+    d *= math.exp(0.5 * s) / n
+    return d
 
 
 def table_canonical_reference(grid: PhaseSpaceGrid, pes: PesModel,

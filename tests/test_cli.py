@@ -489,6 +489,17 @@ class TestExitCodes:
     def test_missing_config_file_is_exit_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.ini")]) == 2
 
+    def test_non_finite_temperature_is_exit_2(self, tmp_path, capsys):
+        # a nan inside the list used to reach the Arrhenius fit and end
+        # in an uncaught LinAlgError with no manifest
+        text = TST_SMALL.replace("temperatures_kelvin = 2500, 5000, 10000",
+                                 "temperatures_kelvin = 2500, nan, 10000")
+        code, out = run_cli(tmp_path, text)
+        assert code == 2
+        assert ("tst.temperatures_kelvin: not a finite number: 'nan'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_runtime_config_class_error_is_exit_2(self, tmp_path):
         # passes static validation, but the packet does not fit the grid
         text = RELAX_SMALL.replace("sigma_r_bohr = 0.16",
@@ -682,3 +693,28 @@ class TestBenchmarkSetupProbe:
              *configs], env=env, capture_output=True, text=True,
             timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestBenchmarkTracer:
+    def test_tracer_finds_the_config_hooks(self, tmp_path):
+        # the traced benchmark run wraps config.load_config and
+        # PesSection.build by name; a name it cannot find is reported
+        # missing and its metrics absent
+        root = Path(__file__).resolve().parents[1]
+        cfg = tmp_path / "oracle.ini"
+        cfg.write_text(ORACLE_SMALL.replace("n_steps = 100", "n_steps = 10")
+                       .replace("dump_trajectories = true",
+                                "dump_trajectories = false"))
+        spans = tmp_path / "spans.json"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_child.py"),
+             str(spans), "0", "--config", str(cfg), "--out",
+             str(tmp_path / "out")], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        record = json.loads(spans.read_text())
+        assert "kvnmd.config.load_config" not in record["missing"]
+        assert "PesSection.build" not in record["missing"]
+        assert {"config.load_config", "electronic.pes_build"} <= {
+            span[0] for span in record["spans"]}

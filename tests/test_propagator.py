@@ -245,6 +245,15 @@ class TestFriction:
         with pytest.raises(ConfigurationError):
             FrictionOperator(grid, -0.1)
 
+    def test_table_peak_is_the_table(self):
+        # the on-node entries are found as one index per column; boolean
+        # masks of the table's shape added 2 MiB at 2^10 (10.10 MiB)
+        grid = build_grid(3, 10, (0.5, 4.5), (-42.5, 42.5))
+        n_p = grid.shape[1]
+        op, peak = traced_peak(FrictionOperator, grid, 0.01)
+        assert op.matrix.nbytes == 8 * n_p * n_p
+        assert peak <= op.matrix.nbytes + 2 ** 18
+
 
 class TestDiffusionFilter:
     @pytest.mark.parametrize("sigma_h", [0.25, 0.9])

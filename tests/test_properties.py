@@ -40,7 +40,7 @@ from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
 from kvnmd.tst import TstConfig, tst_rate
 from kvnmd.vdos import prepare_branch_states
 from reference_steps import (dense_friction_table, dividing_surface_flux,
-                             friction_step, nve_step,
+                             friction_step, masked_friction_table, nve_step,
                              one_expression_phase_tables, reactant_population,
                              step_autocorrelation, table_canonical_reference)
 
@@ -99,6 +99,18 @@ def test_fused_friction_table_matches_dense_interpolant(n_r, n_p, seed, s):
                                     @ dense_friction_table(state.grid, s))
     closed_form = a @ FrictionOperator(state.grid, s).matrix
     assert l2_distance(closed_form, expected, state.grid.cell) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_p=st.integers(min_value=3, max_value=11),
+       p_range=st.sampled_from([(-42.5, 42.5), (-340.0, 340.0), (-10.0, 30.0),
+                                (0.0, 1.0)]),
+       s=st.floats(min_value=1e-6, max_value=1.0))
+def test_friction_table_matches_the_masked_formula_bit_for_bit(n_p, p_range,
+                                                               s):
+    grid = build_grid(3, n_p, (0.6, 2.6), p_range)
+    np.testing.assert_array_equal(FrictionOperator(grid, s).matrix,
+                                  masked_friction_table(grid, s))
 
 
 @PROPERTY_SETTINGS
