@@ -398,9 +398,14 @@ class FrictionOperator:
         # sin(pi (u - k)) = (-1)^k sin(pi u); reducing u to its nearest
         # integer first keeps the sine accurate where u - k is small
         nearest = np.rint(u)
-        sin_u = np.sin(np.pi * (u - nearest))
+        frac = u - nearest
+        sin_u = np.sin(np.pi * frac)
         sin_u[nearest % 2 == 1] *= -1.0
         d = u[None, :] - np.arange(n)[:, None]
+        # the tangent has period n in u - k, and only row 0 comes near its
+        # zero at pi, where u is near n: take the image u - n there, which
+        # keeps the precision of frac
+        d[0] = np.where(nearest > n // 2, (nearest - n) + frac, u)
         d *= np.pi / n
         np.tan(d, out=d)
         # d is zero only where u is node k itself, at most one row per

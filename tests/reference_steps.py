@@ -130,9 +130,12 @@ def masked_friction_table(grid: PhaseSpaceGrid, s: float) -> np.ndarray:
     u = (target - grid.p_min) / grid.dP
     valid = (target >= grid.p_min) & (target < grid.p_min + n * grid.dP)
     nearest = np.rint(u)
-    sin_u = np.sin(np.pi * (u - nearest))
+    frac = u - nearest
+    sin_u = np.sin(np.pi * frac)
     sin_u[nearest % 2 == 1] *= -1.0
     d = u[None, :] - np.arange(n)[:, None]
+    upper = nearest > n // 2
+    d[0, upper] = (nearest - n)[upper] + frac[upper]
     on_node = d == 0.0
     d *= np.pi / n
     np.tan(d, out=d)

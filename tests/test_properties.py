@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kvnmd.constants import kelvin_to_hartree
@@ -92,6 +92,8 @@ def test_array_core_matches_composed_substeps(n_r, n_p, seed, gamma, dt):
 @PROPERTY_SETTINGS
 @given(n_r=qubits, n_p=qubits, seed=seeds,
        s=st.floats(min_value=1e-4, max_value=0.5))
+# e^s P lands 9.2e-6 below the top edge, u - k within 1e-5 of n
+@example(n_r=3, n_p=3, seed=0, s=0.2876797714574285)
 def test_fused_friction_table_matches_dense_interpolant(n_r, n_p, seed, s):
     state = random_state(n_r, n_p, seed)
     a = state.amplitudes
