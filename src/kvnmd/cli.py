@@ -4,12 +4,13 @@ Every invocation executes one mode (relax, vdos, tst, bias-check,
 oracle), writes its data series as plot-ready CSVs plus a manifest.json
 recording the resolved configuration, derived parameters, library
 versions, wall time (in total and per phase: tables, propagate, readout,
-write), memory (the process's peak resident set and, for relax, vdos
-and bias-check, the preflight's estimate of the working set), the warnings
-shown under the active filters (category, count, first message) and a
-content hash per output file, streamed in 1 MiB chunks once the run is
-done. Reruns with the same config and seed reproduce the CSVs byte for
-byte; timings and memory go only into the manifest.
+write), memory (the process's peak resident set, in total and as it stood
+at the end of each phase, the memory available when the run started and
+the preflight's estimate of the working set), the warnings shown under
+the active filters (category, count, first message) and a content hash
+per output file, streamed in 1 MiB chunks once the run is done. Reruns
+with the same config and seed reproduce the CSVs byte for byte; timings
+and memory go only into the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 manifest records the exit status. A run stopped by a numerical error
@@ -46,11 +47,12 @@ from .errors import (BasisMismatchError, ConfigurationError, DomainError,
                      TableFormatError)
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
-    langevin_ensemble, verlet_blocks, verlet_ensemble
-from .propagator import (_RowDilation, _preflight, calibrate,
-                         momentum_bias_experiment)
+    langevin_ensemble, langevin_memory_estimate, sampler_memory_estimate, \
+    verlet_blocks, verlet_ensemble, verlet_memory_estimate
+from .propagator import (_RowDilation, _available_memory, _preflight,
+                         calibrate, momentum_bias_experiment)
 from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
-    crossing_reference
+    crossing_memory_estimate, crossing_reference
 from .vdos import QpeConfig, aimd_reference_spectrum, branch_memory_estimate, \
     branch_spectra, reference_frequency
 
@@ -68,19 +70,25 @@ PHASES = ("tables", "propagate", "readout", "write")
 
 
 class _PhaseClock:
-    """Wall seconds per run phase, booked lap by lap."""
+    """Wall seconds per run phase, and the peak resident set as it stood
+    at the end of each phase's last lap, booked lap by lap."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(PHASES, 0.0)
+        self.peak_rss: dict[str, int] = {}
         self._last = time.perf_counter()
 
     def lap(self, phase: str, readout: float = 0.0) -> None:
         """Book the time since the last lap to `phase`, less the
-        `readout` seconds spent inside it, which go to readout."""
+        `readout` seconds spent inside it, which go to readout; the peak
+        resident set goes to `phase` whole."""
         now = time.perf_counter()
         self.seconds[phase] += now - self._last - readout
         self.seconds["readout"] += readout
         self._last = now
+        peak = _peak_rss_bytes()
+        if peak is not None:
+            self.peak_rss[phase] = peak
 
 
 def _cell(value) -> str:
@@ -243,6 +251,9 @@ def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     t = cfg.tst
     tcfg = TstConfig(r_dividing=t.r_dividing_bohr, sigma=t.sigma_bohr,
                      temperatures=t.temperatures_kelvin)
+    if t.crossing:
+        memory["estimate_bytes"] = crossing_memory_estimate(
+            t.crossing_n_traj, t.crossing_t_sim_au, t.crossing_dt_au)
     clock.lap("tables")
     fit = arrhenius_sweep(grid, pes, mu, tcfg)
     clock.lap("readout")
@@ -317,6 +328,13 @@ def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
     t_ha = kelvin_to_hartree(o.t_kelvin)
+    if o.kind == "langevin":
+        memory["estimate_bytes"] = langevin_memory_estimate(
+            o.n_steps, o.n_traj, o.record_every)
+    else:
+        memory["estimate_bytes"] = (
+            sampler_memory_estimate(o.n_traj)
+            + verlet_memory_estimate(o.n_steps, o.n_traj, o.record_every))
     clock.lap("tables")
     if o.kind == "langevin":
         ens = langevin_ensemble(pes, mu, o.gamma_au, t_ha, o.dt_au,
@@ -328,7 +346,9 @@ def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
         ens = verlet_ensemble(pes, mu, r0, p0, o.dt_au, o.n_steps,
                               o.record_every)
     clock.lap("propagate")
-    t_kin_kelvin = hartree_to_kelvin(np.mean(ens.P ** 2, axis=1) / mu)
+    # record by record: the square of all of P would set the run's peak
+    t_kin_kelvin = hartree_to_kelvin(
+        np.array([np.mean(p ** 2) for p in ens.P]) / mu)
     clock.lap("readout")
     _write_csv(out_dir / "oracle_summary.csv", "t_au,mean_R_bohr,T_kin_K",
                _lines(zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin)))
@@ -459,7 +479,10 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     clock = _PhaseClock()
-    memory: dict[str, int] = {}
+    memory: dict = {}
+    available = _available_memory()
+    if available is not None:
+        memory["available_bytes"] = available
     try:
         with _WarningTally() as tally:
             code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir, clock,
@@ -477,6 +500,7 @@ def main(argv=None) -> int:
     peak = _peak_rss_bytes()
     if peak is not None:
         memory["peak_rss_bytes"] = peak
+        memory["phase_peak_rss_bytes"] = clock.peak_rss
     _write_manifest(out_dir, cfg, code, error, derived, outputs, wall,
                     clock.seconds, memory, list(tally.summary.values()))
     return code

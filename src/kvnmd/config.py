@@ -308,8 +308,12 @@ def parse_config(text: str, *, mode_override: str | None = None,
     applied before mode-dependent section validation.
     """
     errors: list[str] = []
+    # no header can name a section "\n", so [DEFAULT] is read as a
+    # section of its own and refused below, instead of configparser's
+    # default section merged silently into every other
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                       interpolation=None)
+                                       interpolation=None,
+                                       default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -38,7 +38,7 @@ class NonFiniteAmplitudeError(KvnError):
 
 
 class MemoryBudgetError(KvnError):
-    """Operator tables and working state would not fit in physical memory."""
+    """Operator tables and working state would not fit in available memory."""
 
 
 class ConvergenceError(KvnError):

@@ -6,6 +6,10 @@ Metropolis walk, and the stationary momentum-filter bias is evaluated
 straight from its infinite-product form. These are the independent
 "second route" for every physics claim made by the propagator and the
 readout modules.
+
+The streamed references (the surface-crossing counter and the AIMD
+spectrum) read R only, so `verlet_blocks` integrates into one reused R
+block: each block it yields is overwritten by the next.
 """
 
 from __future__ import annotations
@@ -20,9 +24,17 @@ from .electronic import PesModel
 from .grid import PhaseSpaceGrid
 from .propagator import _preflight
 
-# time steps per block: Verlet steps held at once by verlet_blocks, noise
-# steps drawn at once by langevin_ensemble
+# Verlet steps per R block of verlet_blocks; the AIMD correlation sums
+# each block in one matrix product, whose rows keep their bits only for
+# the same block length
 _BLOCK = 256
+# noise steps drawn at once by langevin_ensemble; draws of a + b steps
+# equal a then b, so the ensemble does not depend on it
+_NOISE_BLOCK = 64
+# float vectors per trajectory of a Verlet step: r, p, f, the half drift
+# and the temporaries; the bundled H2 spline force takes about 30 of
+# them under tracemalloc, the Morse force about 10
+_STEP_VECTORS = 32
 # per trajectory of langevin_ensemble: its Generator (about 1.7 KB under
 # tracemalloc) and the step's few float vectors
 _TRAJECTORY_BYTES = 2048
@@ -40,7 +52,7 @@ class TrajectoryEnsemble:
 
     times: np.ndarray
     R: np.ndarray
-    P: np.ndarray
+    P: np.ndarray | None = None  # None for the R-only blocks of verlet_blocks
 
     @property
     def n_traj(self) -> int:
@@ -54,61 +66,96 @@ def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
     return steps
 
 
-def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
-                    n_steps: int, record_every: int = 1,
-                    omega_ref: float | None = None) -> TrajectoryEnsemble:
-    """Energy-conserving half-kick/drift/half-kick integration.
+def _own_copies(r0, p0) -> tuple[np.ndarray, np.ndarray]:
+    r, p = np.broadcast_arrays(np.atleast_1d(np.asarray(r0, dtype=float)),
+                               np.atleast_1d(np.asarray(p0, dtype=float)))
+    return r.copy(), p.copy()
+
+
+def _verlet_steps(pes: PesModel, mu: float, r: np.ndarray, p: np.ndarray,
+                  dt: float, n_steps: int):
+    """Step r and p in place n_steps times, yielding after each step.
 
     The drift is split in two halves so that the zero-friction limit of
     the thermostated integrator below reproduces this one step for step.
-    The recorded R and P are preflighted against physical memory before
-    they are allocated.
     """
-    if omega_ref is not None and dt * omega_ref >= 0.1:
-        raise ValueError(
-            f"dt*omega_ref = {dt * omega_ref:.3f} too large for a faithful "
-            "reference trajectory (need < 0.1)")
-    r, p = np.broadcast_arrays(np.atleast_1d(np.asarray(r0, dtype=float)),
-                               np.atleast_1d(np.asarray(p0, dtype=float)))
-    r, p = r.copy(), p.copy()  # stepped in place below
-
-    steps = _record_steps(n_steps, record_every)
-    _preflight("verlet_ensemble", 2 * 8 * len(steps) * len(r),
-               "record fewer steps or trajectories")
-    out_r = np.empty((len(steps), len(r)))
-    out_p = np.empty((len(steps), len(r)))
-    rec = 0
     f = pes.f(r)
-    for step in range(n_steps + 1):
-        if step == steps[rec]:
-            out_r[rec], out_p[rec] = r, p
-            rec += 1
-        if step == n_steps:
-            break
+    for _ in range(n_steps):
         p += 0.5 * dt * f
         half_drift = 0.5 * dt * p / mu
         r += half_drift
         r += half_drift
         f = pes.f(r)
         p += 0.5 * dt * f
+        yield
+
+
+def verlet_memory_estimate(n_steps: int, n_traj: int,
+                           record_every: int = 1) -> int:
+    """Bytes of the R and P records of `verlet_ensemble`."""
+    return 16 * n_traj * (-(-n_steps // record_every) + 1)
+
+
+def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
+                    n_steps: int, record_every: int = 1,
+                    omega_ref: float | None = None) -> TrajectoryEnsemble:
+    """Energy-conserving half-kick/drift/half-kick integration.
+
+    The recorded R and P are preflighted against available memory before
+    they are allocated.
+    """
+    if omega_ref is not None and dt * omega_ref >= 0.1:
+        raise ValueError(
+            f"dt*omega_ref = {dt * omega_ref:.3f} too large for a faithful "
+            "reference trajectory (need < 0.1)")
+    r, p = _own_copies(r0, p0)  # stepped in place
+    _preflight("verlet_ensemble",
+               verlet_memory_estimate(n_steps, len(r), record_every),
+               "record fewer steps or trajectories")
+    steps = _record_steps(n_steps, record_every)
+    out_r = np.empty((len(steps), len(r)))
+    out_p = np.empty((len(steps), len(r)))
+    out_r[0], out_p[0] = r, p
+    rec = 1
+    for step, _ in enumerate(_verlet_steps(pes, mu, r, p, dt, n_steps), 1):
+        if step == steps[rec]:
+            out_r[rec], out_p[rec] = r, p
+            rec += 1
     return TrajectoryEnsemble(times=steps * dt, R=out_r, P=out_p)
 
 
-def verlet_blocks(pes: PesModel, mu: float, r0, p0, dt: float, n_steps: int):
-    """`verlet_ensemble` over n_steps, yielded lazily in blocks of _BLOCK
-    steps with every step recorded.
+def verlet_blocks_memory_estimate(n_steps: int, n_traj: int) -> int:
+    """Bytes that `verlet_blocks` holds: one R block of min(_BLOCK,
+    n_steps) + 1 records and the step's vectors."""
+    return 8 * n_traj * (min(_BLOCK, n_steps) + 1 + _STEP_VECTORS)
 
-    Each block restarts from the last R and P of the one before, which
-    repeats the same arithmetic, so the blocks hold the records of one
-    run; the record at each block boundary is the last of one block and
-    the first of the next. Working memory is O(_BLOCK x n_traj) at any
-    n_steps.
+
+def verlet_blocks(pes: PesModel, mu: float, r0, p0, dt: float, n_steps: int):
+    """`verlet_ensemble` over n_steps with every step recorded, R only,
+    yielded lazily in blocks of _BLOCK steps.
+
+    Every block is a view of one reused (_BLOCK + 1, n_traj) R array, so
+    a block is overwritten by the next: read it before asking for the
+    next, or copy it. The record at each block boundary is the last of
+    one block and the first of the next; the blocks carry no P. Working
+    memory is `verlet_blocks_memory_estimate`, O(_BLOCK x n_traj) at any
+    n_steps, and is preflighted against available memory when the first
+    block is asked for.
     """
-    r, p = r0, p0
-    for start in range(0, n_steps, _BLOCK):
-        ens = verlet_ensemble(pes, mu, r, p, dt, min(_BLOCK, n_steps - start))
-        yield ens
-        r, p = ens.R[-1], ens.P[-1]
+    r, p = _own_copies(r0, p0)  # stepped in place
+    _preflight("verlet_blocks", verlet_blocks_memory_estimate(n_steps, len(r)),
+               "use fewer trajectories")
+    block = np.empty((min(_BLOCK, n_steps) + 1, len(r)))
+    block[0] = r
+    row = 0
+    for step, _ in enumerate(_verlet_steps(pes, mu, r, p, dt, n_steps), 1):
+        row += 1
+        block[row] = r
+        if row == _BLOCK or step == n_steps:
+            yield TrajectoryEnsemble(
+                times=np.arange(step - row, step + 1) * dt, R=block[:row + 1])
+            block[0] = r
+            row = 0
 
 
 def langevin_memory_estimate(n_steps: int, n_traj: int,
@@ -116,7 +163,7 @@ def langevin_memory_estimate(n_steps: int, n_traj: int,
     """Bytes that `langevin_ensemble` holds: the recorded R and P, one
     noise block and one Generator per trajectory, and the record steps."""
     n_records = -(-n_steps // record_every) + 1
-    return (n_traj * (16 * n_records + 8 * min(_BLOCK, n_steps)
+    return (n_traj * (16 * n_records + 8 * min(_NOISE_BLOCK, n_steps)
                       + _TRAJECTORY_BYTES) + 8 * n_records)
 
 
@@ -126,11 +173,12 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
     """Thermostated ensemble (kick/drift/thermostat/drift/kick splitting).
 
     Noise comes from one counter-based stream per trajectory, drawn in
-    blocks of _BLOCK steps, so working memory is O(_BLOCK x n_traj) at
-    any run length and results do not depend on the block length.
+    blocks of _NOISE_BLOCK steps, so working memory is O(_NOISE_BLOCK x
+    n_traj) at any run length and results do not depend on the block
+    length.
     gamma = 0 turns the thermostat substep into the exact identity and
     the integrator reduces to the energy-conserving one above. The
-    working set is preflighted against physical memory before any of it
+    working set is preflighted against available memory before any of it
     is allocated.
     """
     _preflight("langevin_ensemble",
@@ -146,7 +194,7 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
     steps = _record_steps(n_steps, record_every)
     out_r = np.empty((len(steps), n_traj))
     out_p = np.empty((len(steps), n_traj))
-    noise = np.empty((min(_BLOCK, n_steps), n_traj))
+    noise = np.empty((min(_NOISE_BLOCK, n_steps), n_traj))
     f = pes.f(r)
     rec = 0
     for step in range(n_steps + 1):
@@ -155,14 +203,14 @@ def langevin_ensemble(pes: PesModel, mu: float, gamma: float, t: float,
             rec += 1
         if step == n_steps:
             break
-        if step % _BLOCK == 0:
-            n_block = min(_BLOCK, n_steps - step)
+        if step % _NOISE_BLOCK == 0:
+            n_block = min(_NOISE_BLOCK, n_steps - step)
             for i, stream in enumerate(streams):
                 noise[:n_block, i] = stream.standard_normal(n_block)
         p += 0.5 * dt * f
         r += 0.5 * dt * p / mu
         p *= c1
-        p += c2 * noise[step % _BLOCK]
+        p += c2 * noise[step % _NOISE_BLOCK]
         r += 0.5 * dt * p / mu
         f = pes.f(r)
         p += 0.5 * dt * f
@@ -184,7 +232,7 @@ def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
     chain on exp(-V/T): 1000-sweep burn-in with step adaptation, then one
     harvest every 10 sweeps across parallel walkers. A post-adaptation
     acceptance rate outside [0.1, 0.9] emits SamplerWarning. The samples
-    are preflighted against physical memory before they are drawn.
+    are preflighted against available memory before they are drawn.
     """
     _preflight("canonical_sampler", sampler_memory_estimate(n_samples),
                "draw fewer samples")
@@ -267,8 +315,11 @@ def cos_filter_stationary_bias(s: float, n_terms: int = 200,
     y = np.exp(-s)
     sigma = np.sqrt(2.0 * (1.0 - y * y))
     kappa = np.linspace(-kappa_max, kappa_max, n_points + 1)
-    half = kappa[len(kappa) // 2:]
-    psi = np.ones_like(half)
+    mid = len(kappa) // 2
+    half = kappa[mid:]
+    full = np.empty_like(kappa)
+    psi = full[mid:]  # the product on kappa >= 0, mirrored below
+    psi.fill(1.0)
     factor = np.empty_like(half)
     for r in range(n_terms):
         np.multiply(sigma * y ** r, half, out=factor)
@@ -280,9 +331,25 @@ def cos_filter_stationary_bias(s: float, n_terms: int = 200,
     ytail = y ** n_terms
     a_tail = sigma ** 2 * ytail ** 2 / (2.0 * (1.0 - y ** 2))
     b_tail = sigma ** 4 * ytail ** 4 / (12.0 * (1.0 - y ** 4))
-    psi = psi * np.exp(-a_tail * half ** 2 - b_tail * half ** 4)
-    psi = np.concatenate((psi[::-1][:len(kappa) // 2], psi))
-    dpsi = np.gradient(psi, kappa)
-    num = np.trapezoid(dpsi * dpsi, kappa)
-    den = np.trapezoid(psi * psi, kappa)
+    np.square(half, out=factor)
+    factor *= -a_tail
+    quartic = half ** 4
+    quartic *= b_tail
+    factor -= quartic
+    psi *= np.exp(factor, out=factor)
+    del factor, quartic  # before np.gradient's full-length temporaries
+    full[:mid] = psi[:0:-1]
+    dpsi = np.gradient(full, kappa)
+    dk = np.diff(kappa)
+    num = _trapezoid(np.multiply(dpsi, dpsi, out=dpsi), dk)
+    den = _trapezoid(np.multiply(full, full, out=full), dk)
     return float(num / den - 1.0)
+
+
+def _trapezoid(y: np.ndarray, dk: np.ndarray) -> float:
+    """`np.trapezoid(y, kappa)` given dk = np.diff(kappa), in one
+    temporary: the same operations, so the same bits."""
+    t = y[1:] + y[:-1]
+    t *= dk
+    t /= 2.0
+    return np.add.reduce(t)

@@ -142,8 +142,21 @@ def calibrate(mu: float, gamma: float, dt: float, t_phys: float,
                           t_int=t_int, sigma_h=sigma_h, correction=correction)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory of the host; None where it cannot be read."""
+_MEMINFO = "/proc/meminfo"
+
+
+def _available_memory() -> int | None:
+    """Bytes of memory available to a new computation: the host's
+    MemAvailable where it reports one (Linux; it counts reclaimable cache,
+    which MemFree and SC_AVPHYS_PAGES leave out), else its physical
+    memory; None where neither can be read."""
+    try:
+        with open(_MEMINFO) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return 1024 * int(line.split()[1])  # in kB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf on Windows
@@ -154,14 +167,14 @@ def _preflight(owner: str, need: int,
                remedy: str = "use fewer qubits") -> None:
     """Refuse a computation whose tables and working arrays cannot fit.
 
-    Skipped where the host does not report its physical memory.
+    Skipped where the host reports no memory figure.
     """
-    have = _physical_memory()
+    have = _available_memory()
     if have is not None and need > have:
         raise MemoryBudgetError(
             f"{owner} needs about {need / 2 ** 30:.1f} GiB for its tables "
             f"and working arrays, more than the {have / 2 ** 30:.1f} GiB "
-            f"of physical memory; {remedy}")
+            f"of available memory; {remedy}")
 
 
 def _state_bytes(grid: PhaseSpaceGrid, copies: int = 2) -> int:

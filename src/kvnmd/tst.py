@@ -9,7 +9,9 @@ two marginals, in O(N_R + N_P) time and memory with no (R, P) table;
 the vdos readout encodes the same density with zero phase as its
 equilibrium amplitude. Because the state covers the whole grid at once
 there is no trajectory-count detection floor; a classical crossing
-counter is included to exhibit exactly that floor.
+counter is included to exhibit exactly that floor. It counts each block
+of its trajectories in the one reused R block of `oracles.verlet_blocks`
+before the next block overwrites it.
 
 Temperatures cross module boundaries in kelvin; everything else is in
 atomic units.
@@ -27,7 +29,9 @@ from .diagnostics import CanonicalDensity
 from .electronic import PesModel
 from .errors import ConfigurationError, ResolutionError, SingularityError
 from .grid import Basis, KvnState, PhaseSpaceGrid
-from .oracles import _BLOCK, canonical_sampler, verlet_blocks
+from .oracles import (_BLOCK, canonical_sampler, sampler_memory_estimate,
+                      verlet_blocks, verlet_blocks_memory_estimate)
+from .propagator import _preflight
 
 SURFACE_MASS_TOLERANCE = 0.01
 
@@ -144,6 +148,21 @@ def arrhenius_sweep(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
     return ArrheniusFit(results, float(intercept), float(-slope))
 
 
+def _crossing_steps(t_sim: float, dt: float) -> int:
+    return max(1, int(round(t_sim / dt)))
+
+
+def crossing_memory_estimate(n_traj: int, t_sim: float,
+                             dt: float = 2.0) -> int:
+    """Bytes that `crossing_reference` holds: the canonical samples, one
+    R block of `verlet_blocks` with the step's vectors, and the three
+    boolean arrays of a block's crossing test."""
+    n_steps = _crossing_steps(t_sim, dt)
+    return (sampler_memory_estimate(n_traj)
+            + verlet_blocks_memory_estimate(n_steps, n_traj)
+            + 3 * min(_BLOCK, n_steps) * n_traj)
+
+
 def crossing_reference(pes: PesModel, mu: float, t_kelvin: float,
                        n_traj: int, t_sim: float, seed: int, cfg: TstConfig,
                        r_range: tuple[float, float],
@@ -154,20 +173,25 @@ def crossing_reference(pes: PesModel, mu: float, t_kelvin: float,
     are conservative, so this is an equilibrium flux estimate, not a count
     of thermostated reaction events.  With zero observed crossings the
     result is pinned at the single-count floor k_min = 1/(n_traj * t_sim).
-    The trajectories run in the blocks of `verlet_blocks` (_BLOCK steps
-    each), so working memory is O(_BLOCK x n_traj) at any t_sim.
+    The trajectories run in the one reused R block of `verlet_blocks`
+    (_BLOCK steps; each block is counted before the next overwrites it),
+    so working memory is `crossing_memory_estimate`, O(_BLOCK x n_traj)
+    at any t_sim, and is preflighted against available memory first.
     """
     if n_traj < 1 or t_sim <= 0.0 or dt <= 0.0:
         raise ConfigurationError("need n_traj >= 1 and positive t_sim, dt")
-    n_steps = max(1, int(round(t_sim / dt)))
+    _preflight("crossing_reference",
+               crossing_memory_estimate(n_traj, t_sim, dt),
+               "use fewer trajectories")
+    n_steps = _crossing_steps(t_sim, dt)
     t_total = n_steps * dt
     r, p = canonical_sampler(pes, mu, kelvin_to_hartree(t_kelvin), n_traj,
                              seed, r_range)
     n_cross = 0
-    for ens in verlet_blocks(pes, mu, r, p, dt, n_steps):
+    for block in verlet_blocks(pes, mu, r, p, dt, n_steps):
         # a block's first record is the last of the one before, so the
         # step pair straddling each block boundary is counted once
-        upward = (ens.R[:-1] < cfg.r_dividing) & (ens.R[1:] >= cfg.r_dividing)
-        n_cross += int(np.count_nonzero(upward))
+        n_cross += int(np.count_nonzero((block.R[:-1] < cfg.r_dividing)
+                                        & (block.R[1:] >= cfg.r_dividing)))
     denom = n_traj * t_total
     return CrossingResult(n_cross, n_cross / denom, 1.0 / denom)

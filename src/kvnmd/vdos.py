@@ -18,7 +18,9 @@ A classical reference turns a trajectory ensemble into a spectrum on the
 identical bin grid: its windowed spectrum convolved with the same
 finite-time kernel is `qpe_distribution` of the windowed correlation's
 own autocorrelation at the readout's lag stride. The trajectories stream
-through in time blocks, keeping two sums per record.
+through in time blocks, keeping two sums per record; with
+`oracles.verlet_blocks` every block is the one reused R array, read in
+place before the next block overwrites it.
 """
 
 from __future__ import annotations
@@ -279,8 +281,10 @@ def _trajectory_correlation(blocks: Iterable[TrajectoryEnsemble],
     and the record stride tau / dt_rec.
 
     A block after the first repeats the last record of the one before as
-    its first, which is skipped. The stride is checked on the first block,
-    before the rest are integrated. Only two sums per record are kept:
+    its first, which is skipped. Each block is read in place and fully
+    summed before the next is asked for, so the blocks may share one
+    array. The stride is checked on the first block, before the rest are
+    integrated. Only two sums per record are kept:
     with r' = r - c, c the t = 0 ensemble mean, S_t = sum_i r'_t,i r'_0,i
     and M_t = sum_i r'_t,i. With m_t = M_t / N and rbar the mean of m_t
     over all records, c_t = S_t / N - rbar (m_t + m_0) + rbar^2 is the

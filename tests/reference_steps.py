@@ -8,7 +8,11 @@ of its on-node entries. They serve as independent routes for the fused
 array-level core and are not part of the package. The classical
 references come in their one-pass forms: a crossing counter over the
 full trajectory history, a Langevin ensemble that draws all its noise up
-front and the product oracle on the whole kappa grid. `table_relax` is
+front and the product oracle on the whole kappa grid. Their previous
+streamed forms are kept bit for bit: `rp_verlet_blocks`, the Verlet
+blocks as a fresh (R, P) ensemble each, and `concatenated_filter_bias`,
+the product oracle mirrored by concatenation with numpy's gradient and
+trapezoid on fresh arrays. `table_relax` is
 the relaxation driver with one (R, P) state per record, each monitor
 read from its own density and D_KL taken against the canonical table.
 `two_step_pauli_force` is the coefficient-table force from the spline's
@@ -36,7 +40,7 @@ from kvnmd.electronic import (PauliCoefficientTable, PesModel, _CubicTable,
                               tabulate_pes)
 from kvnmd.errors import ConvergenceError, FilterCollapseError
 from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, density, fourier_P
-from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
+from kvnmd.oracles import (_BLOCK, TrajectoryEnsemble, canonical_sampler,
                            trajectory_stream, verlet_ensemble)
 from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
                               FrictionOperator, LangevinParams,
@@ -294,6 +298,17 @@ def full_history_crossings(pes: PesModel, mu: float, t_kelvin: float,
     return CrossingResult(n_cross, n_cross / denom, 1.0 / denom)
 
 
+def rp_verlet_blocks(pes: PesModel, mu: float, r0, p0, dt: float,
+                     n_steps: int):
+    """Blocks of _BLOCK steps, each a fresh `verlet_ensemble` with R and
+    P that restarts from the last record of the one before."""
+    r, p = r0, p0
+    for start in range(0, n_steps, _BLOCK):
+        ens = verlet_ensemble(pes, mu, r, p, dt, min(_BLOCK, n_steps - start))
+        yield ens
+        r, p = ens.R[-1], ens.P[-1]
+
+
 def one_draw_langevin(pes: PesModel, mu: float, gamma: float, t: float,
                       dt: float, n_steps: int, n_traj: int, seed: int,
                       r0, p0=0.0) -> TrajectoryEnsemble:
@@ -337,6 +352,32 @@ def full_grid_filter_bias(s: float, n_terms: int = 200,
     a_tail = sigma ** 2 * ytail ** 2 / (2.0 * (1.0 - y ** 2))
     b_tail = sigma ** 4 * ytail ** 4 / (12.0 * (1.0 - y ** 4))
     psi = psi * np.exp(-a_tail * kappa ** 2 - b_tail * kappa ** 4)
+    dpsi = np.gradient(psi, kappa)
+    num = np.trapezoid(dpsi * dpsi, kappa)
+    den = np.trapezoid(psi * psi, kappa)
+    return float(num / den - 1.0)
+
+
+def concatenated_filter_bias(s: float, n_terms: int = 200,
+                             n_points: int = 1 << 17,
+                             kappa_max: float = 10.0) -> float:
+    """The stationary filter bias on kappa >= 0, mirrored by
+    concatenation, with every product, gradient and trapezoid on fresh
+    arrays."""
+    y = np.exp(-s)
+    sigma = np.sqrt(2.0 * (1.0 - y * y))
+    kappa = np.linspace(-kappa_max, kappa_max, n_points + 1)
+    half = kappa[len(kappa) // 2:]
+    psi = np.ones_like(half)
+    factor = np.empty_like(half)
+    for r in range(n_terms):
+        np.multiply(sigma * y ** r, half, out=factor)
+        psi *= np.cos(factor, out=factor)
+    ytail = y ** n_terms
+    a_tail = sigma ** 2 * ytail ** 2 / (2.0 * (1.0 - y ** 2))
+    b_tail = sigma ** 4 * ytail ** 4 / (12.0 * (1.0 - y ** 4))
+    psi = psi * np.exp(-a_tail * half ** 2 - b_tail * half ** 4)
+    psi = np.concatenate((psi[::-1][:len(kappa) // 2], psi))
     dpsi = np.gradient(psi, kappa)
     num = np.trapezoid(dpsi * dpsi, kappa)
     den = np.trapezoid(psi * psi, kappa)

@@ -14,13 +14,24 @@ import pytest
 import kvnmd.cli
 import kvnmd.propagator
 from kvnmd.cli import PHASES, main
-from kvnmd.errors import BoundaryLeakWarning, FilterBandWarning
-from kvnmd.config import parse_config
+from kvnmd.errors import (BoundaryLeakWarning, FilterBandWarning,
+                          NonFiniteAmplitudeError)
+from kvnmd.config import load_config, parse_config
+from kvnmd.constants import kelvin_to_hartree
 from kvnmd.grid import build_grid
-from kvnmd.oracles import langevin_memory_estimate
+from kvnmd.oracles import (langevin_ensemble, langevin_memory_estimate,
+                           sampler_memory_estimate,
+                           verlet_blocks_memory_estimate,
+                           verlet_memory_estimate)
 from kvnmd.propagator import LangevinStepper, _RowDilation
+from kvnmd.tst import TstConfig, crossing_memory_estimate, crossing_reference
 from kvnmd.vdos import branch_memory_estimate
 from reference_steps import traced_peak
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.ini"))
+MEMORY_KEYS = {"peak_rss_bytes", "estimate_bytes", "available_bytes",
+               "phase_peak_rss_bytes"}
 
 MORSE_BLOCK = """
 [pes]
@@ -355,9 +366,16 @@ class TestCliRelax:
         code, out = run_cli(tmp_path, RELAX_SMALL)
         assert code == 0
         memory = json.loads((out / "manifest.json").read_text())["memory"]
-        assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
+        assert set(memory) == MEMORY_KEYS
+        phases = memory.pop("phase_peak_rss_bytes")
         for value in memory.values():
             assert isinstance(value, int) and value > 0
+        # the readout seconds of relax are booked inside propagate; the
+        # peak so far only grows from lap to lap, up to the run's
+        assert set(phases) == {"tables", "propagate", "write"}
+        assert all(isinstance(v, int) and v > 0 for v in phases.values())
+        assert phases["tables"] <= phases["propagate"] <= phases["write"] \
+            <= memory["peak_rss_bytes"]
         # the stepper's working set on 2^6 x 2^6 for the real initial
         # table, a stack of one, plus the two snapshots
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
@@ -398,7 +416,7 @@ class TestCliVdos:
         code, out = run_cli(tmp_path, text)
         assert code == 0
         memory = json.loads((out / "manifest.json").read_text())["memory"]
-        assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
+        assert set(memory) == MEMORY_KEYS
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         assert memory["estimate_bytes"] == branch_memory_estimate(grid)
 
@@ -429,6 +447,19 @@ class TestCliTst:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["activation_energy_hartree"] > 0.0
 
+    def test_manifest_records_the_crossing_estimate(self, tmp_path):
+        code, out = run_cli(tmp_path, TST_SMALL)
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == MEMORY_KEYS
+        assert memory["estimate_bytes"] == crossing_memory_estimate(16, 500.0)
+        # the rate alone holds O(N_R + N_P) and records no estimate
+        code, out = run_cli(tmp_path, TST_SMALL.replace("crossing = true",
+                                                        "crossing = false"))
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == MEMORY_KEYS - {"estimate_bytes"}
+
 
 class TestCliBiasCheck:
     def test_pass_line_and_csv(self, tmp_path, capsys):
@@ -447,7 +478,7 @@ class TestCliBiasCheck:
                             BIAS_SMALL.replace("0.01", "0.01, 0.05"))
         assert code == 0
         memory = json.loads((out / "manifest.json").read_text())["memory"]
-        assert set(memory) == {"peak_rss_bytes", "estimate_bytes"}
+        assert set(memory) == MEMORY_KEYS
         # the operator's size depends on N_P alone, not on s
         grid = build_grid(3, 8, (0.0, 1.0), (-1.0, 1.0))
         assert memory["estimate_bytes"] == _RowDilation.memory_estimate(grid)
@@ -455,13 +486,13 @@ class TestCliBiasCheck:
     def test_preflight_is_exit_2(self, tmp_path, monkeypatch, capsys):
         need = _RowDilation.memory_estimate(
             build_grid(3, 8, (0.0, 1.0), (-1.0, 1.0)))
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         code, out = run_cli(tmp_path, BIAS_SMALL)
         assert code == 2
         assert "_RowDilation" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         code, out = run_cli(tmp_path, BIAS_SMALL)
         assert code == 0 and (out / "bias_check.csv").exists()
@@ -478,6 +509,22 @@ class TestCliOracle:
         assert list(dump[0]) == ["traj_id", "t_au", "R_bohr", "P_au"]
         assert len(dump) == 5 * 64
         assert {r["traj_id"] for r in dump} == {str(i) for i in range(64)}
+
+    @pytest.mark.parametrize("kind", ["langevin", "verlet"])
+    def test_manifest_records_what_it_preflights(self, tmp_path, kind):
+        text = ORACLE_SMALL
+        expected = langevin_memory_estimate(100, 64, 25)
+        if kind == "verlet":
+            text = text.replace("kind = langevin", "kind = verlet").replace(
+                "gamma_au = 0.02\n", "").replace(
+                "r0_bohr = 1.40201", "r_min_bohr = 0.8\nr_max_bohr = 3.0")
+            expected = (sampler_memory_estimate(64)
+                        + verlet_memory_estimate(100, 64, 25))
+        code, out = run_cli(tmp_path, text)
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == MEMORY_KEYS
+        assert memory["estimate_bytes"] == expected
 
 
 class TestExitCodes:
@@ -597,30 +644,38 @@ class TestExitCodes:
 
     def test_memory_budget_error_is_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory", lambda: 1)
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory", lambda: 1)
         code, out = run_cli(tmp_path, RELAX_SMALL)
         assert code == 2
-        assert "physical memory" in capsys.readouterr().err
+        assert "available memory" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_aimd_reference_preflight_is_exit_2(self, tmp_path, monkeypatch,
                                                 capsys):
-        # 1 MB lets the grid chains run, not R and P for 8 x 2^5 + 1
-        # records of 256 trajectories (1.05 MB)
+        # one byte short of the reference's R block of 2^8 + 1 records of
+        # 256 trajectories and their step vectors (0.59 MB), which lets
+        # the grid chains (0.36 MB) and the sampler run
         text = VDOS_SMALL.replace("aimd_n_traj = 32", "aimd_n_traj = 256")
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
-                            lambda: 1_000_000)
+        need = verlet_blocks_memory_estimate(8 * 32, 256)
+        assert branch_memory_estimate(
+            build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))) < need
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                            lambda: need - 1)
         code, out = run_cli(tmp_path, text)
         assert code == 2
-        assert "verlet_ensemble" in capsys.readouterr().err
+        assert "verlet_blocks" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                            lambda: need)
+        code, out = run_cli(tmp_path, text)
+        assert code == 0 and (out / "vdos_spectrum.csv").exists()
 
     def test_vdos_is_refused_before_its_tables(self, tmp_path, monkeypatch,
                                                capsys):
         # the equilibrium table of 2^9 x 2^9 nodes alone takes 2 MiB
         text = VDOS_SMALL.replace("n_r = 6", "n_r = 9").replace("n_p = 6",
                                                                "n_p = 9")
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory", lambda: 1)
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory", lambda: 1)
         (code, out), peak = traced_peak(run_cli, tmp_path, text)
         assert code == 2
         assert "branch_spectra" in capsys.readouterr().err
@@ -633,7 +688,7 @@ class TestExitCodes:
         text = TST_SMALL.replace("n_r = 7", "n_r = 14").replace(
             "n_p = 7", "n_p = 14").replace("crossing = true",
                                            "crossing = false")
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: 64 * 2 ** 20)
         code, out = run_cli(tmp_path, text)
         assert code == 0
@@ -644,13 +699,13 @@ class TestExitCodes:
         # one byte short of the records, noise block and Generators of
         # 64 trajectories over 100 steps
         need = langevin_memory_estimate(100, 64, 25)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         code, out = run_cli(tmp_path, ORACLE_SMALL)
         assert code == 2
         assert "langevin_ensemble" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         code, out = run_cli(tmp_path, ORACLE_SMALL)
         assert code == 0 and (out / "oracle_summary.csv").exists()
@@ -664,6 +719,65 @@ class TestExitCodes:
                      "--seed", "99"]) == 0
         assert (out1 / "oracle_summary.csv").read_bytes() != (
             out2 / "oracle_summary.csv").read_bytes()
+
+
+class TestShippedManifests:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_every_manifest_carries_the_estimate(self, tmp_path, monkeypatch,
+                                                 path):
+        expected_code = 0
+        if path.stem == "vdos_h2":
+            # its 2^10 chain takes about 14 s (acceptance criterion 5 runs
+            # it); a run stopped at the chain still writes the memory
+            # booked before it
+            def stopped(*args, **kwargs):
+                raise NonFiniteAmplitudeError("stopped before the chain")
+
+            monkeypatch.setattr(kvnmd.cli, "branch_spectra", stopped)
+            expected_code = 3
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == \
+            expected_code
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert set(memory) == MEMORY_KEYS
+        assert memory["estimate_bytes"] > 0
+        assert memory["available_bytes"] > 0
+        phases = memory["phase_peak_rss_bytes"]
+        assert phases and set(phases) <= set(PHASES)
+        assert max(phases.values()) <= memory["peak_rss_bytes"]
+
+    def test_tst_crossing_peak_stays_within_the_estimate(self):
+        # the shipped crossing reference: 512 trajectories over 10 000
+        # steps on the bundled H2 surface; 16 KiB for numpy's small objects
+        cfg, errors = load_config(ROOT / "configs" / "tst_h2.ini")
+        assert not errors
+        t, g = cfg.tst, cfg.grid
+        tcfg = TstConfig(r_dividing=t.r_dividing_bohr, sigma=t.sigma_bohr,
+                         temperatures=t.temperatures_kelvin)
+        pes = cfg.pes.build()
+        # a first short run imports numpy.random, outside the estimate
+        crossing_reference(pes, cfg.pes.mu_au, 2500.0, 4, 10.0, 1, tcfg,
+                           (g.r_min_bohr, g.r_max_bohr))
+        cross, peak = traced_peak(
+            crossing_reference, pes, cfg.pes.mu_au,
+            min(t.temperatures_kelvin), t.crossing_n_traj,
+            t.crossing_t_sim_au, cfg.seed, tcfg,
+            (g.r_min_bohr, g.r_max_bohr), t.crossing_dt_au)
+        assert cross.n_cross == 0
+        assert peak <= crossing_memory_estimate(
+            t.crossing_n_traj, t.crossing_t_sim_au, t.crossing_dt_au) + 2 ** 14
+
+    def test_oracle_peak_stays_within_the_estimate(self):
+        cfg, errors = load_config(ROOT / "configs" / "oracle_morse.ini")
+        assert not errors
+        o = cfg.oracle
+        args = (cfg.pes.build(), cfg.pes.mu_au, o.gamma_au,
+                kelvin_to_hartree(o.t_kelvin), o.dt_au, o.n_steps, o.n_traj,
+                cfg.seed, o.r0_bohr, o.p0_au, o.record_every)
+        langevin_ensemble(*args[:5], 3, 2, *args[7:])  # imports numpy.random
+        _, peak = traced_peak(langevin_ensemble, *args)
+        assert peak <= langevin_memory_estimate(o.n_steps, o.n_traj,
+                                                o.record_every) + 2 ** 16
 
 
 def test_import_leaves_openssl_unloaded():

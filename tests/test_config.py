@@ -239,6 +239,19 @@ def test_snapshot_steps_outside_the_run_are_named():
     assert not errors and cfg.relax.snapshot_steps == (0, 300)
 
 
+def test_default_section_is_refused_not_merged():
+    # configparser merges a [DEFAULT] section's keys into every section,
+    # so the previous parser blamed [run] for n_p and quietly set
+    # bias-check.n_p; here [DEFAULT] is a section like any other, and an
+    # unknown one (the one intended divergence from reference_config)
+    text = "[DEFAULT]\nn_p = 12\n" + SHIPPED["bias_check"]
+    assert reference_config.parse_config(text) == (
+        None, ["run.n_p: unknown key"])
+    assert parse_config(text) == (None, ["DEFAULT: unknown section"])
+    later = SHIPPED["bias_check"] + "\n[DEFAULT]\nseed = 3\n"
+    assert parse_config(later) == (None, ["DEFAULT: unknown section"])
+
+
 def test_shipped_configs_take_snapshots_inside_the_run():
     cfg, errors = parse_config(SHIPPED["relax_h2"])
     assert not errors

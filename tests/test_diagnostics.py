@@ -462,7 +462,7 @@ class TestRelaxWorkingSet:
     def test_preflight_refuses_below_the_estimate(self, monkeypatch):
         st, pes, params = self.setup_run()
         need = relax_memory_estimate(st.grid, params, 3, (3,), n_stack=1)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
 
         def refused():
@@ -471,7 +471,7 @@ class TestRelaxWorkingSet:
 
         _, peak = traced_peak(refused)
         assert peak < 8 * self.N * self.N  # not one table was built
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         trace, _, snaps = relax(st, pes, params, 3, 2, (3,))
         assert len(trace) == 3 and set(snaps) == {3}

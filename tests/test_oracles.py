@@ -6,17 +6,19 @@ from scipy.integrate import solve_ivp
 
 import kvnmd.oracles as oracles
 import kvnmd.propagator
-from kvnmd.electronic import PesModel, morse_pes
+from kvnmd.electronic import PesModel, bundled_h2_table, morse_pes, pauli_pes
 from kvnmd.errors import MemoryBudgetError, SamplerWarning
 from kvnmd.grid import build_grid
 from kvnmd.oracles import (canonical_sampler, cos_filter_stationary_bias,
                            histogram_density, langevin_ensemble,
                            langevin_memory_estimate, sampler_memory_estimate,
                            trajectory_stream, verlet_blocks, verlet_ensemble)
-from reference_steps import (full_grid_filter_bias, one_draw_langevin,
-                             traced_peak, verlet_trajectory)
+from reference_steps import (concatenated_filter_bias, full_grid_filter_bias,
+                             one_draw_langevin, rp_verlet_blocks, traced_peak,
+                             verlet_trajectory)
 
 MORSE = morse_pes(de=0.1744, alpha=1.02764, re=1.40201)
+H2 = pauli_pes(bundled_h2_table())
 MU = 918.0
 
 
@@ -79,7 +81,7 @@ class TestVerlet:
         # 8 x 2^16 + 1 records of 256 trajectories, about 2 GiB
         n_steps, n_traj = 8 << 16, 256
         need = 2 * 8 * (n_steps + 1) * n_traj
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
 
         def refused():
@@ -93,10 +95,10 @@ class TestVerlet:
     def test_preflight_passes_at_the_request(self, monkeypatch):
         need = 2 * 8 * 11 * 3  # R and P, 11 records of 3 trajectories
         r0 = np.array([1.5, 1.7, 2.0])
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         verlet_ensemble(MORSE, MU, r0, np.zeros(3), dt=1.0, n_steps=10)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         with pytest.raises(MemoryBudgetError):
             verlet_ensemble(MORSE, MU, r0, np.zeros(3), dt=1.0, n_steps=10)
@@ -113,22 +115,63 @@ class TestVerlet:
 
 @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 640])
 def test_verlet_blocks_repeat_one_run(n_steps):
-    # blocks of _BLOCK steps, each restarting from the last record of the
-    # one before, hold the records of one run bit for bit
+    # blocks of _BLOCK steps, each starting from the last record of the
+    # one before, hold the R records of one run and of the previous (R, P)
+    # blocks bit for bit; they share one array, so each is copied as it
+    # comes
     r0 = np.linspace(1.3, 1.7, 5)
     p0 = np.linspace(-4.0, 4.0, 5)
     full = verlet_ensemble(MORSE, MU, r0, p0, dt=1.0, n_steps=n_steps)
-    blocks = list(verlet_blocks(MORSE, MU, r0, p0, dt=1.0, n_steps=n_steps))
-    assert [len(b.times) - 1 for b in blocks] == \
+    views = []
+    blocks = []
+    for b in verlet_blocks(MORSE, MU, r0, p0, dt=1.0, n_steps=n_steps):
+        assert b.P is None
+        views.append(b.R)
+        blocks.append((b.times.copy(), b.R.copy()))
+    assert all(np.shares_memory(v, views[0]) for v in views)
+    assert [len(r) - 1 for _, r in blocks] == \
         [min(oracles._BLOCK, n_steps - s)
          for s in range(0, n_steps, oracles._BLOCK)]
-    for prev, nxt in zip(blocks, blocks[1:]):
-        np.testing.assert_array_equal(prev.R[-1], nxt.R[0])
-        np.testing.assert_array_equal(prev.P[-1], nxt.P[0])
-    joined_r = np.concatenate([blocks[0].R] + [b.R[1:] for b in blocks[1:]])
-    joined_p = np.concatenate([blocks[0].P] + [b.P[1:] for b in blocks[1:]])
+    for (_, prev), (_, nxt) in zip(blocks, blocks[1:]):
+        np.testing.assert_array_equal(prev[-1], nxt[0])
+    joined_r = np.concatenate([blocks[0][1]] + [r[1:] for _, r in blocks[1:]])
+    joined_t = np.concatenate([blocks[0][0]] + [t[1:] for t, _ in blocks[1:]])
     np.testing.assert_array_equal(joined_r, full.R)
-    np.testing.assert_array_equal(joined_p, full.P)
+    np.testing.assert_array_equal(joined_t, full.times)
+    old = list(rp_verlet_blocks(MORSE, MU, r0, p0, dt=1.0, n_steps=n_steps))
+    assert len(old) == len(blocks)
+    for ens, (_, r) in zip(old, blocks):
+        np.testing.assert_array_equal(ens.R, r)
+
+
+@pytest.mark.parametrize("pes", [MORSE, H2], ids=["morse", "h2"])
+@pytest.mark.parametrize("n_traj, n_steps", [(512, 10_000), (64, 3000),
+                                             (8, 100)])
+def test_verlet_blocks_peak_stays_within_the_estimate(pes, n_traj, n_steps):
+    # one R block and the step's vectors, at any run length; 16 KiB for
+    # numpy's small objects
+    r0 = np.linspace(1.3, 1.7, n_traj)
+    p0 = np.linspace(-4.0, 4.0, n_traj)
+
+    def drain():
+        for _ in verlet_blocks(pes, MU, r0, p0, 1.0, n_steps):
+            pass
+
+    _, peak = traced_peak(drain)
+    assert peak <= oracles.verlet_blocks_memory_estimate(n_steps, n_traj) \
+        + 2 ** 14
+
+
+def test_verlet_blocks_preflight_refuses_before_the_block(monkeypatch):
+    need = oracles.verlet_blocks_memory_estimate(640, 1000)
+    r0 = np.full(1000, 1.4)
+    monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                        lambda: need - 1)
+    with pytest.raises(MemoryBudgetError, match="verlet_blocks"):
+        next(verlet_blocks(MORSE, MU, r0, 0.0, 1.0, 640))
+    monkeypatch.setattr(kvnmd.propagator, "_available_memory", lambda: need)
+    assert next(verlet_blocks(MORSE, MU, r0, 0.0, 1.0, 640)).R.shape == \
+        (oracles._BLOCK + 1, 1000)
 
 
 @pytest.mark.parametrize("integrator", ["verlet", "langevin"])
@@ -160,7 +203,7 @@ class TestLangevin:
         kwargs = dict(pes=MORSE, mu=MU, gamma=0.01, t=0.003, dt=1.0,
                       n_steps=40, n_traj=9, seed=5, r0=1.6)
         a = langevin_ensemble(**kwargs)
-        monkeypatch.setattr(oracles, "_BLOCK", 3)
+        monkeypatch.setattr(oracles, "_NOISE_BLOCK", 3)
         b = langevin_ensemble(**kwargs)
         np.testing.assert_array_equal(a.R, b.R)
         np.testing.assert_array_equal(a.P, b.P)
@@ -169,7 +212,8 @@ class TestLangevin:
         # three noise blocks and a remainder, drawn block by block from the
         # per-trajectory streams, against each series drawn in one call
         kwargs = dict(pes=MORSE, mu=MU, gamma=0.02, t=0.003, dt=0.5,
-                      n_steps=3 * oracles._BLOCK + 17, n_traj=6, seed=11,
+                      n_steps=3 * oracles._NOISE_BLOCK + 17, n_traj=6,
+                      seed=11,
                       r0=1.40201)
         got = langevin_ensemble(**kwargs)
         ref = one_draw_langevin(**kwargs)
@@ -214,7 +258,7 @@ class TestLangevin:
         # noise and Generators for 10^5 trajectories, about 0.57 GB
         n_steps, n_traj = 2000, 100_000
         need = langevin_memory_estimate(n_steps, n_traj, 20)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
 
         def refused():
@@ -225,7 +269,7 @@ class TestLangevin:
 
         _, peak = traced_peak(refused)
         assert peak < 2 ** 16
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: langevin_memory_estimate(3, 2))
         assert langevin_ensemble(MORSE, MU, 0.02, 0.003, 0.5, 3, 2, 11,
                                  1.40201).R.shape == (4, 2)
@@ -278,7 +322,7 @@ class TestCanonicalSampler:
     def test_preflight_refuses_before_allocating(self, monkeypatch):
         n_samples = 10 ** 8  # 1.6 GB of samples
         monkeypatch.setattr(
-            kvnmd.propagator, "_physical_memory",
+            kvnmd.propagator, "_available_memory",
             lambda: sampler_memory_estimate(n_samples) - 1)
 
         def refused():
@@ -289,7 +333,7 @@ class TestCanonicalSampler:
 
         _, peak = traced_peak(refused)
         assert peak < 2 ** 16
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: sampler_memory_estimate(64))
         r, p = canonical_sampler(MORSE, MU, 0.003, 64, 11, (0.8, 3.0))
         assert r.shape == p.shape == (64,)
@@ -336,6 +380,21 @@ class TestCosFilterStationaryBias:
         for s in (0.001, 0.005, 0.02):
             ratio = cos_filter_stationary_bias(s) / (0.5 * math.tanh(s))
             assert 1.0 < ratio < 1.02
+
+    @pytest.mark.parametrize("s, kwargs", [
+        (0.005, {}), (0.01, {}), (0.05, {}), (0.01, {"n_points": 1 << 15}),
+        (0.01, {"n_terms": 400, "n_points": 1 << 18, "kappa_max": 12.0})])
+    def test_matches_the_concatenated_product_bit_for_bit(self, s, kwargs):
+        # the mirror written in place, the tail factor, the squares and the
+        # trapezoids in reused buffers change no operation
+        assert repr(cos_filter_stationary_bias(s, **kwargs)) == \
+            repr(concatenated_filter_bias(s, **kwargs))
+
+    def test_peak_of_the_shipped_quadrature(self):
+        # 2^17 + 1 nodes: kappa, the mirrored product and np.gradient's
+        # temporaries; the concatenated form peaked at 6.5 MiB
+        _, peak = traced_peak(cos_filter_stationary_bias, 0.01)
+        assert peak <= 5.1 * 2 ** 20
 
     def test_insensitive_to_quadrature_settings(self):
         # refinement moves the value by ~3e-6 relative, far below the

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -581,7 +582,7 @@ class TestRowDilation:
     def test_bias_preflight_refuses_before_allocating(self, monkeypatch):
         grid, params = self.bias_grid(14, 0.05)
         need = _RowDilation.memory_estimate(grid)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
 
         def refused():
@@ -695,7 +696,7 @@ class TestMemoryPreflight:
         params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
                            t_phys=kelvin_to_hartree(947.0))
         pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: 4 * 2 ** 30)
         with pytest.raises(MemoryBudgetError, match="GiB"):
             build(grid, pes, params)
@@ -710,13 +711,13 @@ class TestMemoryPreflight:
         real = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
         cplx = KvnState(real.amplitudes * np.exp(0.3j), Basis.RP, grid)
         need = LangevinStepper.memory_estimate(grid, params.s, 2)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         stepper = LangevinStepper(grid, pes, params)
         stepper.step(real)
         with pytest.raises(MemoryBudgetError, match="LangevinStepper"):
             stepper.step(cplx)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         stepper.step(cplx)
 
@@ -724,25 +725,49 @@ class TestMemoryPreflight:
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         need = NvePropagator.memory_estimate(grid)
         pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         NvePropagator(grid, pes, 918.0, 0.5)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         with pytest.raises(MemoryBudgetError):
             NvePropagator(grid, pes, 918.0, 0.5)
 
+    @pytest.mark.parametrize("meminfo, available", [
+        ("MemTotal:        8222236 kB\nMemFree:         6381396 kB\n"
+         "MemAvailable:    7694060 kB\n", 7694060 * 1024),
+        ("MemTotal:        8222236 kB\n", None),
+        ("MemAvailable:    n/a\n", None),
+        ("MemAvailable:\n", None),
+    ])
+    def test_reads_memavailable_else_physical_memory(self, monkeypatch,
+                                                     tmp_path, meminfo,
+                                                     available):
+        # MemAvailable counts reclaimable cache, which MemFree does not;
+        # a host without a readable one falls back to its physical memory
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        path = tmp_path / "meminfo"
+        path.write_text(meminfo)
+        monkeypatch.setattr(kvnmd.propagator, "_MEMINFO", str(path))
+        assert kvnmd.propagator._available_memory() == (available or physical)
+        monkeypatch.setattr(kvnmd.propagator, "_MEMINFO",
+                            str(tmp_path / "missing"))
+        assert kvnmd.propagator._available_memory() == physical
+
     @pytest.mark.parametrize("unavailable", ["missing", "raises"])
-    def test_skipped_where_memory_cannot_be_read(self, monkeypatch,
+    def test_skipped_where_memory_cannot_be_read(self, monkeypatch, tmp_path,
                                                  unavailable):
-        # hosts without os.sysconf (Windows) or without the page counts
+        # hosts without /proc/meminfo and without os.sysconf (Windows) or
+        # without the page counts
+        monkeypatch.setattr(kvnmd.propagator, "_MEMINFO",
+                            str(tmp_path / "missing"))
         if unavailable == "missing":
             monkeypatch.delattr(kvnmd.propagator.os, "sysconf")
         else:
             def sysconf(name):
                 raise ValueError(f"unrecognized configuration name {name}")
             monkeypatch.setattr(kvnmd.propagator.os, "sysconf", sysconf)
-        assert kvnmd.propagator._physical_memory() is None
+        assert kvnmd.propagator._available_memory() is None
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
                            t_phys=kelvin_to_hartree(947.0))

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvnmd.constants import SECONDS_PER_AU_TIME, kelvin_to_hartree
 from kvnmd.diagnostics import canonical_reference, kinetic_temperature
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import ConfigurationError, ResolutionError
+from kvnmd.errors import (ConfigurationError, MemoryBudgetError,
+                          ResolutionError)
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian
-from kvnmd.oracles import canonical_sampler
+from kvnmd.oracles import canonical_sampler, verlet_blocks
+import kvnmd.propagator
 from kvnmd.tst import (_BLOCK, ArrheniusFit, TstConfig,
                        analytic_canonical_state, arrhenius_sweep,
-                       crossing_reference, tst_rate)
+                       crossing_memory_estimate, crossing_reference, tst_rate)
+from kvnmd.vdos import _trajectory_correlation
 from reference_steps import (dividing_surface_flux, full_history_crossings,
-                             reactant_population, table_canonical_reference,
-                             traced_peak)
+                             reactant_population, rp_verlet_blocks,
+                             table_canonical_reference, traced_peak)
 
 MU = 918.0
 TEMPS = (2500.0, 5000.0, 10000.0)
@@ -303,15 +308,42 @@ class TestCrossingReference:
 
     def test_memory_does_not_grow_with_run_length(self):
         # a full history of 512 trajectories x 10 001 records of R and P
-        # would be 78 MiB (89 MiB peak); the counter holds two blocks of
-        # _BLOCK + 1 records (4 MiB) and their temporaries
+        # would be 78 MiB (89 MiB peak); the counter holds one R block of
+        # _BLOCK + 1 records (1 MiB), the samples, the step's vectors and
+        # the block's crossing test, the same at 4 and at 39 blocks; 16 KiB
+        # for numpy's small objects
         pes = double_well(v_b=0.01, a=1.0)
         cfg = TstConfig(r_dividing=0.0)
-        cross, peak = traced_peak(crossing_reference, pes, MU, 10000.0, 512,
-                                  20000.0, 7, cfg, (-2.4, 2.4))
-        assert cross.n_cross > 100
+        # a first short run imports numpy.random, outside the estimate
+        crossing_reference(pes, MU, 10000.0, 4, 10.0, 7, cfg, (-2.4, 2.4))
+        peaks = []
+        for t_sim in (8.0 * _BLOCK, 20000.0):
+            cross, peak = traced_peak(crossing_reference, pes, MU, 10000.0,
+                                      512, t_sim, 7, cfg, (-2.4, 2.4))
+            assert cross.n_cross > 100
+            assert peak <= crossing_memory_estimate(512, t_sim) + 2 ** 14
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 2 ** 12
         block = 2 * 8 * (_BLOCK + 1) * 512
-        assert peak < 4 * block
+        assert peaks[1] < 4 * block
+
+    def test_preflight_refuses_before_sampling(self, monkeypatch):
+        pes = double_well(v_b=0.01, a=1.0)
+        cfg = TstConfig(r_dividing=0.0)
+        args = (pes, MU, 10000.0, 512, 2000.0, 7, cfg, (-2.4, 2.4))
+        need = crossing_memory_estimate(512, 2000.0)
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                            lambda: need - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetError, match="crossing_reference"):
+                crossing_reference(*args)
+
+        _, peak = traced_peak(refused)
+        assert peak < 2 ** 14
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                            lambda: need)
+        assert crossing_reference(*args).n_cross > 0
 
     def test_cold_deep_well_pins_to_detection_floor(self):
         pes = double_well(v_b=0.15, a=1.0)
@@ -339,3 +371,29 @@ class TestCrossingReference:
         with pytest.raises(ConfigurationError):
             crossing_reference(flat_pes(), MU, 300.0, 8, -5.0, 1, cfg,
                                (-1.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_steps=st.integers(min_value=1, max_value=3 * _BLOCK + 3)
+       | st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK]),
+       n_traj=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_r_blocks_count_and_correlate_as_the_rp_blocks(n_steps, n_traj, seed):
+    # the one reused R block against the previous fresh (R, P) blocks:
+    # the same crossing count, and the same vdos reference correlation
+    # c_t bit for bit, across block boundaries
+    pes = double_well(v_b=0.01, a=1.0)
+    cfg = TstConfig(r_dividing=0.0)
+    cross = crossing_reference(pes, MU, 10000.0, n_traj, 2.0 * n_steps, seed,
+                               cfg, (-2.4, 2.4), dt=2.0)
+    r0, p0 = canonical_sampler(pes, MU, kelvin_to_hartree(10000.0), n_traj,
+                               seed, (-2.4, 2.4))
+    old = sum(int(np.count_nonzero((ens.R[:-1] < 0.0) & (ens.R[1:] >= 0.0)))
+              for ens in rp_verlet_blocks(pes, MU, r0, p0, 2.0, n_steps))
+    assert cross.n_cross == old
+    c_t, stride = _trajectory_correlation(
+        verlet_blocks(pes, MU, r0, p0, 2.0, n_steps), 20.0)
+    c_old, stride_old = _trajectory_correlation(
+        rp_verlet_blocks(pes, MU, r0, p0, 2.0, n_steps), 20.0)
+    assert stride == stride_old == 10
+    np.testing.assert_array_equal(c_t, c_old)

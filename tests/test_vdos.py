@@ -359,11 +359,11 @@ class TestBranchSpectraMemory:
         grid, eq = self.equilibrium("real")
         cfg = QpeConfig(m=3, tau=20.0)
         need = self.count(grid, "real")
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         with pytest.raises(MemoryBudgetError, match="branch_spectra"):
             branch_spectra(eq, harmonic(), MU, cfg, W0)
-        monkeypatch.setattr(kvnmd.propagator, "_physical_memory",
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
         branch_spectra(eq, harmonic(), MU, cfg, W0)
 
