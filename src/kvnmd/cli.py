@@ -168,12 +168,14 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     derived = {"s": params.s, "t_int_hartree": params.t_int,
                "t_int_kelvin": hartree_to_kelvin(params.t_int),
                "sigma_h_au": params.sigma_h, "collapsed": trace.collapsed,
+               "collapsed_at_step": trace.collapsed_at_step,
                "friction_leak_max": trace.friction_leak_max,
                "filter_yield_min": trace.success_probability_min,
                **_grid_derived(grid)}
     if trace.collapsed:
-        print("numerical failure: filter success probability collapsed; "
-              "trace truncated", file=sys.stderr)
+        print(f"numerical failure: the state collapsed at step "
+              f"{trace.collapsed_at_step}; the trace ends at its last record",
+              file=sys.stderr)
         return EXIT_NUMERICAL, derived, outputs
     return EXIT_OK, derived, outputs
 
@@ -424,8 +426,23 @@ class _WarningTally:
         self._show(message, category, filename, lineno, file, line)
 
 
+_STATUS = "/proc/self/status"
+
+
 def _peak_rss_bytes() -> int | None:
-    """Peak resident set of this process; None where it cannot be read."""
+    """Peak resident set of this process; None where it cannot be read.
+
+    Where the host reports VmHWM (Linux), that is the peak: exec resets
+    it. ru_maxrss is the fallback. On Linux it keeps the peak of the
+    process that started this one by vfork, when that is larger.
+    """
+    try:
+        with open(_STATUS) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return 1024 * int(line.split()[1])  # in kB
+    except (OSError, ValueError, IndexError):
+        pass
     if resource is None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -78,8 +78,9 @@ class RelaxationTrace:
     """Per-record monitor series of one relaxation run.
 
     Besides the series it keeps the largest friction leak and the
-    smallest filter success probability over all completed steps, and
-    the wall time spent computing the monitors.
+    smallest filter success probability over all completed steps, the
+    step whose filter or friction emptied the state (None when none
+    did), and the wall time spent computing the monitors.
     """
 
     time_fs: list[float] = field(default_factory=list)
@@ -87,7 +88,7 @@ class RelaxationTrace:
     t_kin_kelvin: list[float] = field(default_factory=list)
     d_kl_nats: list[float] = field(default_factory=list)
     cum_success_prob: list[float] = field(default_factory=list)
-    collapsed: bool = False
+    collapsed_at_step: int | None = None
     friction_leak_max: float = 0.0
     success_probability_min: float = 1.0
     monitor_seconds: float = 0.0
@@ -101,6 +102,10 @@ class RelaxationTrace:
 
     def __len__(self) -> int:
         return len(self.time_fs)
+
+    @property
+    def collapsed(self) -> bool:
+        return self.collapsed_at_step is not None
 
 
 class CanonicalDensity:
@@ -172,34 +177,40 @@ def relax_memory_estimate(grid: PhaseSpaceGrid, params: LangevinParams,
                           n_stack: int) -> int:
     """Bytes that `relax` holds for a stack of n_stack (1 for a real
     initial table, 2 for a complex one, see `_real_stack`): the
-    stepper's fixed working set plus one float64 density per snapshot
-    taken."""
+    stepper's fixed working set for one stack stepped in place, plus one
+    float64 density per snapshot taken before the last step. The last
+    step's snapshot is the density formed in the stepper's plane, which
+    no step overwrites again."""
     n_r, n_p = grid.shape
-    taken = set(snapshot_steps) & set(range(n_steps + 1))
-    return (LangevinStepper.memory_estimate(grid, params.s, n_stack)
-            + 8 * n_r * n_p * len(taken))
+    copies = set(snapshot_steps) & set(range(n_steps))
+    return (LangevinStepper.memory_estimate(grid, params.s, n_stack,
+                                            in_place=True)
+            + 8 * n_r * n_p * len(copies))
 
 
 def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
           n_steps: int, record_every: int = 1,
           snapshot_steps: tuple[int, ...] = ()) \
-        -> tuple[RelaxationTrace, KvnState, dict[int, np.ndarray]]:
+        -> tuple[RelaxationTrace, KvnState | None, dict[int, np.ndarray]]:
     """Drive the thermostated step and record the relaxation monitors.
 
     Records at step 0, every `record_every` steps, and the final step.
-    A filter collapse truncates the trace at the last completed step and
-    sets the collapsed flag instead of propagating. Snapshot densities
-    are taken at the requested step indices. Step 0 reads the initial
-    table; afterwards the amplitude rests in the half-spectrum layout of
-    the stepping core, two stacks that the steps alternate, and records
-    and snapshots read its density from the stepper's real plane. The
-    working set is the stepper's tables, the two stacks and the plane:
-    the spare stack is dropped once the last step has returned, before
-    the last density and snapshot are formed, and the final state is
-    transformed back to (R, P), with the dtype of the initial table,
-    only after the stepper is released. The initial table is released
-    once it is read, before the stepper's tables are built, so a caller
-    that passes a temporary does not hold it during the run.
+    Snapshot densities are taken at the requested step indices. Step 0
+    reads the initial table; afterwards the amplitude rests in the
+    half-spectrum layout of the stepping core, one stack that each step
+    overwrites in place, and records and snapshots read its density from
+    the stepper's real plane. The working set is the stepper's tables,
+    the stack and the plane. A snapshot at the last step is the density
+    in the plane itself, since no step follows to overwrite it. The
+    final state is transformed back to (R, P), with the dtype of the
+    initial table, only after the stepper is released. The initial
+    table is released once it is read, before the stepper's tables are
+    built, so a caller that passes a temporary does not hold it during
+    the run.
+
+    A step that collapses, in the filter or in friction, leaves no state
+    from before it: the trace ends at its last record, records the
+    collapsing step in `collapsed_at_step`, and the final state is None.
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
@@ -232,19 +243,12 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     if 0 in snapshot_steps:
         snapshots[0] = rho
     rho = None
-    spare = np.empty_like(a)
-    last_recorded = 0
     for step in range(1, n_steps + 1):
         try:
-            stepped, report = stepper.advance(a, out=spare)
+            a, report = stepper.advance(a, out=a)
         except FilterCollapseError:
-            if last_recorded != step - 1:
-                record(step - 1, stepper.density(a))
-            trace.collapsed = True
+            trace.collapsed_at_step = step
             break
-        a, spare = stepped, a
-        if step == n_steps:
-            spare = None  # a last snapshot reuses its memory
         log_cum += report.log_success
         trace.friction_leak_max = max(trace.friction_leak_max,
                                       report.friction_leak)
@@ -254,11 +258,13 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
         if recording or step in snapshot_steps:
             rho = stepper.density(a)
             if step in snapshot_steps:
-                snapshots[step] = rho.copy()
+                snapshots[step] = rho if step == n_steps else rho.copy()
             if recording:
                 record(step, rho)
-                last_recorded = step
-    # the tables and the plane go with the stepper; rho is a view of it
-    del spare, stepper, rho
+    # the tables go with the stepper, and the plane too unless the last
+    # snapshot is a view of it
+    del stepper, rho
+    if trace.collapsed:
+        return trace, None, snapshots
     final = KvnState(_rp_table(a, grid.shape[0], dtype), Basis.RP, grid)
     return trace, final, snapshots

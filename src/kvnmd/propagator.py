@@ -48,16 +48,17 @@ orthonormal, so norms keep their meaning in every representation once
 the half-spectrum rows carry the Hermitian weights 1, 2, ..., 2, 1.
 
 A step needs three state-sized arrays besides its tables: the input
-stack, the output stack and one real (S, N_R + 2, N_P) plane. The kick's
-(R, k_P) half spectrum lives in the output stack, which is dead between
-irfft_R and rfft_R and holds N_P - N_R more complex values than the
-spectrum, so only an N_R > N_P grid gives the stepper a separate
-spectrum buffer. The transforms use the plane's first N_R rows. Once
-rfft_R has read them, friction takes all N_R + 2 = 2 (N_R/2 + 1): the
-real or imaginary part of the k_R rows is copied into one half, so that
-BLAS reads a contiguous operand, and multiplied into the other. Without
-the two extra rows numpy would make that copy itself, in a buffer of
-its own outside the working set.
+stack, the output stack and one real (S, N_R + 2, N_P) plane, or two
+when the output is the input, as in `relax`, which steps its one stack
+in place. The kick's (R, k_P) half spectrum lives in the output stack,
+which is dead between irfft_R and rfft_R and holds N_P - N_R more
+complex values than the spectrum, so only an N_R > N_P grid gives the
+stepper a separate spectrum buffer. The transforms use the plane's
+first N_R rows. Once rfft_R has read them, friction takes all
+N_R + 2 = 2 (N_R/2 + 1): the real or imaginary part of the k_R rows is
+copied into one half, so that BLAS reads a contiguous operand, and
+multiplied into the other. Without the two extra rows numpy would make
+that copy itself, in a buffer of its own outside the working set.
 
 Friction has two implementations of one interpolant, because its two
 callers differ. A Langevin step multiplies its N_R/2 + 1 rows per
@@ -647,13 +648,15 @@ def _rp_table(a: np.ndarray, n_r: int, dtype=np.complex128) -> np.ndarray:
     """(R, P) table of a resting stack; a stack of one has `dtype`.
 
     irfft_R takes a fresh array, which a stack of one of dtype float64
-    returns as is.
+    returns as is. A stack of two is transformed one part at a time, so
+    that one real plane is held beside the table, not two.
     """
-    planes = np.fft.irfft(a, n_r, axis=-2, norm="ortho")
-    if len(planes) == 1:
-        return planes[0].astype(dtype, copy=False)
-    table = np.empty(planes.shape[1:], np.complex128)
-    table.real, table.imag = planes
+    if len(a) == 1:
+        return np.fft.irfft(a[0], n_r, axis=0, norm="ortho").astype(
+            dtype, copy=False)
+    table = np.empty((n_r, a.shape[-1]), np.complex128)
+    for part, plane in zip(a, (table.real, table.imag)):
+        plane[...] = np.fft.irfft(part, n_r, axis=0, norm="ortho")
     return table
 
 
@@ -678,10 +681,10 @@ class LangevinStepper:
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
                  params: LangevinParams):
-        # the minimum, a stack of one; `step` and `relax` preflight the
-        # height of the state they are given
+        # the minimum, a stack of one stepped in place; `step` and
+        # `relax` preflight the height of the state they are given
         _preflight("LangevinStepper",
-                   self.memory_estimate(grid, params.s, 1))
+                   self.memory_estimate(grid, params.s, 1, in_place=True))
         self.grid = grid
         self.params = params
         _, force = tabulate_pes(pes, grid.R)
@@ -704,17 +707,18 @@ class LangevinStepper:
                 f"the step", FilterBandWarning)
 
     @staticmethod
-    def memory_estimate(grid: PhaseSpaceGrid, s: float,
-                        n_stack: int) -> int:
+    def memory_estimate(grid: PhaseSpaceGrid, s: float, n_stack: int,
+                        in_place: bool = False) -> int:
         """Bytes of the fixed working set for a stack of n_stack (1 for a
         real state, 2 for a complex one): the half phase tables, the
-        friction table for s = gamma*dt, the two resting stacks a step
-        reads and writes, the real plane of N_R + 2 rows, and on an
-        N_R > N_P grid the kick's half spectrum."""
+        friction table for s = gamma*dt, the resting stacks a step reads
+        and writes (two, or one for `advance(a, out=a)` with `in_place`),
+        the real plane of N_R + 2 rows, and on an N_R > N_P grid the
+        kick's half spectrum."""
         n_r, n_p = grid.shape
         rows, cols = n_r // 2 + 1, n_p // 2 + 1
         half_tables = 16 * (rows * n_p + n_r * cols)
-        stacks = 2 * 16 * rows * n_p
+        stacks = (1 if in_place else 2) * 16 * rows * n_p
         plane = 8 * 2 * rows * n_p
         spectrum = 16 * n_r * cols if n_r > n_p else 0
         return (half_tables + _friction_table_bytes(grid, s)
@@ -774,8 +778,9 @@ class LangevinStepper:
     def advance(self, a: np.ndarray, out: np.ndarray | None = None) \
             -> tuple[np.ndarray, StepReport]:
         """One step of a resting stack into `out`, a C-contiguous stack
-        of the shape of `a`, or into a new stack without it; `a` is
-        kept."""
+        of the shape of `a`, or into a new stack without it. `a` is kept
+        unless it is `out`: `advance(a, out=a)` steps it in place, with
+        the same bits, and a step that raises leaves it overwritten."""
         n_r, n_p = self.grid.shape
         plane, y = self._planes(len(a))
         x = plane[:, :n_r]

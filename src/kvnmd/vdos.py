@@ -283,7 +283,8 @@ def _trajectory_correlation(blocks: Iterable[TrajectoryEnsemble],
     A block after the first repeats the last record of the one before as
     its first, which is skipped. Each block is read in place and fully
     summed before the next is asked for, so the blocks may share one
-    array. The stride is checked on the first block, before the rest are
+    array, and its one block-sized temporary is dropped by then. The
+    stride is checked on the first block, before the rest are
     integrated. Only two sums per record are kept:
     with r' = r - c, c the t = 0 ensemble mean, S_t = sum_i r'_t,i r'_0,i
     and M_t = sum_i r'_t,i. With m_t = M_t / N and rbar the mean of m_t
@@ -312,6 +313,7 @@ def _trajectory_correlation(blocks: Iterable[TrajectoryEnsemble],
         shifted = r - centre
         s_parts.append(shifted @ r0)
         m_parts.append(shifted.sum(axis=1))
+        del shifted  # gone before the next block is integrated
     if r0 is None:
         raise ConfigurationError("need at least two trajectory records")
     n = len(r0)

@@ -212,17 +212,15 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
                      math.exp(log_cum))
 
     record(0)
-    last_recorded = 0
     if 0 in snapshot_steps:
         snapshots[0] = density(state)
     for step in range(1, n_steps + 1):
         try:
             a, report = stepper.advance(a)
         except FilterCollapseError:
-            if last_recorded != step - 1:
-                state = to_rp()
-                record(step - 1)
-            trace.collapsed = True
+            # the trace ends at its last record, with no final state
+            trace.collapsed_at_step = step
+            state = None
             break
         log_cum += report.log_success
         trace.friction_leak_max = max(trace.friction_leak_max,
@@ -234,7 +232,6 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
             state = to_rp()
         if recording:
             record(step)
-            last_recorded = step
         if step in snapshot_steps:
             snapshots[step] = density(state)
     return trace, state, snapshots

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import kvnmd.cli
 import kvnmd.propagator
 from kvnmd.cli import PHASES, main
 from kvnmd.errors import (BoundaryLeakWarning, FilterBandWarning,
-                          NonFiniteAmplitudeError)
+                          FilterCollapseError, NonFiniteAmplitudeError)
 from kvnmd.config import load_config, parse_config
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.grid import build_grid
@@ -315,6 +316,8 @@ class TestCliRelax:
         assert sum(timings.values()) <= manifest["wall_time_seconds"]
         assert 0.0 <= manifest["derived"]["friction_leak_max"] < 1e-3
         assert 0.0 < manifest["derived"]["filter_yield_min"] < 1.0
+        assert manifest["derived"]["collapsed"] is False
+        assert manifest["derived"]["collapsed_at_step"] is None
         assert manifest["warnings"] == []
 
     def test_warnings_are_counted_and_still_shown(self, tmp_path):
@@ -377,10 +380,64 @@ class TestCliRelax:
         assert phases["tables"] <= phases["propagate"] <= phases["write"] \
             <= memory["peak_rss_bytes"]
         # the stepper's working set on 2^6 x 2^6 for the real initial
-        # table, a stack of one, plus the two snapshots
+        # table, a stack of one stepped in place, plus the snapshot at
+        # step 0; the one at the last step, 40, is the stepper's plane
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
-        assert memory["estimate_bytes"] == \
-            LangevinStepper.memory_estimate(grid, 0.01, 1) + 2 * 8 * 64 * 64
+        assert memory["estimate_bytes"] == LangevinStepper.memory_estimate(
+            grid, 0.01, 1, in_place=True) + 8 * 64 * 64
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="the run's own peak is read from VmHWM")
+    def test_manifest_peaks_are_the_runs_own(self, tmp_path):
+        # subprocess starts the run by vfork from a launcher that has
+        # touched 200 MiB; the run's ru_maxrss would start at that peak
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(RELAX_SMALL)
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "import numpy as np\n"
+            "held = np.ones(200 << 17)\n"
+            "done = subprocess.run([sys.executable, '-m', 'kvnmd.cli', "
+            "*sys.argv[1:]])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(done.returncode)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, "--config", str(cfg), "--out",
+             str(tmp_path / "out")], env=env, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        touched = 200 << 20
+        assert 1024 * int(done.stdout.split()[-1]) >= touched  # in KiB
+        memory = json.loads(
+            (tmp_path / "out" / "manifest.json").read_text())["memory"]
+        assert memory["peak_rss_bytes"] < touched
+        assert set(memory["phase_peak_rss_bytes"]) == {"tables", "propagate",
+                                                       "write"}
+        assert all(peak < touched
+                   for peak in memory["phase_peak_rss_bytes"].values())
+
+    def test_forced_collapse_is_exit_3_with_its_step(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # the eighth step collapses, before the first record after step 0
+        advance, calls = LangevinStepper.advance, []
+
+        def collapsing(stepper, a, out=None):
+            calls.append(None)
+            if len(calls) == 8:
+                raise FilterCollapseError("forced collapse")
+            return advance(stepper, a, out)
+
+        monkeypatch.setattr(LangevinStepper, "advance", collapsing)
+        code, out = run_cli(tmp_path, RELAX_SMALL)
+        assert code == 3
+        assert "collapsed at step 8" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["collapsed"] is True
+        assert manifest["derived"]["collapsed_at_step"] == 8
+        assert len(read_csv(out / "relax_trace.csv")) == 1
+        assert set(manifest["outputs"]) == {"relax_trace.csv",
+                                            "snapshot_step000000.csv"}
 
 
 class TestCliVdos:
@@ -832,3 +889,31 @@ class TestBenchmarkTracer:
         assert "PesSection.build" not in record["missing"]
         assert {"config.load_config", "electronic.pes_build"} <= {
             span[0] for span in record["spans"]}
+
+
+class TestBenchmarkTracedRun:
+    @staticmethod
+    def reject_constant(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    @pytest.mark.parametrize("workload", ["relax-128", "relax-1024"])
+    def test_traced_relax_ends_in_a_result_line(self, tmp_path, workload):
+        # the traced benchmark run wraps diagnostics.relax; it must end in
+        # a strict JSON result line, every per-layer metric present, and
+        # not only exit 0. The copy keeps its work files out of the tree.
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                        ignore=shutil.ignore_patterns("work", "__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+        (tmp_path / "src").symlink_to(ROOT / "src")
+        done = subprocess.run(
+            [sys.executable, str(tmp_path / "perfbench" / "run.py"),
+             "--workload", workload, "--quick", "--trace", "1"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.strip().splitlines()[-1],
+                            parse_constant=self.reject_constant)
+        assert result["correct"] is True, done.stderr
+        assert result["failed"] == 0
+        assert sorted(result["metrics"]) == sorted(
+            m["name"] for m in spec["per_layer"])

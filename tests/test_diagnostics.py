@@ -277,9 +277,9 @@ class TestRelax:
                                 sigma_h=0.5 * math.pi / abs(k_star))
         with pytest.warns(FilterBandWarning):  # intentionally oversized
             trace, final, _ = relax(st, flat_pes(), params, 50)
-        assert trace.collapsed
+        assert trace.collapsed and trace.collapsed_at_step == 1
         assert len(trace) == 1  # only the initial record survives
-        assert abs(norm_squared(final) - 1.0) < 1e-12
+        assert final is None  # the step overwrote the only stack
 
     def test_record_stride_and_snapshots(self):
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
@@ -326,12 +326,15 @@ class TestRelaxMatchesTableDriver:
         for column in self.COLUMNS:
             np.testing.assert_allclose(getattr(trace, column),
                                        getattr(ref, column), rtol=1e-13)
-        assert trace.collapsed == ref.collapsed
+        assert trace.collapsed_at_step == ref.collapsed_at_step
         assert trace.friction_leak_max == ref.friction_leak_max
         assert trace.success_probability_min == ref.success_probability_min
         assert snaps.keys() == ref_snaps.keys()
         for step in snaps:
             np.testing.assert_array_equal(snaps[step], ref_snaps[step])
+        if ref_final is None:
+            assert final is None
+            return
         assert final.amplitudes.dtype == ref_final.amplitudes.dtype
         np.testing.assert_array_equal(final.amplitudes, ref_final.amplitudes)
 
@@ -344,7 +347,8 @@ class TestRelaxMatchesTableDriver:
     @pytest.mark.parametrize("stack", list(STACKS))
     def test_collapse_records_the_pre_step_stack(self, monkeypatch, stack):
         # the eighth step of each run collapses, between the records at
-        # steps 5 and 10, so both drivers record step 7 and end there
+        # steps 5 and 10; the stack it stepped in place is gone, so both
+        # drivers end the trace at step 5 with no final state
         advance = LangevinStepper.advance
         calls = []
 
@@ -359,9 +363,11 @@ class TestRelaxMatchesTableDriver:
         args = (st, h2_like_pes(), self.params(), 20, 5, (6, 8))
         run = relax(*args)
         self.assert_same_run(run, table_relax(*args))
-        trace, _, snaps = run
-        assert trace.collapsed and len(trace) == 3  # steps 0, 5 and 7
-        assert trace.time_fs[-1] == pytest.approx(7 * 0.5 * 0.02418884254)
+        trace, final, snaps = run
+        assert trace.collapsed_at_step == 8
+        assert len(trace) == 2  # steps 0 and 5
+        assert trace.time_fs[-1] == pytest.approx(5 * 0.5 * 0.02418884254)
+        assert final is None
         assert set(snaps) == {6}
 
 
@@ -380,11 +386,12 @@ class TestRelaxWorkingSet:
 
     def test_estimate_counts_each_snapshot_taken(self):
         st, _, params = self.setup_run()
-        fixed = LangevinStepper.memory_estimate(st.grid, params.s, 1)
+        fixed = LangevinStepper.memory_estimate(st.grid, params.s, 1,
+                                                in_place=True)
         table = 8 * self.N * self.N
         assert relax_memory_estimate(st.grid, params, 3, n_stack=1) == fixed
-        # step 9 is never reached and step 3 counts once
-        assert relax_memory_estimate(st.grid, params, 3, (0, 3, 3, 9),
+        # step 9 is never reached, and the last step, 3, reads the plane
+        assert relax_memory_estimate(st.grid, params, 3, (0, 2, 3, 3, 9),
                                      n_stack=1) == fixed + 2 * table
 
     @pytest.mark.parametrize("stack", ["real", "complex"])
@@ -398,16 +405,15 @@ class TestRelaxWorkingSet:
             st.grid, params, 3, (3,), n_stack=self.HEIGHTS[stack]) + 2 ** 19
 
     @pytest.mark.parametrize("stack", ["real", "complex"])
-    def test_peak_is_the_tables_and_three_state_arrays(self, stack):
-        # the input and output stacks and the real plane of N_R + 2 rows:
+    def test_peak_is_the_tables_and_two_state_arrays(self, stack):
+        # the stack, stepped in place, and the real plane of N_R + 2 rows:
         # the kick's half spectrum and the friction products share them,
-        # the last snapshot takes the spare stack's place, and the final
-        # table is formed once the stepper is gone; 512 KiB for numpy's
-        # buffers
+        # the last snapshot is the plane's density, and the final table
+        # is formed once the stepper is gone; 512 KiB for numpy's buffers
         st, pes, params = self.setup_run(stack)
         n, rows = self.N, self.N // 2 + 1
         tables = 2 * 16 * rows * n + 8 * n * n
-        arrays = self.HEIGHTS[stack] * (2 * 16 * rows * n + 8 * 2 * rows * n)
+        arrays = self.HEIGHTS[stack] * (16 * rows * n + 8 * 2 * rows * n)
         relax(st, pes, params, 1)  # leaves the FFT plan caches warm
         _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
         assert peak <= tables + arrays + 2 ** 19

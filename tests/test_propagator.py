@@ -373,7 +373,7 @@ class TestThermostatedStep:
             LangevinStepper(grid, pes, params).step(st)
 
     def test_advance_keeps_its_input(self):
-        # relax records the pre-step table when a step collapses
+        # into a fresh stack; relax passes out=a and steps in place
         params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
                            t_phys=kelvin_to_hartree(947.0))
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))

@@ -13,7 +13,8 @@ readout branches commute with complex conjugation, the corrected
 internal temperature against the filter's product oracle, the
 relaxation monitors read from marginals against the table monitors, and
 the canonical product's rate sums and tables against the sums over the
-exponent table.
+exponent table, and the peak allocation of a relaxation against its
+memory estimate.
 """
 
 import dataclasses
@@ -28,21 +29,25 @@ from hypothesis import strategies as st
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.diagnostics import (KL_FLOOR, CanonicalDensity,
                                canonical_reference, kinetic_temperature,
-                               kl_divergence, mean_R)
+                               kl_divergence, mean_R, relax,
+                               relax_memory_estimate)
 from kvnmd.electronic import morse_pes, tabulate_pes
 from kvnmd.errors import ResolutionError
-from kvnmd.grid import Basis, KvnState, build_grid, density, norm_squared
+from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
+                        norm_squared)
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
                               LangevinStepper, NvePropagator, _RowDilation,
-                              _dilate, _phase_tables, calibrate,
-                              corrected_internal_temperature, diffusion_step)
+                              _dilate, _phase_tables, _real_stack,
+                              calibrate, corrected_internal_temperature,
+                              diffusion_step)
 from kvnmd.tst import TstConfig, tst_rate
 from kvnmd.vdos import prepare_branch_states
 from reference_steps import (dense_friction_table, dividing_surface_flux,
                              friction_step, masked_friction_table, nve_step,
                              one_expression_phase_tables, reactant_population,
-                             step_autocorrelation, table_canonical_reference)
+                             step_autocorrelation, table_canonical_reference,
+                             traced_peak)
 
 MU = 918.0
 PES = morse_pes(de=0.17, alpha=1.0, re=1.4)
@@ -418,3 +423,40 @@ def test_canonical_product_matches_the_tables(n_r, n_p, t_kelvin, r_frac,
                                atol=0.0)
     np.testing.assert_allclose(canonical_reference(grid, PES, MU, t), rho,
                                rtol=1e-13, atol=0.0)
+
+
+# relax's initial tables: real and complex with no imaginary part (a stack
+# of one), and complex with a phase (a stack of two)
+INITIAL_TABLES = {"real": lambda a: a,
+                  "complex-real": lambda a: a.astype(complex),
+                  "complex": lambda a: a * np.exp(0.3j)}
+
+
+@PROPERTY_SETTINGS
+@given(n_r=st.integers(min_value=4, max_value=7),
+       n_p=st.integers(min_value=4, max_value=7),
+       kind=st.sampled_from(list(INITIAL_TABLES)),
+       n_steps=st.integers(min_value=1, max_value=3),
+       more_steps=st.sets(st.integers(min_value=1, max_value=5), max_size=2))
+def test_relax_peak_stays_within_its_estimate(n_r, n_p, kind, n_steps,
+                                              more_steps):
+    # snapshots at step 0, at the last step and at any others, reached or
+    # not; the density of a stack of two goes through a block of 8192
+    # complex values (128 KiB), which the estimate leaves out, and 32 KiB
+    # of small objects come on top
+    grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
+    packet = encode_gaussian(grid, 1.6, 0.0, 3.0 * grid.dR, 3.0 * grid.dP)
+    initial = KvnState(INITIAL_TABLES[kind](packet.amplitudes), Basis.RP,
+                       grid)
+    params = calibrate(mu=MU, gamma=0.02, dt=0.5,
+                       t_phys=kelvin_to_hartree(947.0))
+    snapshots = tuple(sorted({0, n_steps} | more_steps))
+    with warnings.catch_warnings():
+        # the filter band and the leak do not change what a run holds
+        warnings.simplefilter("ignore")
+        relax(initial, PES, params, 1)  # leaves the FFT plan caches warm
+        _, peak = traced_peak(relax, initial, PES, params, n_steps, 1,
+                              snapshots)
+    assert peak <= relax_memory_estimate(
+        grid, params, n_steps, snapshots,
+        n_stack=len(_real_stack(initial.amplitudes))) + 2 ** 17 + 2 ** 15

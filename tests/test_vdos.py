@@ -5,12 +5,13 @@ import pytest
 
 from kvnmd.constants import WAVENUMBER_PER_HARTREE, kelvin_to_hartree
 from kvnmd.diagnostics import canonical_reference
-from kvnmd.electronic import PesModel, morse_pes
+from kvnmd.electronic import PesModel, bundled_h2_table, morse_pes, pauli_pes
 from kvnmd.errors import (ConfigurationError, DomainError, MemoryBudgetError,
                           NonFiniteAmplitudeError, SingularityError)
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
-from kvnmd.oracles import (TrajectoryEnsemble, canonical_sampler,
-                           verlet_blocks, verlet_ensemble)
+from kvnmd.oracles import (_BLOCK, TrajectoryEnsemble, canonical_sampler,
+                           verlet_blocks, verlet_blocks_memory_estimate,
+                           verlet_ensemble)
 import kvnmd.propagator
 from kvnmd.propagator import NvePropagator
 from kvnmd.tst import analytic_canonical_state
@@ -590,3 +591,20 @@ class TestStreamedReference:
         spec, peak = traced_peak(aimd_reference_spectrum, blocks, cfg)
         assert peak < 8 * 2 ** 20
         assert abs(spec.peak_bin - W0 / cfg.bin_width) <= 2
+
+    def test_correlation_holds_one_block_temporary(self):
+        # vdos_h2.ini's 256 H2 trajectories over 1024 steps: the R block
+        # and the step vectors of verlet_blocks, plus one centred block;
+        # 16 KiB for the sums per record and numpy's small objects
+        pes, n_traj = pauli_pes(bundled_h2_table()), 256
+        r0, p0 = canonical_sampler(pes, MU, kelvin_to_hartree(300.0), n_traj,
+                                   1, (0.5, 4.5))
+
+        def correlate(n_steps):
+            return _trajectory_correlation(
+                verlet_blocks(pes, MU, r0, p0, 2.5, n_steps), 20.0)
+
+        correlate(8)  # leaves numpy's caches warm
+        _, peak = traced_peak(correlate, 1024)
+        assert peak <= verlet_blocks_memory_estimate(1024, n_traj) \
+            + 8 * n_traj * (_BLOCK + 1) + 2 ** 14
