@@ -51,8 +51,8 @@ from .oracles import canonical_sampler, cos_filter_stationary_bias, \
     verlet_blocks, verlet_ensemble, verlet_memory_estimate
 from .propagator import (_RowDilation, _available_memory, _preflight,
                          calibrate, momentum_bias_experiment)
-from .tst import TstConfig, analytic_canonical_state, arrhenius_sweep, \
-    crossing_memory_estimate, crossing_reference
+from .tst import TstConfig, _surface_sigma, analytic_canonical_state, \
+    arrhenius_sweep, crossing_memory_estimate, crossing_reference
 from .vdos import QpeConfig, aimd_reference_spectrum, branch_memory_estimate, \
     branch_spectra, reference_frequency
 
@@ -139,9 +139,8 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     rl = cfg.relax
     params = calibrate(cfg.pes.mu_au, lv.gamma_au, lv.dt_au,
                        kelvin_to_hartree(lv.t_phys_kelvin), lv.correction)
-    # encode_gaussian returns a float64 table: a stack of one
     memory["estimate_bytes"] = relax_memory_estimate(
-        grid, params, rl.n_steps, rl.snapshot_steps, n_stack=1)
+        grid, params, rl.n_steps, rl.snapshot_steps)
     clock.lap("tables")
     # no name here holds the initial table, so relax releases it once it
     # has read it; its encoding is booked to propagate
@@ -268,8 +267,8 @@ def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     outputs = ["tst_rates.csv"]
     derived = {"activation_energy_hartree": fit.activation_energy,
                "ln_prefactor": fit.ln_prefactor,
-               "sigma_bohr": 2.0 * grid.dR if t.sigma_bohr is None
-               else t.sigma_bohr, **_grid_derived(grid)}
+               "sigma_bohr": _surface_sigma(grid, tcfg),
+               **_grid_derived(grid)}
     if t.crossing:
         t_low = min(t.temperatures_kelvin)
         cross = crossing_reference(pes, mu, t_low, t.crossing_n_traj,

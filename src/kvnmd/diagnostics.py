@@ -27,7 +27,7 @@ from .electronic import PesModel, tabulate_pes
 from .errors import FilterCollapseError
 from .grid import Basis, KvnState, PhaseSpaceGrid, density
 from .propagator import (LangevinParams, LangevinStepper, _preflight,
-                         _real_stack, _rp_table)
+                         _real_table, _rp_table)
 
 KL_FLOOR = 1e-300
 _LOG_BLOCK = 1 << 13  # density values per block of sum rho log rho
@@ -173,18 +173,15 @@ def _sum_rho_log_rho(rho: np.ndarray) -> float:
 
 def relax_memory_estimate(grid: PhaseSpaceGrid, params: LangevinParams,
                           n_steps: int,
-                          snapshot_steps: tuple[int, ...] = (), *,
-                          n_stack: int) -> int:
-    """Bytes that `relax` holds for a stack of n_stack (1 for a real
-    initial table, 2 for a complex one, see `_real_stack`): the
-    stepper's fixed working set for one stack stepped in place, plus one
-    float64 density per snapshot taken before the last step. The last
-    step's snapshot is the density formed in the stepper's plane, which
-    no step overwrites again."""
+                          snapshot_steps: tuple[int, ...] = ()) -> int:
+    """Bytes that `relax` holds: the stepper's fixed working set for one
+    half spectrum stepped in place, plus one float64 density per
+    snapshot taken before the last step. The last step's snapshot is the
+    density formed in the stepper's plane, which no step overwrites
+    again."""
     n_r, n_p = grid.shape
     copies = set(snapshot_steps) & set(range(n_steps))
-    return (LangevinStepper.memory_estimate(grid, params.s, n_stack,
-                                            in_place=True)
+    return (LangevinStepper.memory_estimate(grid, params.s, in_place=True)
             + 8 * n_r * n_p * len(copies))
 
 
@@ -194,19 +191,22 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
         -> tuple[RelaxationTrace, KvnState | None, dict[int, np.ndarray]]:
     """Drive the thermostated step and record the relaxation monitors.
 
+    The initial table is real, such as sqrt(rho): a complex one with a
+    nonzero imaginary part is refused with ConfigurationError before
+    anything is allocated.
+
     Records at step 0, every `record_every` steps, and the final step.
     Snapshot densities are taken at the requested step indices. Step 0
-    reads the initial table; afterwards the amplitude rests in the
-    half-spectrum layout of the stepping core, one stack that each step
+    reads the initial table; afterwards the amplitude rests as the
+    rfft_R half spectrum of the stepping core, one array that each step
     overwrites in place, and records and snapshots read its density from
     the stepper's real plane. The working set is the stepper's tables,
-    the stack and the plane. A snapshot at the last step is the density
-    in the plane itself, since no step follows to overwrite it. The
-    final state is transformed back to (R, P), with the dtype of the
-    initial table, only after the stepper is released. The initial
-    table is released once it is read, before the stepper's tables are
-    built, so a caller that passes a temporary does not hold it during
-    the run.
+    the half spectrum and the plane. A snapshot at the last step is the
+    density in the plane itself, since no step follows to overwrite it.
+    The final state, a float64 (R, P) table, is formed only after the
+    stepper is released. The initial table is released once it is read,
+    before the stepper's tables are built, so a caller that passes a
+    temporary does not hold it during the run.
 
     A step that collapses, in the filter or in friction, leaves no state
     from before it: the trace ends at its last record, records the
@@ -214,10 +214,10 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     """
     if initial.basis is not Basis.RP:
         raise ValueError("relaxation starts from the (R, P) representation")
-    grid, dtype = initial.grid, initial.amplitudes.dtype
-    _preflight("relax", relax_memory_estimate(
-        grid, params, n_steps, snapshot_steps,
-        n_stack=len(_real_stack(initial.amplitudes))))
+    grid = initial.grid
+    table = _real_table(initial.amplitudes)
+    _preflight("relax", relax_memory_estimate(grid, params, n_steps,
+                                              snapshot_steps))
     monitors = CanonicalDensity(grid, pes, params.mu, params.t_phys)
 
     trace = RelaxationTrace()
@@ -231,9 +231,9 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
                      hartree_to_kelvin(t_kin), d_kl, math.exp(log_cum))
         trace.monitor_seconds += time.perf_counter() - start
 
-    a = LangevinStepper.to_half_spectra(initial.amplitudes)
+    a = LangevinStepper.to_half_spectra(table)
     rho = density(initial)
-    del initial  # the last reference when the caller passed a temporary
+    del initial, table  # the last references to a caller's temporary
     # built once the initial table is gone, so that the allocator can
     # reuse its block for the friction table, the same size on a square
     # grid; a step's arrays, two rows longer, do not fit there, and the
@@ -266,5 +266,5 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     del stepper, rho
     if trace.collapsed:
         return trace, None, snapshots
-    final = KvnState(_rp_table(a, grid.shape[0], dtype), Basis.RP, grid)
+    final = KvnState(_rp_table(a, grid.shape[0]), Basis.RP, grid)
     return trace, final, snapshots

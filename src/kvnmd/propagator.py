@@ -36,24 +36,25 @@ for the drift and kick tables and transport is exactly time-reversal
 symmetric. The transport autocorrelation builds on that.
 
 `NvePropagator` keeps complex full tables for the conservative chains
-behind the spectral readout. `LangevinStepper` works on real tables: a
-real state is a stack of one, a complex one the stack (Re, Im) with one
-shared normalization. Between steps the stack rests as rfft_R half
-spectra, shape (S, N_R//2 + 1, N_P), and a step is half drift, irfft_R,
-rfft_P, kick, irfft_P, rfft_R, half drift, then friction and filter on
-those complex k_R rows: the real P -> P resampling table applied to
-their real and imaginary parts, fft_P, cosine filter, ifft_P. The half
-tables are rows (columns) 0..N/2 of the full ones. All transforms are
-orthonormal, so norms keep their meaning in every representation once
-the half-spectrum rows carry the Hermitian weights 1, 2, ..., 2, 1.
+behind the spectral readout. `LangevinStepper` steps one real (R, P)
+table, such as the canonical sqrt(rho); a complex table is refused
+unless its imaginary part is all zero. Between steps the table rests as
+its rfft_R half spectrum, shape (N_R//2 + 1, N_P), and a step is half
+drift, irfft_R, rfft_P, kick, irfft_P, rfft_R, half drift, then friction
+and filter on those complex k_R rows: the real P -> P resampling table
+applied to their real and imaginary parts, fft_P, cosine filter, ifft_P.
+The half tables are rows (columns) 0..N/2 of the full ones. All
+transforms are orthonormal, so norms keep their meaning in every
+representation once the half-spectrum rows carry the Hermitian weights
+1, 2, ..., 2, 1.
 
 A step needs three state-sized arrays besides its tables: the input
-stack, the output stack and one real (S, N_R + 2, N_P) plane, or two
-when the output is the input, as in `relax`, which steps its one stack
-in place. The kick's (R, k_P) half spectrum lives in the output stack,
-which is dead between irfft_R and rfft_R and holds N_P - N_R more
-complex values than the spectrum, so only an N_R > N_P grid gives the
-stepper a separate spectrum buffer. The transforms use the plane's
+half spectrum, the output one and one real (N_R + 2, N_P) plane, or two
+when the output is the input, as in `relax`, which steps its one half
+spectrum in place. The kick's (R, k_P) half spectrum lives in the
+output, which is dead between irfft_R and rfft_R and holds N_P - N_R
+more complex values than the spectrum, so only an N_R > N_P grid gives
+the stepper a separate spectrum buffer. The transforms use the plane's
 first N_R rows. Once rfft_R has read them, friction takes all
 N_R + 2 = 2 (N_R/2 + 1): the real or imaginary part of the k_R rows is
 copied into one half, so that BLAS reads a contiguous operand, and
@@ -89,7 +90,6 @@ from .grid import Basis, KvnState, PhaseSpaceGrid
 BOUNDARY_LEAK_TOLERANCE = 1e-3
 FILTER_COLLAPSE_FLOOR = 1e-6
 TIME_REVERSAL_TOLERANCE = 1e-13
-_ABS_BLOCK = 1 << 13  # complex values per block of a stack-of-two density
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,11 @@ def _hermitian_weights(n: int) -> np.ndarray:
 
 
 def _norm2(x: np.ndarray, row_weights: np.ndarray) -> float:
-    """sum_i w_i sum_j |x_ij|^2 over the contiguous P rows x[..., i, :]."""
+    """sum_i w_i sum_j |x_ij|^2 over the contiguous P rows x[i, :]; the
+    weights by a (1, n) @ (n,) product, as a dot can round otherwise."""
     v = x.view(np.float64)  # a complex row reads as (re, im) pairs
-    return float(np.sum(np.einsum("...ij,...ij->...i", v, v) @ row_weights))
+    sums = np.einsum("ij,ij->i", v, v)
+    return float((sums[None] @ row_weights)[0])
 
 
 class NvePropagator:
@@ -460,22 +462,22 @@ def _friction_table_bytes(grid: PhaseSpaceGrid, s: float) -> int:
 
 def _dilate(x: np.ndarray, friction: np.ndarray,
             plane: np.ndarray | None = None) -> np.ndarray:
-    """x @ friction for complex rows over P, in place.
+    """x @ friction for the complex rows x[i, :] over P, in place.
 
     Their real and imaginary planes go through a real product each,
-    half the work of one complex product. `plane` is a real array of
-    x's shape but with at least twice its rows, or None for a fresh
-    one: each part is copied into rows [n, 2n) of it, n the rows of x,
+    half the work of one complex product. `plane` is a real array with
+    x's columns and at least twice its rows, or None for a fresh one:
+    each part is copied into rows [n, 2n) of it, n the rows of x,
     multiplied into rows [0, n) and written back. x.real and x.imag
     are views with a 16-byte stride, which BLAS cannot read, so numpy
     would copy each operand into a buffer of its own anyway; the
     contiguous copy in the plane takes the place of that buffer. Real
     rows take `_RowDilation` instead.
     """
-    n = x.shape[-2]
+    n = len(x)
     if plane is None:
-        plane = np.empty(x.shape[:-2] + (2 * n, x.shape[-1]))
-    product, operand = plane[..., :n, :], plane[..., n:2 * n, :]
+        plane = np.empty((2 * n, x.shape[1]))
+    product, operand = plane[:n], plane[n:2 * n]
     for part in (x.real, x.imag):
         operand[...] = part
         np.matmul(operand, friction, out=product)
@@ -581,7 +583,7 @@ def _filtered(x: np.ndarray, friction: np.ndarray | _RowDilation | None,
         -> tuple[np.ndarray, StepReport]:
     """Friction, cosine filter and renormalization of rows over P.
 
-    x[..., i, :] are rows over P, row i carrying the quadrature weight
+    x[i, :] are rows over P, row i carrying the quadrature weight
     row_weights[i]; both blocks act on the P axis alone, so the rows may
     be R rows or half-spectrum k_R rows. `friction` is None for s = 0;
     otherwise complex rows take FrictionOperator.matrix, with `plane`
@@ -636,28 +638,19 @@ def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepRepor
     return KvnState(amp, Basis.RP, g), report
 
 
-def _real_stack(amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The real stack of an (R, P) table: (Re,) when the table has no
-    imaginary part and (Re, Im) otherwise."""
+def _real_table(amplitudes: np.ndarray) -> np.ndarray:
+    """The real part of an (R, P) table; ConfigurationError unless its
+    imaginary part is all zero: the Langevin step relaxes sqrt(rho)."""
     if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
-        return amplitudes.real, amplitudes.imag
-    return (amplitudes.real,)
+        raise ConfigurationError(
+            "the Langevin step takes a real (R, P) table such as "
+            "sqrt(rho); this one has a nonzero imaginary part")
+    return amplitudes.real
 
 
-def _rp_table(a: np.ndarray, n_r: int, dtype=np.complex128) -> np.ndarray:
-    """(R, P) table of a resting stack; a stack of one has `dtype`.
-
-    irfft_R takes a fresh array, which a stack of one of dtype float64
-    returns as is. A stack of two is transformed one part at a time, so
-    that one real plane is held beside the table, not two.
-    """
-    if len(a) == 1:
-        return np.fft.irfft(a[0], n_r, axis=0, norm="ortho").astype(
-            dtype, copy=False)
-    table = np.empty((n_r, a.shape[-1]), np.complex128)
-    for part, plane in zip(a, (table.real, table.imag)):
-        plane[...] = np.fft.irfft(part, n_r, axis=0, norm="ortho")
-    return table
+def _rp_table(a: np.ndarray, n_r: int) -> np.ndarray:
+    """Real (R, P) table of a resting half spectrum, as a fresh array."""
+    return np.fft.irfft(a, n_r, axis=0, norm="ortho")
 
 
 class LangevinStepper:
@@ -665,26 +658,26 @@ class LangevinStepper:
 
     Order per step: conservative transport, friction, diffusion filter,
     renormalization. `advance` is the array-level core on the resting
-    layout, a stack of rfft_R half spectra (see `to_half_spectra`);
-    `step` wraps it for (R, P) states.
+    layout, the rfft_R half spectrum of one real table (see
+    `to_half_spectra`); `step` wraps it for (R, P) states and refuses a
+    complex table with a nonzero imaginary part.
 
-    The stepper also owns the scratch of a step, allocated for the first
-    stack it meets and kept while the stack height S stays the same: a
-    real (S, N_R + 2, N_P) plane, and on an N_R > N_P grid the
-    (S, N_R, N_P//2 + 1) half spectrum of the kick, which otherwise
-    lives in the output stack (see the module docstring). The
-    transforms use the plane's rows [0, N_R); friction takes all
-    N_R + 2 = 2 (N_R/2 + 1) rows, half for the contiguous copy of an
-    operand and half for its product (see `_dilate`). A step into a
-    stack the caller supplies allocates nothing else.
+    The stepper also owns the scratch of a step, allocated at its first
+    use and kept: a real (N_R + 2, N_P) plane, and on an N_R > N_P grid
+    the (N_R, N_P//2 + 1) half spectrum of the kick, which otherwise
+    lives in the output (see the module docstring). The transforms use
+    the plane's rows [0, N_R); friction takes all N_R + 2 = 2 (N_R/2 + 1)
+    rows, half for the contiguous copy of an operand and half for its
+    product (see `_dilate`). A step into an output the caller supplies
+    allocates nothing else.
     """
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
                  params: LangevinParams):
-        # the minimum, a stack of one stepped in place; `step` and
-        # `relax` preflight the height of the state they are given
+        # the minimum, one half spectrum stepped in place; `step`
+        # preflights the two that it holds
         _preflight("LangevinStepper",
-                   self.memory_estimate(grid, params.s, 1, in_place=True))
+                   self.memory_estimate(grid, params.s, in_place=True))
         self.grid = grid
         self.params = params
         _, force = tabulate_pes(pes, grid.R)
@@ -693,7 +686,7 @@ class LangevinStepper:
         self.friction = FrictionOperator(grid, params.s)
         self.cos_filter = np.cos(params.sigma_h * grid.k_P)
         self.row_weights = grid.cell * _hermitian_weights(grid.shape[0])
-        self._scratch: tuple[np.ndarray | None, ...] = ()
+        self._scratch: tuple[np.ndarray, np.ndarray | None] | None = None
         # transport shears density into high k_P; if the filter argument
         # leaves the first quarter-wave there, |cos| ~ 1 lobes let that
         # content survive and alias instead of diffusing away, which can
@@ -707,105 +700,88 @@ class LangevinStepper:
                 f"the step", FilterBandWarning)
 
     @staticmethod
-    def memory_estimate(grid: PhaseSpaceGrid, s: float, n_stack: int,
+    def memory_estimate(grid: PhaseSpaceGrid, s: float, *,
                         in_place: bool = False) -> int:
-        """Bytes of the fixed working set for a stack of n_stack (1 for a
-        real state, 2 for a complex one): the half phase tables, the
-        friction table for s = gamma*dt, the resting stacks a step reads
-        and writes (two, or one for `advance(a, out=a)` with `in_place`),
-        the real plane of N_R + 2 rows, and on an N_R > N_P grid the
-        kick's half spectrum."""
+        """Bytes of the fixed working set: the half phase tables, the
+        friction table for s = gamma*dt, the resting half spectra a step
+        reads and writes (two, or one for `advance(a, out=a)` with
+        `in_place`), the real plane of N_R + 2 rows, and on an N_R > N_P
+        grid the kick's half spectrum."""
         n_r, n_p = grid.shape
         rows, cols = n_r // 2 + 1, n_p // 2 + 1
         half_tables = 16 * (rows * n_p + n_r * cols)
-        stacks = (1 if in_place else 2) * 16 * rows * n_p
+        spectra = (1 if in_place else 2) * 16 * rows * n_p
         plane = 8 * 2 * rows * n_p
         spectrum = 16 * n_r * cols if n_r > n_p else 0
         return (half_tables + _friction_table_bytes(grid, s)
-                + n_stack * (stacks + plane + spectrum))
+                + spectra + plane + spectrum)
 
-    def _planes(self, n_stack: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def _planes(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Real plane and, on an N_R > N_P grid, the kick's half spectrum
-        (None otherwise) for a stack of n_stack."""
-        if not self._scratch or len(self._scratch[0]) != n_stack:
+        (None otherwise), allocated at the first call."""
+        if self._scratch is None:
             n_r, n_p = self.grid.shape
-            self._scratch = ()  # free the old set before allocating anew
             spectrum = None
             if n_r > n_p:
-                spectrum = np.empty((n_stack, n_r, n_p // 2 + 1),
-                                    np.complex128)
-            self._scratch = (np.empty((n_stack, n_r + 2, n_p)), spectrum)
+                spectrum = np.empty((n_r, n_p // 2 + 1), np.complex128)
+            self._scratch = (np.empty((n_r + 2, n_p)), spectrum)
         return self._scratch
 
     @staticmethod
     def to_half_spectra(amplitudes: np.ndarray) -> np.ndarray:
-        """Resting layout of an (R, P) table: rfft_R of its real stack
-        (see `_real_stack`), shape (S, N_R//2 + 1, N_P). It needs no
+        """Resting layout of an (R, P) table: the rfft_R of its real
+        table (see `_real_table`), shape (N_R//2 + 1, N_P). It needs no
         tables, so a caller may form it before the stepper exists."""
-        parts = _real_stack(amplitudes)
-        n_r, n_p = amplitudes.shape
-        a = np.empty((len(parts), n_r // 2 + 1, n_p), np.complex128)
-        for part, half in zip(parts, a):
-            np.fft.rfft(part, axis=0, norm="ortho", out=half)
-        return a
+        return np.fft.rfft(_real_table(amplitudes), axis=0, norm="ortho")
 
-    def from_half_spectra(self, a: np.ndarray, dtype=np.complex128) \
-            -> np.ndarray:
-        """(R, P) table of a resting stack; a stack of one has `dtype`."""
-        return _rp_table(a, self.grid.shape[0], dtype)
+    def from_half_spectra(self, a: np.ndarray) -> np.ndarray:
+        """Real (R, P) table of a resting half spectrum."""
+        return _rp_table(a, self.grid.shape[0])
 
     def density(self, a: np.ndarray) -> np.ndarray:
-        """|psi|^2 of a resting stack on the (R, P) grid.
+        """|psi|^2 of a resting half spectrum on the (R, P) grid.
 
         It is formed in the real plane, so the next `advance` or
-        `density` overwrites it. A stack of two takes np.abs of its
-        complex table, as `grid.density` reads it (np.hypot differs in
-        the last bit), built _ABS_BLOCK values at a time.
+        `density` overwrites it.
         """
-        n_r, n_p = self.grid.shape
-        planes = np.fft.irfft(a, n_r, axis=-2, norm="ortho",
-                              out=self._planes(len(a))[0][:, :n_r])
-        rho = planes[0]
-        if len(planes) == 2:
-            rows = max(1, _ABS_BLOCK // n_p)
-            block = np.empty((rows, n_p), np.complex128)
-            for i in range(0, n_r, rows):
-                table = block[:min(rows, n_r - i)]
-                table.real, table.imag = planes[:, i:i + rows]
-                np.abs(table, out=rho[i:i + rows])
+        n_r = self.grid.shape[0]
+        rho = np.fft.irfft(a, n_r, axis=0, norm="ortho",
+                           out=self._planes()[0][:n_r])
         return np.square(rho, out=rho)
 
     def advance(self, a: np.ndarray, out: np.ndarray | None = None) \
             -> tuple[np.ndarray, StepReport]:
-        """One step of a resting stack into `out`, a C-contiguous stack
-        of the shape of `a`, or into a new stack without it. `a` is kept
-        unless it is `out`: `advance(a, out=a)` steps it in place, with
-        the same bits, and a step that raises leaves it overwritten."""
+        """One step of a resting half spectrum into `out`, a C-contiguous
+        array of the shape of `a`, or into a new one without it. `a` is
+        kept unless it is `out`: `advance(a, out=a)` steps it in place,
+        with the same bits, and a step that raises leaves it overwritten."""
         n_r, n_p = self.grid.shape
-        plane, y = self._planes(len(a))
-        x = plane[:, :n_r]
+        plane, y = self._planes()
+        x = plane[:n_r]
         b = np.multiply(a, self.half_drift, out=out)
-        np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
+        np.fft.irfft(b, n_r, axis=0, norm="ortho", out=x)
         if y is None:  # b is dead until rfft_R refills it
-            shape = (len(a), n_r, n_p // 2 + 1)
+            shape = (n_r, n_p // 2 + 1)
             y = b.reshape(-1)[:math.prod(shape)].reshape(shape)
-        np.fft.rfft(x, axis=-1, norm="ortho", out=y)
+        np.fft.rfft(x, axis=1, norm="ortho", out=y)
         y *= self.kick
-        np.fft.irfft(y, n_p, axis=-1, norm="ortho", out=x)
-        np.fft.rfft(x, axis=-2, norm="ortho", out=b)
+        np.fft.irfft(y, n_p, axis=1, norm="ortho", out=x)
+        np.fft.rfft(x, axis=0, norm="ortho", out=b)
         b *= self.half_drift
         return _filtered(b, self.friction.matrix, self.cos_filter,
                          self.row_weights, plane)
 
     def step(self, state: KvnState) -> tuple[KvnState, StepReport]:
+        """One step of a real (R, P) state; the result is float64."""
         if state.basis is not Basis.RP:
             raise BasisMismatchError(
                 f"the step expects the (R, P) basis, got {state.basis}")
-        _preflight("LangevinStepper", self.memory_estimate(
-            self.grid, self.params.s, len(_real_stack(state.amplitudes))))
-        a, report = self.advance(self.to_half_spectra(state.amplitudes))
-        amplitudes = self.from_half_spectra(a, state.amplitudes.dtype)
-        return KvnState(amplitudes, Basis.RP, state.grid), report
+        table = _real_table(state.amplitudes)
+        _preflight("LangevinStepper",
+                   self.memory_estimate(self.grid, self.params.s))
+        a, report = self.advance(self.to_half_spectra(table))
+        return KvnState(self.from_half_spectra(a), Basis.RP,
+                        state.grid), report
 
 
 def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,

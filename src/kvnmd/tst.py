@@ -34,6 +34,8 @@ from .oracles import (_BLOCK, canonical_sampler, sampler_memory_estimate,
 from .propagator import _preflight
 
 SURFACE_MASS_TOLERANCE = 0.01
+TAIL_SHARE_LIMIT = 0.5  # of delta . w_R, from beyond TAIL_SIGMAS widths
+TAIL_SIGMAS = 6.0
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,14 @@ def _check_surface(grid: PhaseSpaceGrid, cfg: TstConfig) -> None:
             f"({grid.r_min}, {grid.r_max})")
 
 
+def _surface_sigma(grid: PhaseSpaceGrid, cfg: TstConfig) -> float:
+    return 2.0 * grid.dR if cfg.sigma is None else cfg.sigma
+
+
 def _surface_weights(grid: PhaseSpaceGrid, cfg: TstConfig) -> np.ndarray:
     """Grid-renormalized Gaussian delta along R, unit mass under sum*dR."""
     _check_surface(grid, cfg)
-    sigma = 2.0 * grid.dR if cfg.sigma is None else cfg.sigma
+    sigma = _surface_sigma(grid, cfg)
     if sigma < grid.dR:
         raise ResolutionError(
             f"surface width {sigma:.3g} below the grid step {grid.dR:.3g}")
@@ -120,13 +126,26 @@ def tst_rate(grid: PhaseSpaceGrid, pes: PesModel, mu: float, t_kelvin: float,
     w_R w_P / (Z_R Z_P) both sums factor:
         flux = (delta . w_R)(w_P . v_+) / (Z_R Z_P),  v_+ = max(P, 0)/mu,
         population = sum_{R < R_div} w_R / Z_R.
+
+    At low T the delta's tail over the well, not the barrier, can set
+    delta . w_R; more than TAIL_SHARE_LIMIT of it from nodes beyond
+    TAIL_SIGMAS widths of R_div raises ResolutionError.
     """
     if t_kelvin <= 0.0:
         raise ConfigurationError("temperature must be positive")
     c = CanonicalDensity(grid, pes, mu, kelvin_to_hartree(t_kelvin))
     delta = _surface_weights(grid, cfg)
+    surface = float(delta @ c.w_r)
+    far = (np.abs(grid.R - cfg.r_dividing)
+           > TAIL_SIGMAS * _surface_sigma(grid, cfg))
+    tail = float(delta[far] @ c.w_r[far])
+    if tail > TAIL_SHARE_LIMIT * surface:
+        raise ResolutionError(
+            f"surface flux at {t_kelvin:g} K is set by the tail of the "
+            f"smoothed delta: {tail / surface:.3g} of it from beyond "
+            f"{TAIL_SIGMAS:g} widths of R_div (limit {TAIL_SHARE_LIMIT:g})")
     velocity = np.where(grid.P > 0.0, grid.P / mu, 0.0)
-    flux = float(delta @ c.w_r) * float(c.w_p @ velocity) / (c.z_r * c.z_p)
+    flux = surface * float(c.w_p @ velocity) / (c.z_r * c.z_p)
     population = float(np.sum(c.w_r[grid.R < cfg.r_dividing])) / c.z_r
     if population <= 0.0:
         raise SingularityError("no canonical weight on the reactant side")

@@ -21,7 +21,7 @@ loop on a complex row. `fejer_loop_reference` bins a recorded
 ensemble's spectrum by evaluating the Fejer kernel on a zero-padded
 frequency grid, one bin at a time. `separate_buffer_advance` is the
 stepping core with a buffer of its own for every intermediate, where
-`LangevinStepper.advance` lets them share the output stack and the real
+`LangevinStepper.advance` lets them share the output array and the real
 plane. `one_expression_phase_tables` is the transport tables' formula as
 one expression per table, with its table-sized temporaries. `traced_peak`
 measures the peak allocation of one call.
@@ -201,8 +201,7 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     log_cum = 0.0
 
     def to_rp() -> KvnState:
-        return KvnState(stepper.from_half_spectra(a, initial.amplitudes.dtype),
-                        Basis.RP, grid)
+        return KvnState(stepper.from_half_spectra(a), Basis.RP, grid)
 
     def record(step: int):
         trace.append(step * params.dt * FS_PER_AU_TIME,
@@ -239,19 +238,19 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
 
 def separate_buffer_advance(stepper: LangevinStepper, a: np.ndarray) \
         -> tuple[np.ndarray, StepReport]:
-    """`LangevinStepper.advance` into a new stack, with a real plane, the
-    kick's half spectrum and the friction scratch of its own: 2 (N_R/2 +
-    1) rows for an operand and its product."""
+    """`LangevinStepper.advance` into a new half spectrum, with a real
+    plane, the kick's half spectrum and the friction scratch of its own:
+    2 (N_R/2 + 1) rows for an operand and its product."""
     n_r, n_p = stepper.grid.shape
-    x = np.empty((len(a), n_r, n_p))
-    y = np.empty((len(a), n_r, n_p // 2 + 1), np.complex128)
-    plane = np.empty((len(a), 2 * (n_r // 2 + 1), n_p))
+    x = np.empty((n_r, n_p))
+    y = np.empty((n_r, n_p // 2 + 1), np.complex128)
+    plane = np.empty((2 * (n_r // 2 + 1), n_p))
     b = np.multiply(a, stepper.half_drift)
-    np.fft.irfft(b, n_r, axis=-2, norm="ortho", out=x)
-    np.fft.rfft(x, axis=-1, norm="ortho", out=y)
+    np.fft.irfft(b, n_r, axis=0, norm="ortho", out=x)
+    np.fft.rfft(x, axis=1, norm="ortho", out=y)
     y *= stepper.kick
-    np.fft.irfft(y, n_p, axis=-1, norm="ortho", out=x)
-    np.fft.rfft(x, axis=-2, norm="ortho", out=b)
+    np.fft.irfft(y, n_p, axis=1, norm="ortho", out=x)
+    np.fft.rfft(x, axis=0, norm="ortho", out=b)
     b *= stepper.half_drift
     return _filtered(b, stepper.friction.matrix, stepper.cos_filter,
                      stepper.row_weights, plane)

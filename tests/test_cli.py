@@ -379,12 +379,12 @@ class TestCliRelax:
         assert all(isinstance(v, int) and v > 0 for v in phases.values())
         assert phases["tables"] <= phases["propagate"] <= phases["write"] \
             <= memory["peak_rss_bytes"]
-        # the stepper's working set on 2^6 x 2^6 for the real initial
-        # table, a stack of one stepped in place, plus the snapshot at
-        # step 0; the one at the last step, 40, is the stepper's plane
+        # the stepper's working set on 2^6 x 2^6, one half spectrum
+        # stepped in place, plus the snapshot at step 0; the one at the
+        # last step, 40, is the stepper's plane
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         assert memory["estimate_bytes"] == LangevinStepper.memory_estimate(
-            grid, 0.01, 1, in_place=True) + 8 * 64 * 64
+            grid, 0.01, in_place=True) + 8 * 64 * 64
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="the run's own peak is read from VmHWM")
@@ -479,6 +479,14 @@ class TestCliVdos:
 
 
 class TestCliTst:
+    def test_rate_set_by_the_delta_tail_is_exit_2(self, tmp_path, capsys):
+        text = TST_SMALL.replace("temperatures_kelvin = 2500, 5000, 10000",
+                                 "temperatures_kelvin = 1, 2, 3")
+        code, out = run_cli(tmp_path, text)
+        assert code == 2
+        assert "tail of the smoothed delta" in capsys.readouterr().err
+        assert not (out / "tst_rates.csv").exists()
+
     def test_rates_and_crossing_files(self, tmp_path):
         code, out = run_cli(tmp_path, TST_SMALL)
         assert code == 0
@@ -917,3 +925,24 @@ class TestBenchmarkTracedRun:
         assert result["failed"] == 0
         assert sorted(result["metrics"]) == sorted(
             m["name"] for m in spec["per_layer"])
+
+
+def test_output_hashes_lists_the_outputs_of_a_config(tmp_path):
+    # the listing that two source trees are compared by: one line per
+    # output with the sha256 of its bytes; a failed run exits 1
+    script = ROOT / "scripts" / "output_hashes.py"
+    shipped = ROOT / "configs" / "bias_check.ini"
+    done = subprocess.run([sys.executable, str(script), str(shipped)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, out = run_cli(tmp_path, shipped.read_text())
+    assert code == 0
+    digest = hashlib.sha256((out / "bias_check.csv").read_bytes())
+    assert done.stdout.splitlines() == [
+        f"sha256:{digest.hexdigest()}  bias_check/bias_check.csv"]
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + "\nnot_a_key = 1\n")
+    done = subprocess.run([sys.executable, str(script), str(bad)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "bad: exit 2" in done.stderr

@@ -11,8 +11,8 @@ from kvnmd.diagnostics import (canonical_reference, kinetic_temperature,
                                kl_divergence, mean_R, mean_energy, relax,
                                relax_memory_estimate)
 from kvnmd.electronic import PesModel, morse_pes
-from kvnmd.errors import (FilterBandWarning, FilterCollapseError,
-                          MemoryBudgetError)
+from kvnmd.errors import (ConfigurationError, FilterBandWarning,
+                          FilterCollapseError, MemoryBudgetError)
 from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
                         fourier_R, norm_squared)
 from kvnmd.oracles import canonical_sampler
@@ -232,46 +232,55 @@ class TestRelax:
         assert trace_a.d_kl_nats == trace_b.d_kl_nats
         assert trace_a.cum_success_prob == trace_b.cum_success_prob
 
-    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-    def test_final_state_keeps_the_initial_dtype(self, dtype):
-        # as LangevinStepper.step does, also for a complex table with no
-        # imaginary part
+    def test_complex_table_without_imaginary_part_relaxes_as_real(self):
+        # the same bytes as its float64 table, and a float64 final state,
+        # as LangevinStepper.step returns
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         pes = h2_like_pes()
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        st = KvnState(st.amplitudes.real.astype(dtype), st.basis, st.grid)
-        _, final, _ = relax(st, pes, self.params(), 3)
-        stepped = st
+        as_complex = KvnState(st.amplitudes.astype(complex), st.basis, grid)
+        trace, final, snaps = relax(st, pes, self.params(), 3, 1, (0, 2))
+        c_trace, c_final, c_snaps = relax(as_complex, pes, self.params(), 3,
+                                          1, (0, 2))
+        for column in TestRelaxMatchesTableDriver.COLUMNS + (
+                "friction_leak_max", "success_probability_min"):
+            assert getattr(c_trace, column) == getattr(trace, column)
+        assert c_snaps.keys() == snaps.keys()
+        for step in snaps:
+            assert c_snaps[step].tobytes() == snaps[step].tobytes()
+        assert final.amplitudes.dtype == c_final.amplitudes.dtype \
+            == np.float64
+        assert c_final.amplitudes.tobytes() == final.amplitudes.tobytes()
+        stepped = as_complex
         stepper = LangevinStepper(grid, pes, self.params())
         for _ in range(3):
             stepped, _ = stepper.step(stepped)
-        assert final.amplitudes.dtype == stepped.amplitudes.dtype == dtype
+        assert stepped.amplitudes.dtype == np.float64
         np.testing.assert_allclose(final.amplitudes, stepped.amplitudes,
                                    rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
-    def test_generic_phase_leaves_trace_close(self, phase):
-        # complex rotations pick up ulp noise inside the FFT kernels, so
-        # the evolved traces agree to rounding rather than bitwise
-        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
-        pes = h2_like_pes()
+    def test_refuses_a_table_with_an_imaginary_part(self, phase):
+        # before the stepper's tables or the half spectrum exist
+        grid = build_grid(9, 9, (0.5, 4.5), (-170.0, 170.0))
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        rotated = KvnState(phase * st.amplitudes, st.basis, st.grid)
-        trace_a, _, _ = relax(st, pes, self.params(), 30)
-        trace_b, _, _ = relax(rotated, pes, self.params(), 30)
-        np.testing.assert_allclose(trace_a.d_kl_nats, trace_b.d_kl_nats,
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(trace_a.t_kin_kelvin,
-                                   trace_b.t_kin_kelvin, rtol=1e-10)
+        rotated = KvnState(phase * st.amplitudes, st.basis, grid)
+
+        def refused():
+            with pytest.raises(ConfigurationError, match="imaginary"):
+                relax(rotated, h2_like_pes(), self.params(), 3)
+
+        _, peak = traced_peak(refused)
+        assert peak < 8 * grid.shape[0] * grid.shape[1]  # not one table
 
     def test_filter_collapse_truncates_trace(self):
-        # a pure momentum-plane-wave sits on one k_P node; tuning the
-        # filter zero onto that node kills the whole state in one step
+        # a momentum standing wave sits on the k_P nodes +-k_star; tuning
+        # the filter zero onto them kills the whole state in one step
         grid = build_grid(4, 5, (0.0, 2.0), (-8.0, 8.0))
         k_star = grid.k_P_sorted[3 * 32 // 4]
-        amps = np.exp(1j * k_star * grid.P)[None, :] * np.ones((16, 1))
-        amps = amps / math.sqrt(np.sum(np.abs(amps) ** 2) * grid.cell)
-        st = KvnState(amps.astype(complex), Basis.RP, grid)
+        amps = np.cos(k_star * grid.P)[None, :] * np.ones((16, 1))
+        amps = amps / math.sqrt(np.sum(amps ** 2) * grid.cell)
+        st = KvnState(amps, Basis.RP, grid)
         params = LangevinParams(mu=MU, gamma=0.0, dt=0.5, t_phys=T_PHYS,
                                 t_int=T_PHYS,
                                 sigma_h=0.5 * math.pi / abs(k_star))
@@ -279,7 +288,7 @@ class TestRelax:
             trace, final, _ = relax(st, flat_pes(), params, 50)
         assert trace.collapsed and trace.collapsed_at_step == 1
         assert len(trace) == 1  # only the initial record survives
-        assert final is None  # the step overwrote the only stack
+        assert final is None  # the step overwrote the only state
 
     def test_record_stride_and_snapshots(self):
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
@@ -300,10 +309,8 @@ class TestRelax:
             relax(st, h2_like_pes(), self.params(), 5)
 
 
-# the real table, a complex one with no imaginary part (both a stack of
-# one) and a complex one with a phase (a stack of two)
-STACKS = {"real": lambda a: a, "complex-real": lambda a: a.astype(complex),
-          "complex": lambda a: a * np.exp(0.3j)}
+# the real table and a complex one with no imaginary part
+STACKS = {"real": lambda a: a, "complex-real": lambda a: a.astype(complex)}
 
 
 class TestRelaxMatchesTableDriver:
@@ -347,7 +354,7 @@ class TestRelaxMatchesTableDriver:
     @pytest.mark.parametrize("stack", list(STACKS))
     def test_collapse_records_the_pre_step_stack(self, monkeypatch, stack):
         # the eighth step of each run collapses, between the records at
-        # steps 5 and 10; the stack it stepped in place is gone, so both
+        # steps 5 and 10; the state it stepped in place is gone, so both
         # drivers end the trace at step 5 with no final state
         advance = LangevinStepper.advance
         calls = []
@@ -375,7 +382,6 @@ class TestRelaxWorkingSet:
     # a 2^9 grid with the 2^10 workload's P spacing, three steps and one
     # snapshot
     N = 1 << 9
-    HEIGHTS = {"real": 1, "complex": 2}  # stack heights of the states
 
     def setup_run(self, stack="real"):
         grid = build_grid(9, 9, (0.5, 4.5), (-170.0, 170.0))
@@ -386,34 +392,34 @@ class TestRelaxWorkingSet:
 
     def test_estimate_counts_each_snapshot_taken(self):
         st, _, params = self.setup_run()
-        fixed = LangevinStepper.memory_estimate(st.grid, params.s, 1,
+        fixed = LangevinStepper.memory_estimate(st.grid, params.s,
                                                 in_place=True)
         table = 8 * self.N * self.N
-        assert relax_memory_estimate(st.grid, params, 3, n_stack=1) == fixed
+        assert relax_memory_estimate(st.grid, params, 3) == fixed
         # step 9 is never reached, and the last step, 3, reads the plane
-        assert relax_memory_estimate(st.grid, params, 3, (0, 2, 3, 3, 9),
-                                     n_stack=1) == fixed + 2 * table
+        assert relax_memory_estimate(st.grid, params, 3,
+                                     (0, 2, 3, 3, 9)) == fixed + 2 * table
 
-    @pytest.mark.parametrize("stack", ["real", "complex"])
+    @pytest.mark.parametrize("stack", list(STACKS))
     def test_peak_stays_within_the_estimate(self, stack):
-        # the estimate is the working set of the state's stack height;
         # numpy's ufunc buffers add up to 512 KiB
         st, pes, params = self.setup_run(stack)
         relax(st, pes, params, 1)  # leaves the FFT plan caches warm
         _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
-        assert peak <= relax_memory_estimate(
-            st.grid, params, 3, (3,), n_stack=self.HEIGHTS[stack]) + 2 ** 19
+        assert peak <= relax_memory_estimate(st.grid, params, 3,
+                                             (3,)) + 2 ** 19
 
-    @pytest.mark.parametrize("stack", ["real", "complex"])
+    @pytest.mark.parametrize("stack", list(STACKS))
     def test_peak_is_the_tables_and_two_state_arrays(self, stack):
-        # the stack, stepped in place, and the real plane of N_R + 2 rows:
-        # the kick's half spectrum and the friction products share them,
-        # the last snapshot is the plane's density, and the final table
-        # is formed once the stepper is gone; 512 KiB for numpy's buffers
+        # the half spectrum, stepped in place, and the real plane of
+        # N_R + 2 rows: the kick's half spectrum and the friction products
+        # share them, the last snapshot is the plane's density, and the
+        # final table is formed once the stepper is gone; 512 KiB for
+        # numpy's buffers
         st, pes, params = self.setup_run(stack)
         n, rows = self.N, self.N // 2 + 1
         tables = 2 * 16 * rows * n + 8 * n * n
-        arrays = self.HEIGHTS[stack] * (16 * rows * n + 8 * 2 * rows * n)
+        arrays = 16 * rows * n + 8 * 2 * rows * n
         relax(st, pes, params, 1)  # leaves the FFT plan caches warm
         _, peak = traced_peak(relax, st, pes, params, 3, 2, (3,))
         assert peak <= tables + arrays + 2 ** 19
@@ -467,7 +473,7 @@ class TestRelaxWorkingSet:
 
     def test_preflight_refuses_below_the_estimate(self, monkeypatch):
         st, pes, params = self.setup_run()
-        need = relax_memory_estimate(st.grid, params, 3, (3,), n_stack=1)
+        need = relax_memory_estimate(st.grid, params, 3, (3,))
         monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
 

@@ -372,8 +372,31 @@ class TestThermostatedStep:
         with pytest.raises(NonFiniteAmplitudeError):
             LangevinStepper(grid, pes, params).step(st)
 
+    @pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
+    def test_step_refuses_an_imaginary_part(self, phase):
+        # before the half spectra exist; a zero imaginary part is taken
+        params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                           t_phys=kelvin_to_hartree(947.0))
+        grid = build_grid(8, 8, (0.6, 2.6), (-88.0, 88.0))
+        pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
+        st = encode_gaussian(grid, 1.5, 0.0, 0.1, 2.5)
+        stepper = LangevinStepper(grid, pes, params)
+        rotated = KvnState(phase * st.amplitudes, Basis.RP, grid)
+
+        def refused():
+            with pytest.raises(ConfigurationError, match="imaginary"):
+                stepper.step(rotated)
+
+        _, peak = traced_peak(refused)
+        assert peak < 8 * grid.shape[0] * grid.shape[1]  # not one table
+        real, _ = stepper.step(st)
+        as_complex = KvnState(st.amplitudes.astype(complex), Basis.RP, grid)
+        stepped, _ = stepper.step(as_complex)
+        assert stepped.amplitudes.dtype == np.float64
+        assert stepped.amplitudes.tobytes() == real.amplitudes.tobytes()
+
     def test_advance_keeps_its_input(self):
-        # into a fresh stack; relax passes out=a and steps in place
+        # into a fresh array; relax passes out=a and steps in place
         params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
                            t_phys=kelvin_to_hartree(947.0))
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
@@ -387,34 +410,26 @@ class TestThermostatedStep:
 
 
 class TestSharedScratch:
-    # the kick's half spectrum lives in the output stack where
+    # the kick's half spectrum lives in the output array where
     # N_R <= N_P, and the friction products land in the real plane
     SHAPES = [(5, 6), (6, 6), (6, 5)]
 
     @staticmethod
-    def setup_run(n_r, n_p, n_stack, gamma, p_max=22.0):
+    def setup_run(n_r, n_p, gamma, p_max=22.0):
         params = dataclasses.replace(
             calibrate(mu=918.0, gamma=0.02, dt=0.5,
                       t_phys=kelvin_to_hartree(947.0)), gamma=gamma)
         grid = build_grid(n_r, n_p, (0.6, 2.6), (-p_max, p_max))
         amp = encode_gaussian(grid, 1.5, 3.0, 0.15, 3.0).amplitudes
-        if n_stack == 2:
-            amp = amp + 0.5j * encode_gaussian(grid, 1.7, -2.0, 0.2,
-                                               3.0).amplitudes
-            amp /= math.sqrt(np.sum(np.abs(amp) ** 2) * grid.cell)
         stepper = LangevinStepper(grid, morse_pes(de=0.17, alpha=1.0,
                                                   re=1.4), params)
-        a = stepper.to_half_spectra(amp)
-        assert len(a) == n_stack
-        return stepper, a
+        return stepper, stepper.to_half_spectra(amp)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("n_stack", [1, 2])
     @pytest.mark.parametrize("gamma", [0.0, 0.02])
     @pytest.mark.parametrize("into", ["new", "spare"])
-    def test_matches_the_separate_buffer_step(self, shape, n_stack, gamma,
-                                              into):
-        stepper, a = self.setup_run(*shape, n_stack, gamma)
+    def test_matches_the_separate_buffer_step(self, shape, gamma, into):
+        stepper, a = self.setup_run(*shape, gamma)
         ref = a.copy()
         spare = np.empty_like(a) if into == "spare" else None
         for _ in range(10):
@@ -432,26 +447,58 @@ class TestSharedScratch:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_spectrum_buffer_only_where_the_stack_cannot_hold_it(self,
                                                                  shape):
-        stepper, a = self.setup_run(*shape, 2, 0.02)
+        stepper, a = self.setup_run(*shape, 0.02)
         stepper.advance(a)
-        plane, spectrum = stepper._planes(2)
+        plane, spectrum = stepper._planes()
         # two rows more than the grid, for friction's operand and product
-        assert plane.shape == (2, (1 << shape[0]) + 2, 1 << shape[1])
+        assert plane.shape == ((1 << shape[0]) + 2, 1 << shape[1])
         assert (spectrum is None) == (shape[0] <= shape[1])
 
-    @pytest.mark.parametrize("block", [None, 3 * 128, 1])
-    @pytest.mark.parametrize("shape", [(8, 7), (7, 8)])
-    def test_stack_of_two_density_is_grid_density(self, monkeypatch, block,
-                                                  shape):
-        # the default block spans several rows of 2^15 values; 3 x 128
-        # values leave a ragged last block, and 1 takes a row per block
-        if block is not None:
-            monkeypatch.setattr(kvnmd.propagator, "_ABS_BLOCK", block)
-        stepper, a = self.setup_run(*shape, 2, 0.02, p_max=88.0)
+    @pytest.mark.parametrize("shape, p_max", [(shape, 22.0) for shape in
+                                              SHAPES]
+                             + [((8, 7), 88.0), ((7, 8), 88.0)])
+    def test_density_is_grid_density(self, shape, p_max):
+        # formed in the plane's first N_R rows, which the next advance
+        # overwrites
+        stepper, a = self.setup_run(*shape, 0.02, p_max)
         a, _ = stepper.advance(a)
         table = KvnState(stepper.from_half_spectra(a), Basis.RP,
                          stepper.grid)
-        assert stepper.density(a).tobytes() == density(table).tobytes()
+        rho = stepper.density(a)
+        assert rho.tobytes() == density(table).tobytes()
+        assert np.shares_memory(rho, stepper._planes()[0])
+
+
+class TestHalfSpectra:
+    # a real table, and complex ones whose imaginary part is +0 or -0
+    TABLES = {"real": lambda a: a, "complex-real": lambda a: a + 0j,
+              "complex-negative-zero": lambda a: (a + 0j).conj()}
+
+    @pytest.mark.parametrize("kind", list(TABLES))
+    def test_round_trip_returns_the_real_table(self, kind):
+        grid = build_grid(6, 5, (0.6, 2.6), (-22.0, 22.0))
+        st = encode_gaussian(grid, 1.5, 3.0, 0.15, 3.0)
+        table = self.TABLES[kind](st.amplitudes)
+        a = LangevinStepper.to_half_spectra(table)
+        assert a.shape == (grid.shape[0] // 2 + 1, grid.shape[1])
+        assert a.tobytes() == LangevinStepper.to_half_spectra(
+            st.amplitudes).tobytes()
+        stepper = LangevinStepper(grid, morse_pes(de=0.17, alpha=1.0,
+                                                  re=1.4),
+                                  calibrate(mu=918.0, gamma=0.02, dt=0.5,
+                                            t_phys=kelvin_to_hartree(947.0)))
+        back = stepper.from_half_spectra(a)
+        assert back.dtype == np.float64
+        np.testing.assert_allclose(back, st.amplitudes, rtol=0.0,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
+    def test_refuses_an_imaginary_part_before_the_stepper_exists(self,
+                                                                  phase):
+        grid = build_grid(6, 5, (0.6, 2.6), (-22.0, 22.0))
+        st = encode_gaussian(grid, 1.5, 3.0, 0.15, 3.0)
+        with pytest.raises(ConfigurationError, match="imaginary"):
+            LangevinStepper.to_half_spectra(phase * st.amplitudes)
 
 
 class TestMomentumBiasExperiment:
@@ -637,32 +684,25 @@ class TestMemoryPreflight:
             8 * n * n + state
         assert FrictionOperator.memory_estimate(grid, 0.0) == state
         half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
-        # per stack height: the two resting stacks and the real plane of
+        # the input and output half spectra and the real plane of
         # N_R + 2 rows; on a square grid the kick's half spectrum lives
-        # in the output stack
-        per_stack = 2 * 16 * (n // 2 + 1) * n + 8 * (n + 2) * n
-        assert LangevinStepper.memory_estimate(grid, 0.01, 1) == \
-            half + 8 * n * n + per_stack
-        assert LangevinStepper.memory_estimate(grid, 0.01, 1) == 12_886_212_608
-        assert LangevinStepper.memory_estimate(grid, 0.01, 2) == \
-            half + 8 * n * n + 2 * per_stack
-        assert LangevinStepper.memory_estimate(grid, 0.01, 2) == \
-            19_329_449_984
-        assert LangevinStepper.memory_estimate(grid, 0.0, 2) == \
-            half + 2 * per_stack
+        # in the output
+        arrays = 2 * 16 * (n // 2 + 1) * n + 8 * (n + 2) * n
+        assert LangevinStepper.memory_estimate(grid, 0.01) == \
+            half + 8 * n * n + arrays
+        assert LangevinStepper.memory_estimate(grid, 0.01) == 12_886_212_608
+        assert LangevinStepper.memory_estimate(grid, 0.0) == half + arrays
 
     def test_estimate_counts_the_spectrum_where_the_stack_cannot_hold_it(
             self):
         # 2^14 x 2^12: an (R, k_P) half spectrum holds N_R - N_P more
-        # complex values than the output stack
+        # complex values than the output half spectrum
         grid = build_grid(14, 12, (0.5, 4.5), (-340.0, 340.0))
         n_r, n_p = 1 << 14, 1 << 12
         half = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
-        per_stack = (2 * 16 * (n_r // 2 + 1) * n_p + 8 * (n_r + 2) * n_p
-                     + 16 * n_r * (n_p // 2 + 1))
-        for n_stack in (1, 2):
-            assert LangevinStepper.memory_estimate(grid, 0.0, n_stack) == \
-                half + n_stack * per_stack
+        arrays = (2 * 16 * (n_r // 2 + 1) * n_p + 8 * (n_r + 2) * n_p
+                  + 16 * n_r * (n_p // 2 + 1))
+        assert LangevinStepper.memory_estimate(grid, 0.0) == half + arrays
 
     @pytest.mark.parametrize("kind", ["time-symmetric", "random"])
     def test_autocorrelation_holds_two_working_tables(self, kind):
@@ -701,25 +741,24 @@ class TestMemoryPreflight:
         with pytest.raises(MemoryBudgetError, match="GiB"):
             build(grid, pes, params)
 
-    def test_step_checks_the_height_of_its_state(self, monkeypatch):
-        # the constructor checks a stack of one; a complex state needs a
-        # stack of two, which `step` checks before it allocates
+    def test_step_checks_its_two_half_spectra(self, monkeypatch):
+        # the constructor checks one half spectrum stepped in place;
+        # `step` holds its input's and its output's, which it checks
+        # before it allocates
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
                            t_phys=kelvin_to_hartree(947.0))
         pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
-        real = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        cplx = KvnState(real.amplitudes * np.exp(0.3j), Basis.RP, grid)
-        need = LangevinStepper.memory_estimate(grid, params.s, 2)
+        st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
+        need = LangevinStepper.memory_estimate(grid, params.s)
         monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         stepper = LangevinStepper(grid, pes, params)
-        stepper.step(real)
         with pytest.raises(MemoryBudgetError, match="LangevinStepper"):
-            stepper.step(cplx)
+            stepper.step(st)
         monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
-        stepper.step(cplx)
+        stepper.step(st)
 
     def test_estimate_at_the_limit_passes(self, monkeypatch):
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))

@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvnmd.constants import SECONDS_PER_AU_TIME, kelvin_to_hartree
-from kvnmd.diagnostics import canonical_reference, kinetic_temperature
-from kvnmd.electronic import PesModel, morse_pes
+from kvnmd.diagnostics import (CanonicalDensity, canonical_reference,
+                               kinetic_temperature)
+from kvnmd.electronic import PesModel, bundled_h2_table, morse_pes, pauli_pes
 from kvnmd.errors import (ConfigurationError, MemoryBudgetError,
                           ResolutionError)
 from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian
 from kvnmd.oracles import canonical_sampler, verlet_blocks
 import kvnmd.propagator
-from kvnmd.tst import (_BLOCK, ArrheniusFit, TstConfig,
-                       analytic_canonical_state, arrhenius_sweep,
-                       crossing_memory_estimate, crossing_reference, tst_rate)
+from kvnmd.tst import (_BLOCK, TAIL_SHARE_LIMIT, ArrheniusFit, TstConfig,
+                       _surface_weights, analytic_canonical_state,
+                       arrhenius_sweep, crossing_memory_estimate,
+                       crossing_reference, tst_rate)
 from kvnmd.vdos import _trajectory_correlation
 from reference_steps import (dividing_surface_flux, full_history_crossings,
                              reactant_population, rp_verlet_blocks,
@@ -236,6 +238,43 @@ class TestRate:
         grid = build_grid(5, 5, (-2.0, 2.0), (-20.0, 20.0))
         with pytest.raises(ConfigurationError):
             tst_rate(grid, flat_pes(), MU, 0.0, TstConfig(0.0))
+
+
+class TestTailFloor:
+    # tst_h2.ini's grid and surface: R_div = 3 bohr, sigma = 2 dR
+    @staticmethod
+    def shipped():
+        grid = build_grid(8, 8, (0.5, 6.5), (-33.0, 33.0))
+        return grid, pauli_pes(bundled_h2_table()), TstConfig(3.0)
+
+    def tail_share(self, t_kelvin):
+        grid, pes, cfg = self.shipped()
+        w_r = CanonicalDensity(grid, pes, MU, kelvin_to_hartree(t_kelvin)).w_r
+        delta = _surface_weights(grid, cfg)
+        far = np.abs(grid.R - cfg.r_dividing) > 6.0 * 2.0 * grid.dR
+        return float(delta[far] @ w_r[far]) / float(delta @ w_r)
+
+    @pytest.mark.parametrize("t_kelvin", [1.0, 2.0, 3.0, 100.0])
+    def test_refuses_a_rate_set_by_the_delta_tail(self, t_kelvin):
+        # k would be about 1e-260 au at 1-3 K, all of it from the tail
+        grid, pes, cfg = self.shipped()
+        assert self.tail_share(t_kelvin) > TAIL_SHARE_LIMIT
+        with pytest.raises(ResolutionError, match="tail"):
+            tst_rate(grid, pes, MU, t_kelvin, cfg)
+
+    @pytest.mark.parametrize("t_kelvin, share", [
+        (300.0, 0.052), (2500.0, 8.5e-9), (5000.0, 2.2e-9),
+        (10000.0, 1.5e-9)])
+    def test_shipped_ladder_is_unchanged(self, t_kelvin, share):
+        # the rate is still the flux over the population of the table
+        grid, pes, cfg = self.shipped()
+        assert self.tail_share(t_kelvin) == pytest.approx(share, rel=0.05)
+        res = tst_rate(grid, pes, MU, t_kelvin, cfg)
+        table = analytic_canonical_state(grid, pes, MU,
+                                         kelvin_to_hartree(t_kelvin))
+        k = dividing_surface_flux(table, MU, cfg) / reactant_population(
+            table, cfg)
+        assert res.k_au == pytest.approx(k, rel=1e-13)
 
 
 class TestArrheniusSweep:
