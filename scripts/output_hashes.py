@@ -4,7 +4,8 @@
 Runs each INI config given on the command line, and with ``--seed`` also
 every config of the four benchmark workloads at that seed (the INI text
 comes from ``perfbench/workloads.configs``), one ``kvnmd.cli`` process
-each, into a temporary directory. Prints one line per CSV and per
+each, into a temporary directory. Prints one line per output that the
+run's ``manifest.json`` lists with its hash, every CSV and
 ``vdos_meta.json``::
 
     sha256:<hex>  <run>/<file>
@@ -20,6 +21,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +29,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-HASHED = ("*.csv", "vdos_meta.json")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -40,7 +41,8 @@ def workload_configs(seed: int) -> list[tuple[str, str]]:
 
 
 def run_hashes(name: str, ini: Path, out: Path) -> list[str]:
-    """Run one config into `out`; the hash lines of what it wrote."""
+    """Run one config into `out`; the hash lines of the outputs that its
+    manifest lists."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
@@ -50,8 +52,8 @@ def run_hashes(name: str, ini: Path, out: Path) -> list[str]:
     if res.returncode != 0:
         tail = res.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
         raise RuntimeError(f"{name}: exit {res.returncode}: {tail[0]}")
-    paths = sorted({p for pattern in HASHED for p in out.glob(pattern)})
-    return [f"{workloads._sha256(p)}  {name}/{p.name}" for p in paths]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    return [f"{outputs[file]}  {name}/{file}" for file in sorted(outputs)]
 
 
 def main(argv=None) -> int:

@@ -515,7 +515,9 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - start
     peak = _peak_rss_bytes()
     if peak is not None:
-        memory["peak_rss_bytes"] = peak
+        # the kernel's stored mark can lag a phase's live reading, so the
+        # run's peak is the largest of them all
+        memory["peak_rss_bytes"] = max(peak, *clock.peak_rss.values())
         memory["phase_peak_rss_bytes"] = clock.peak_rss
     _write_manifest(out_dir, cfg, code, error, derived, outputs, wall,
                     clock.seconds, memory, list(tally.summary.values()))

@@ -1,7 +1,7 @@
 """Relaxation monitors, the canonical density and the relaxation driver.
 
 Monitors are plain Riemann sums over the phase-space density: mean bond
-length, kinetic temperature <P^2>/mu, mean energy, and the KL divergence
+length, kinetic temperature <P^2>/mu and the KL divergence
 against the canonical reference at the physical temperature. That
 reference is `CanonicalDensity`, the separable product w_R(R) w_P(P) / Z
 built once per temperature; the relaxation monitors, the vdos
@@ -44,15 +44,6 @@ def kinetic_temperature(state: KvnState, mu: float) -> float:
     g = state.grid
     p2 = float(np.sum(density(state) * g.P[None, :] ** 2) * g.cell)
     return p2 / mu
-
-
-def mean_energy(state: KvnState, pes: PesModel, mu: float) -> float:
-    """<P^2/2mu + V(R)> in hartree."""
-    g = state.grid
-    v, _ = tabulate_pes(pes, g.R)
-    rho = density(state)
-    return float(np.sum(rho * (g.P[None, :] ** 2 / (2.0 * mu)
-                               + v[:, None])) * g.cell)
 
 
 def canonical_reference(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
@@ -181,7 +172,7 @@ def relax_memory_estimate(grid: PhaseSpaceGrid, params: LangevinParams,
     again."""
     n_r, n_p = grid.shape
     copies = set(snapshot_steps) & set(range(n_steps))
-    return (LangevinStepper.memory_estimate(grid, params.s, in_place=True)
+    return (LangevinStepper.memory_estimate(grid, params.s)
             + 8 * n_r * n_p * len(copies))
 
 

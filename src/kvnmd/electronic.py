@@ -121,11 +121,6 @@ def bundled_h2_table() -> PauliCoefficientTable:
         return load_pauli_table(path)
 
 
-def ground_state_energy(a, b, c):
-    """Lower eigenvalue a - sqrt(b^2 + c^2) of a I + b Z + c X."""
-    return np.asarray(a) - np.hypot(np.asarray(b), np.asarray(c))
-
-
 class _CubicTable:
     """Not-a-knot cubic splines through the k columns of y, shape (n, k).
 

@@ -4,9 +4,8 @@ A state is an amplitude table psi[j, l] over a centered (R, P)
 rectangle with 2**n_r x 2**n_p points, complex in general and float64
 where it is real, as for a zero-phase packet. Densities are |psi|^2 and all
 quadrature is the plain Riemann sum with weight dR*dP. The conjugate
-(k_R, k_P) axes follow FFT-natural ordering internally; sorted views are
-available for output. Fourier transforms are orthonormal, so sum|psi|^2
-is exactly preserved across representations.
+(k_R, k_P) axes follow FFT-natural ordering. Fourier transforms are
+orthonormal, so sum|psi|^2 is exactly preserved across representations.
 """
 
 from __future__ import annotations
@@ -55,14 +54,6 @@ class PhaseSpaceGrid:
     def cell(self) -> float:
         """Phase-space quadrature weight dR*dP."""
         return self.dR * self.dP
-
-    @property
-    def k_R_sorted(self) -> np.ndarray:
-        return np.sort(self.k_R)
-
-    @property
-    def k_P_sorted(self) -> np.ndarray:
-        return np.sort(self.k_P)
 
 
 @dataclass

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import SamplerWarning
 from .electronic import PesModel
-from .grid import PhaseSpaceGrid
 from .propagator import _preflight
 
 # Verlet steps per R block of verlet_blocks; the AIMD correlation sums
@@ -53,10 +52,6 @@ class TrajectoryEnsemble:
     times: np.ndarray
     R: np.ndarray
     P: np.ndarray | None = None  # None for the R-only blocks of verlet_blocks
-
-    @property
-    def n_traj(self) -> int:
-        return self.R.shape[1]
 
 
 def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
@@ -281,20 +276,6 @@ def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
         warnings.warn(f"Metropolis acceptance {rate:.2f} outside [0.1, 0.9] "
                       "after adaptation", SamplerWarning)
     return r_out, p
-
-
-def histogram_density(r_samples: np.ndarray, p_samples: np.ndarray,
-                      grid: PhaseSpaceGrid) -> np.ndarray:
-    """Sample histogram on node-centered cells, normalized like a density.
-
-    Out-of-range samples are dropped but still count in the normalization,
-    mirroring a grid state that simply has no mass there.
-    """
-    r_edges = np.append(grid.R - 0.5 * grid.dR, grid.R[-1] + 0.5 * grid.dR)
-    p_edges = np.append(grid.P - 0.5 * grid.dP, grid.P[-1] + 0.5 * grid.dP)
-    counts, _, _ = np.histogram2d(r_samples, p_samples,
-                                  bins=(r_edges, p_edges))
-    return counts / (len(r_samples) * grid.cell)
 
 
 def cos_filter_stationary_bias(s: float, n_terms: int = 200,

@@ -48,10 +48,9 @@ transforms are orthonormal, so norms keep their meaning in every
 representation once the half-spectrum rows carry the Hermitian weights
 1, 2, ..., 2, 1.
 
-A step needs three state-sized arrays besides its tables: the input
-half spectrum, the output one and one real (N_R + 2, N_P) plane, or two
-when the output is the input, as in `relax`, which steps its one half
-spectrum in place. The kick's (R, k_P) half spectrum lives in the
+A step needs two state-sized arrays besides its tables: the resting
+half spectrum, which `relax` and `step` advance in place, and one real
+(N_R + 2, N_P) plane. The kick's (R, k_P) half spectrum lives in the
 output, which is dead between irfft_R and rfft_R and holds N_P - N_R
 more complex values than the spectrum, so only an N_R > N_P grid gives
 the stepper a separate spectrum buffer. The transforms use the plane's
@@ -626,18 +625,6 @@ def _filtered(x: np.ndarray, friction: np.ndarray | _RowDilation | None,
                          friction_leak=leak)
 
 
-def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepReport]:
-    """Postselected cosine momentum filter (renormalization = postselection)."""
-    if state.basis is not Basis.RP:
-        raise BasisMismatchError(
-            f"the filter expects the (R, P) basis, got {state.basis}")
-    g = state.grid
-    amp, report = _filtered(state.amplitudes.astype(np.complex128), None,
-                            np.cos(sigma_h * g.k_P),
-                            np.full(g.shape[0], g.cell))
-    return KvnState(amp, Basis.RP, g), report
-
-
 def _real_table(amplitudes: np.ndarray) -> np.ndarray:
     """The real part of an (R, P) table; ConfigurationError unless its
     imaginary part is all zero: the Langevin step relaxes sqrt(rho)."""
@@ -674,10 +661,7 @@ class LangevinStepper:
 
     def __init__(self, grid: PhaseSpaceGrid, pes: PesModel,
                  params: LangevinParams):
-        # the minimum, one half spectrum stepped in place; `step`
-        # preflights the two that it holds
-        _preflight("LangevinStepper",
-                   self.memory_estimate(grid, params.s, in_place=True))
+        _preflight("LangevinStepper", self.memory_estimate(grid, params.s))
         self.grid = grid
         self.params = params
         _, force = tabulate_pes(pes, grid.R)
@@ -700,21 +684,19 @@ class LangevinStepper:
                 f"the step", FilterBandWarning)
 
     @staticmethod
-    def memory_estimate(grid: PhaseSpaceGrid, s: float, *,
-                        in_place: bool = False) -> int:
+    def memory_estimate(grid: PhaseSpaceGrid, s: float) -> int:
         """Bytes of the fixed working set: the half phase tables, the
-        friction table for s = gamma*dt, the resting half spectra a step
-        reads and writes (two, or one for `advance(a, out=a)` with
-        `in_place`), the real plane of N_R + 2 rows, and on an N_R > N_P
-        grid the kick's half spectrum."""
+        friction table for s = gamma*dt, the one resting half spectrum,
+        stepped in place, the real plane of N_R + 2 rows, and on an
+        N_R > N_P grid the kick's half spectrum."""
         n_r, n_p = grid.shape
         rows, cols = n_r // 2 + 1, n_p // 2 + 1
         half_tables = 16 * (rows * n_p + n_r * cols)
-        spectra = (1 if in_place else 2) * 16 * rows * n_p
+        resting = 16 * rows * n_p
         plane = 8 * 2 * rows * n_p
         spectrum = 16 * n_r * cols if n_r > n_p else 0
         return (half_tables + _friction_table_bytes(grid, s)
-                + spectra + plane + spectrum)
+                + resting + plane + spectrum)
 
     def _planes(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Real plane and, on an N_R > N_P grid, the kick's half spectrum
@@ -772,14 +754,14 @@ class LangevinStepper:
                          self.row_weights, plane)
 
     def step(self, state: KvnState) -> tuple[KvnState, StepReport]:
-        """One step of a real (R, P) state; the result is float64."""
+        """One step of a real (R, P) state; the result is float64. Its
+        fresh half spectrum is stepped in place, so it holds the one that
+        the constructor's preflight counts."""
         if state.basis is not Basis.RP:
             raise BasisMismatchError(
                 f"the step expects the (R, P) basis, got {state.basis}")
-        table = _real_table(state.amplitudes)
-        _preflight("LangevinStepper",
-                   self.memory_estimate(self.grid, self.params.s))
-        a, report = self.advance(self.to_half_spectra(table))
+        a = self.to_half_spectra(state.amplitudes)
+        a, report = self.advance(a, out=a)
         return KvnState(self.from_half_spectra(a), Basis.RP,
                         state.grid), report
 

@@ -7,12 +7,18 @@ powers of the conservative one-step propagator. Because that propagator
 is unitary, the full distribution follows from the autocorrelation
 sequence c_d = <alpha|U^d|alpha> alone, so the sweep over 2^m readout
 bins costs one chain of propagator applications, O(1) state memory and
-one length-2^m FFT. U is a real operator, so for a real equilibrium
-state the minus branch follows from the plus chain by complex
-conjugation. U is also time-reversal symmetric, and the branch states of
-a real, P-even equilibrium amplitude satisfy T alpha = conj(alpha) for
-the reflection T: P -> -P; the chain then reads two lags per power and
-takes about 2^(m-1) applications instead of 2^m - 1.
+one length-2^m FFT.
+
+The equilibrium state is the canonical sqrt(rho), a real (R, P) table
+with zero phase. A complex table is accepted only when its imaginary
+part is all zero, and reads as its float64 table; any other raises
+ConfigurationError before anything is allocated. U is a real operator,
+so the minus branch of a real table is the conjugate of the plus branch
+and its lags the conjugates of the plus chain's: one chain serves both.
+U is also time-reversal symmetric, and the branch states of a real,
+P-even equilibrium amplitude satisfy T alpha = conj(alpha) for the
+reflection T: P -> -P; the chain then reads two lags per power and takes
+about 2^(m-1) applications instead of 2^m - 1.
 
 A classical reference turns a trajectory ensemble into a spectrum on the
 identical bin grid: its windowed spectrum convolved with the same
@@ -37,7 +43,7 @@ from .errors import (ConfigurationError, DomainError, NonFiniteAmplitudeError,
                      SingularityError)
 from .grid import Basis, KvnState, PhaseSpaceGrid
 from .oracles import TrajectoryEnsemble
-from .propagator import NvePropagator, _preflight
+from .propagator import NvePropagator, _preflight, _real_table
 
 ZERO_BRANCH_FLOOR = 1e-12
 
@@ -55,7 +61,6 @@ class QpeConfig:
     m: int
     tau: float
     omega_shift: float = 0.0
-    branch: str = "plus"
     inner_steps: int = 1
 
     def __post_init__(self):
@@ -63,8 +68,6 @@ class QpeConfig:
             raise ConfigurationError(f"ancilla count m={self.m} outside [1, 16]")
         if self.tau <= 0.0:
             raise ConfigurationError("tau must be positive")
-        if self.branch not in ("plus", "minus"):
-            raise ConfigurationError(f"unknown branch {self.branch!r}")
         if self.inner_steps < 1:
             raise ConfigurationError("inner_steps must be >= 1")
 
@@ -112,18 +115,6 @@ class SpectrumResult:
         return int(np.argmax(folded))
 
 
-def fejer_kernel(theta, m: int):
-    """Finite-time readout kernel, 2*pi-periodic, peak value 2^m."""
-    n = 1 << m
-    th = np.asarray(theta, dtype=float)
-    half = 0.5 * th
-    denom = np.sin(half)
-    on_peak = np.isclose(np.abs(denom), 0.0, atol=1e-12)
-    safe = np.where(on_peak, 1.0, denom)
-    vals = (np.sin(n * half) / safe) ** 2 / n
-    return np.where(on_peak, float(n), vals)
-
-
 def reference_frequency(pes: PesModel, mu: float, r_nodes: np.ndarray) -> float:
     """Harmonic frequency from a local quadratic fit around the minimum.
 
@@ -144,40 +135,31 @@ def reference_frequency(pes: PesModel, mu: float, r_nodes: np.ndarray) -> float:
 
 
 def prepare_branch_states(eq_state: KvnState, omega_ref: float, mu: float):
-    """Split a state into normalized rotating-branch excitations.
+    """The normalized plus-branch excitation of a real equilibrium table.
 
-    Returns (alpha_plus, alpha_minus, (weight_plus, weight_minus)) where
-    the weights are the squared norms of the unnormalized branch states.
-    Both operators are real multipliers on the phase-space table, so the
-    weights agree identically; they are still returned as a pair. For a
-    real (float) eq_state alpha_minus is conj(alpha_plus) and is not
-    built: it is returned as None.
+    Returns (alpha_plus, weight), the weight being the squared norm of
+    the unnormalized branch state. The minus branch of the real table is
+    conj(alpha_plus), with the same weight. A table with a nonzero
+    imaginary part raises ConfigurationError (see `_real_table`).
     """
     if eq_state.basis is not Basis.RP:
         raise ConfigurationError("branch preparation expects the (R, P) basis")
+    table = _real_table(eq_state.amplitudes)
     if omega_ref <= 0.0 or mu <= 0.0:
         raise ConfigurationError("omega_ref and mu must be positive")
     g = eq_state.grid
-    rho = np.abs(eq_state.amplitudes) ** 2
+    rho = np.abs(table) ** 2
     r_mean = float(np.sum(rho * g.R[:, None]) * g.cell)
     q = (g.R - r_mean)[:, None]
     pi = (g.P / (mu * omega_ref))[None, :]
-
-    def branch(sign):  # A_plus carries -i*Pi, A_minus carries +i*Pi
-        amps = (q + sign * 1j * pi) * eq_state.amplitudes
-        w = float(np.sum(np.abs(amps) ** 2) * g.cell)
-        if w < ZERO_BRANCH_FLOOR:
-            raise SingularityError(
-                "branch state has zero norm; the input carries no spread "
-                "in either R or P")
-        amps /= math.sqrt(w)
-        return KvnState(amps, Basis.RP, g), w
-
-    alpha_p, w_p = branch(-1.0)
-    if not np.iscomplexobj(eq_state.amplitudes):
-        return alpha_p, None, (w_p, w_p)
-    alpha_m, w_m = branch(+1.0)
-    return alpha_p, alpha_m, (w_p, w_m)
+    amps = (q - 1j * pi) * table  # A_plus = Q - i*Pi
+    w = float(np.sum(np.abs(amps) ** 2) * g.cell)
+    if w < ZERO_BRANCH_FLOOR:
+        raise SingularityError(
+            "branch state has zero norm; the input carries no spread "
+            "in either R or P")
+    amps /= math.sqrt(w)
+    return KvnState(amps, Basis.RP, g), w
 
 
 def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
@@ -203,70 +185,37 @@ def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:
     return np.maximum(prob, 0.0)
 
 
-def qpe_spectrum(state: KvnState, pes: PesModel, mu: float,
-                 cfg: QpeConfig, branch_weight: float = 1.0) -> SpectrumResult:
-    """Readout distribution of the conservative evolution of `state`."""
-    prop = NvePropagator(state.grid, pes, mu, cfg.tau / cfg.inner_steps)
-    corr = prop.autocorrelation(state.amplitudes, cfg.n_bins, cfg.inner_steps)
-    return SpectrumResult(omega_au=cfg.bin_centers(),
-                          prob=qpe_distribution(corr, cfg),
-                          branch=cfg.branch, branch_weight=branch_weight)
-
-
-def branch_memory_estimate(grid: PhaseSpaceGrid,
-                           complex_state: bool = False) -> int:
+def branch_memory_estimate(grid: PhaseSpaceGrid) -> int:
     """Bytes that `branch_spectra` holds: the chain
-    (`NvePropagator.memory_estimate`) plus the equilibrium state, 8 B
-    per point for a real one and 32 for a complex one with its
-    alpha_minus."""
+    (`NvePropagator.memory_estimate`) plus the float64 equilibrium
+    table."""
     n_r, n_p = grid.shape
-    return (NvePropagator.memory_estimate(grid)
-            + (32 if complex_state else 8) * n_r * n_p)
+    return NvePropagator.memory_estimate(grid) + 8 * n_r * n_p
 
 
 def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
                    cfg: QpeConfig, omega_ref: float | None = None):
-    """Read out both rotating branches of eq_state.
+    """Read out both rotating branches of a real equilibrium table.
 
-    Transport is a real operator, so for a real equilibrium amplitude
-    alpha_minus = conj(alpha_plus) and c_minus(d) = conj(c_plus(d)): only
-    the plus state is built and its chain propagated. A state with an
-    imaginary part propagates both. The memory preflight counts
+    Only the plus state is built and its chain propagated: transport is
+    a real operator, so alpha_minus = conj(alpha_plus) and
+    c_minus(d) = conj(c_plus(d)). A table with a nonzero imaginary part
+    raises ConfigurationError before the memory preflight, which counts
     `branch_memory_estimate`.
     """
-    amplitudes = eq_state.amplitudes
-    _preflight("branch_spectra", branch_memory_estimate(
-        eq_state.grid, np.iscomplexobj(amplitudes)))
+    _real_table(eq_state.amplitudes)
+    _preflight("branch_spectra", branch_memory_estimate(eq_state.grid))
     if omega_ref is None:
         omega_ref = reference_frequency(pes, mu, eq_state.grid.R)
-    alpha_p, alpha_m, (w_p, w_m) = prepare_branch_states(eq_state, omega_ref, mu)
+    alpha_p, weight = prepare_branch_states(eq_state, omega_ref, mu)
     prop = NvePropagator(eq_state.grid, pes, mu, cfg.tau / cfg.inner_steps)
-    corr_p = prop.autocorrelation(alpha_p.amplitudes, cfg.n_bins,
-                                  cfg.inner_steps)
-    if alpha_m is not None and np.any(amplitudes.imag):
-        corr_m = prop.autocorrelation(alpha_m.amplitudes, cfg.n_bins,
-                                      cfg.inner_steps)
-    else:
-        corr_m = corr_p.conj()
+    corr = prop.autocorrelation(alpha_p.amplitudes, cfg.n_bins,
+                                cfg.inner_steps)
     omega = cfg.bin_centers()
-    return (SpectrumResult(omega, qpe_distribution(corr_p, cfg), "plus", w_p),
-            SpectrumResult(omega, qpe_distribution(corr_m, cfg), "minus", w_m))
-
-
-def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,
-                        dt: float, n_t: int) -> np.ndarray:
-    """Centered-coordinate autocorrelation series under pure transport.
-
-    Entry n is <psi|Q U^n Q|psi> at t = n*dt; entry 0 is <Q^2>, real and
-    nonnegative.
-    """
-    if eq_state.basis is not Basis.RP:
-        raise ConfigurationError("autocorrelation expects the (R, P) basis")
-    g = eq_state.grid
-    rho = np.abs(eq_state.amplitudes) ** 2
-    r_mean = float(np.sum(rho * g.R[:, None]) * g.cell)
-    q_amps = (g.R - r_mean)[:, None] * eq_state.amplitudes
-    return NvePropagator(g, pes, mu, dt).autocorrelation(q_amps, n_t)
+    return (SpectrumResult(omega, qpe_distribution(corr, cfg), "plus",
+                           weight),
+            SpectrumResult(omega, qpe_distribution(corr.conj(), cfg),
+                           "minus", weight))
 
 
 _WINDOWS = {

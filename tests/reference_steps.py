@@ -25,6 +25,17 @@ stepping core with a buffer of its own for every intermediate, where
 plane. `one_expression_phase_tables` is the transport tables' formula as
 one expression per table, with its table-sized temporaries. `traced_peak`
 measures the peak allocation of one call.
+
+The rest compute what no package code path needs, and serve only as
+references: `diffusion_step`, the cosine filter alone on an (R, P)
+state; `qpe_spectrum`, the readout of one state's own chain, and
+`minus_branch`, the minus branch and its weight built directly rather
+than by conjugation; `kvn_autocorrelation`, the centered coordinate's
+transport autocorrelation; `fejer_kernel`, the readout's finite-time
+kernel in closed form; `mean_energy`, the grid average of P^2/2mu + V;
+`ground_state_energy`, the lower eigenvalue of a Pauli table's 2 x 2
+Hamiltonian; and `histogram_density`, a sample histogram normalized like
+a grid density.
 """
 
 import math
@@ -38,7 +49,8 @@ from kvnmd.diagnostics import (RelaxationTrace, kinetic_temperature,
                                kl_divergence, mean_R)
 from kvnmd.electronic import (PauliCoefficientTable, PesModel, _CubicTable,
                               tabulate_pes)
-from kvnmd.errors import ConvergenceError, FilterCollapseError
+from kvnmd.errors import (BasisMismatchError, ConfigurationError,
+                          ConvergenceError, FilterCollapseError)
 from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, density, fourier_P
 from kvnmd.oracles import (_BLOCK, TrajectoryEnsemble, canonical_sampler,
                            trajectory_stream, verlet_ensemble)
@@ -47,7 +59,8 @@ from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
                               LangevinStepper, NvePropagator, StepReport,
                               _drift_momenta, _filtered, _zero_nyquist)
 from kvnmd.tst import CrossingResult, TstConfig, _surface_weights
-from kvnmd.vdos import _WINDOWS, QpeConfig, SpectrumResult, fejer_kernel
+from kvnmd.vdos import (_WINDOWS, QpeConfig, SpectrumResult,
+                        qpe_distribution)
 
 
 def nve_step(state: KvnState, pes: PesModel, mu: float, dt: float) -> KvnState:
@@ -456,3 +469,96 @@ def fejer_loop_reference(trajectories: TrajectoryEnsemble, cfg: QpeConfig,
                            * s_fine) * d_omega
     return SpectrumResult(omega_au=centers, prob=binned / binned.sum(),
                           branch="aimd", branch_weight=float(c_t[0]))
+
+
+def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepReport]:
+    """Postselected cosine momentum filter (renormalization = postselection)."""
+    if state.basis is not Basis.RP:
+        raise BasisMismatchError(
+            f"the filter expects the (R, P) basis, got {state.basis}")
+    g = state.grid
+    amp, report = _filtered(state.amplitudes.astype(np.complex128), None,
+                            np.cos(sigma_h * g.k_P),
+                            np.full(g.shape[0], g.cell))
+    return KvnState(amp, Basis.RP, g), report
+
+
+def qpe_spectrum(state: KvnState, pes: PesModel, mu: float, cfg: QpeConfig,
+                 branch: str = "plus",
+                 branch_weight: float = 1.0) -> SpectrumResult:
+    """Readout distribution of the conservative evolution of `state`."""
+    prop = NvePropagator(state.grid, pes, mu, cfg.tau / cfg.inner_steps)
+    corr = prop.autocorrelation(state.amplitudes, cfg.n_bins, cfg.inner_steps)
+    return SpectrumResult(omega_au=cfg.bin_centers(),
+                          prob=qpe_distribution(corr, cfg),
+                          branch=branch, branch_weight=branch_weight)
+
+
+def minus_branch(state: KvnState, omega_ref: float, mu: float) \
+        -> tuple[KvnState, float]:
+    """The normalized minus branch (Q + i*Pi) psi, built directly, and
+    its weight, the squared norm before normalization."""
+    g = state.grid
+    rho = np.abs(state.amplitudes) ** 2
+    r_mean = float(np.sum(rho * g.R[:, None]) * g.cell)
+    q = (g.R - r_mean)[:, None]
+    pi = (g.P / (mu * omega_ref))[None, :]
+    amps = (q + 1j * pi) * state.amplitudes
+    w = float(np.sum(np.abs(amps) ** 2) * g.cell)
+    return KvnState(amps / math.sqrt(w), Basis.RP, g), w
+
+
+def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,
+                        dt: float, n_t: int) -> np.ndarray:
+    """Centered-coordinate autocorrelation series under pure transport.
+
+    Entry n is <psi|Q U^n Q|psi> at t = n*dt; entry 0 is <Q^2>, real and
+    nonnegative.
+    """
+    if eq_state.basis is not Basis.RP:
+        raise ConfigurationError("autocorrelation expects the (R, P) basis")
+    g = eq_state.grid
+    rho = np.abs(eq_state.amplitudes) ** 2
+    r_mean = float(np.sum(rho * g.R[:, None]) * g.cell)
+    q_amps = (g.R - r_mean)[:, None] * eq_state.amplitudes
+    return NvePropagator(g, pes, mu, dt).autocorrelation(q_amps, n_t)
+
+
+def fejer_kernel(theta, m: int):
+    """Finite-time readout kernel, 2*pi-periodic, peak value 2^m."""
+    n = 1 << m
+    th = np.asarray(theta, dtype=float)
+    half = 0.5 * th
+    denom = np.sin(half)
+    on_peak = np.isclose(np.abs(denom), 0.0, atol=1e-12)
+    safe = np.where(on_peak, 1.0, denom)
+    vals = (np.sin(n * half) / safe) ** 2 / n
+    return np.where(on_peak, float(n), vals)
+
+
+def mean_energy(state: KvnState, pes: PesModel, mu: float) -> float:
+    """<P^2/2mu + V(R)> in hartree."""
+    g = state.grid
+    v, _ = tabulate_pes(pes, g.R)
+    rho = density(state)
+    return float(np.sum(rho * (g.P[None, :] ** 2 / (2.0 * mu)
+                               + v[:, None])) * g.cell)
+
+
+def ground_state_energy(a, b, c):
+    """Lower eigenvalue a - sqrt(b^2 + c^2) of a I + b Z + c X."""
+    return np.asarray(a) - np.hypot(np.asarray(b), np.asarray(c))
+
+
+def histogram_density(r_samples: np.ndarray, p_samples: np.ndarray,
+                      grid: PhaseSpaceGrid) -> np.ndarray:
+    """Sample histogram on node-centered cells, normalized like a density.
+
+    Out-of-range samples are dropped but still count in the normalization,
+    mirroring a grid state that simply has no mass there.
+    """
+    r_edges = np.append(grid.R - 0.5 * grid.dR, grid.R[-1] + 0.5 * grid.dR)
+    p_edges = np.append(grid.P - 0.5 * grid.dP, grid.P[-1] + 0.5 * grid.dP)
+    counts, _, _ = np.histogram2d(r_samples, p_samples,
+                                  bins=(r_edges, p_edges))
+    return counts / (len(r_samples) * grid.cell)

@@ -22,12 +22,12 @@ from kvnmd.diagnostics import mean_R, relax
 from kvnmd.electronic import PesModel, morse_pes
 from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
                         norm_squared)
-from kvnmd.oracles import histogram_density, langevin_ensemble
+from kvnmd.oracles import langevin_ensemble
 from kvnmd.propagator import NvePropagator, calibrate
 from kvnmd.tst import TstConfig, arrhenius_sweep, tst_rate
-from kvnmd.vdos import (QpeConfig, fejer_kernel, prepare_branch_states,
-                        qpe_distribution)
-from reference_steps import step_autocorrelation, verlet_trajectory
+from kvnmd.vdos import QpeConfig, prepare_branch_states, qpe_distribution
+from reference_steps import (fejer_kernel, histogram_density, minus_branch,
+                             step_autocorrelation, verlet_trajectory)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MU = 918.0
@@ -168,7 +168,8 @@ def test_criterion_4_phase_estimation_kernel_fidelity():
 
     wgrid = build_grid(6, 6, (0.5, 3.5), (-20.0, 20.0))
     real_state = encode_gaussian(wgrid, 1.5, 0.0, 0.2, 2.0)
-    _, _, (w_plus, w_minus) = prepare_branch_states(real_state, 0.02, MU)
+    _, w_plus = prepare_branch_states(real_state, 0.02, MU)
+    _, w_minus = minus_branch(real_state, 0.02, MU)
     assert abs(w_plus - w_minus) < 1e-10 * w_plus
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -384,7 +385,7 @@ class TestCliRelax:
         # last step, 40, is the stepper's plane
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         assert memory["estimate_bytes"] == LangevinStepper.memory_estimate(
-            grid, 0.01, in_place=True) + 8 * 64 * 64
+            grid, 0.01) + 8 * 64 * 64
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="the run's own peak is read from VmHWM")
@@ -416,6 +417,37 @@ class TestCliRelax:
                                                        "write"}
         assert all(peak < touched
                    for peak in memory["phase_peak_rss_bytes"].values())
+
+    def test_manifest_peak_bounds_a_lagging_final_reading(self, tmp_path,
+                                                          monkeypatch):
+        # the stored high-water mark read at the end can lag the live
+        # count that a phase read at its peak; the run's peak is then the
+        # largest phase reading
+        readings = iter([3 << 20, 7 << 20, 9 << 20, 8 << 20])
+        monkeypatch.setattr(kvnmd.cli, "_peak_rss_bytes",
+                            lambda: next(readings))
+        code, out = run_cli(tmp_path, RELAX_SMALL)
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        assert memory["phase_peak_rss_bytes"] == {
+            "tables": 3 << 20, "propagate": 7 << 20, "write": 9 << 20}
+        assert memory["peak_rss_bytes"] == 9 << 20
+
+    @pytest.mark.skipif(shutil.which("sh") is None,
+                        reason="the run is started from a POSIX shell")
+    def test_shell_launched_peak_bounds_every_phase(self, tmp_path):
+        out = tmp_path / "out"
+        command = " ".join(shlex.quote(str(arg)) for arg in (
+            sys.executable, "-m", "kvnmd.cli", "--config",
+            ROOT / "configs" / "relax_h2.ini", "--out", out))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(["sh", "-c", command], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        phases = memory["phase_peak_rss_bytes"]
+        assert set(phases) == {"tables", "propagate", "write"}
+        assert max(phases.values()) <= memory["peak_rss_bytes"]
 
     def test_forced_collapse_is_exit_3_with_its_step(self, tmp_path,
                                                      monkeypatch, capsys):

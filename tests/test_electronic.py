@@ -13,11 +13,10 @@ from scipy.interpolate import CubicSpline
 
 import kvnmd
 from kvnmd.electronic import (PAULI_HEADER, RAW_HEADER, PauliCoefficientTable,
-                              _CubicTable, bundled_h2_table, ground_state_energy,
-                              load_pauli_table, morse_pes, pauli_pes, raw_pes,
-                              tabulate_pes)
+                              _CubicTable, bundled_h2_table, load_pauli_table,
+                              morse_pes, pauli_pes, raw_pes, tabulate_pes)
 from kvnmd.errors import DomainError, SingularityError, TableFormatError
-from reference_steps import two_step_pauli_force
+from reference_steps import ground_state_energy, two_step_pauli_force
 
 
 def write_table(path, lines):

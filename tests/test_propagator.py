@@ -18,10 +18,11 @@ from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               NvePropagator, _RowDilation, calibrate,
-                              corrected_internal_temperature, diffusion_step,
-                              _filtered, momentum_bias_experiment)
-from reference_steps import (complex_bias_experiment, friction_step,
-                             ideal_diffusion_step, langevin_step, nve_step,
+                              corrected_internal_temperature, _filtered,
+                              momentum_bias_experiment)
+from reference_steps import (complex_bias_experiment, diffusion_step,
+                             friction_step, ideal_diffusion_step,
+                             langevin_step, nve_step,
                              separate_buffer_advance, traced_peak)
 
 
@@ -303,7 +304,7 @@ class TestDiffusionFilter:
         grid = build_grid(3, 6, (0.0, 1.0), (-8.0, 8.0))
         # plane wave in P sits on a single k_P node; tune the filter zero
         # onto that node
-        k_star = grid.k_P_sorted[3 * len(grid.k_P) // 4]
+        k_star = np.sort(grid.k_P)[3 * len(grid.k_P) // 4]
         amp = np.exp(1j * k_star * grid.P)[None, :] \
             * np.ones((grid.shape[0], 1))
         st = KvnState(amp.astype(np.complex128), Basis.RP, grid)
@@ -684,23 +685,23 @@ class TestMemoryPreflight:
             8 * n * n + state
         assert FrictionOperator.memory_estimate(grid, 0.0) == state
         half = 16 * ((n // 2 + 1) * n + n * (n // 2 + 1))
-        # the input and output half spectra and the real plane of
-        # N_R + 2 rows; on a square grid the kick's half spectrum lives
-        # in the output
-        arrays = 2 * 16 * (n // 2 + 1) * n + 8 * (n + 2) * n
+        # the one resting half spectrum, stepped in place, and the real
+        # plane of N_R + 2 rows; on a square grid the kick's half
+        # spectrum lives in the resting one
+        arrays = 16 * (n // 2 + 1) * n + 8 * (n + 2) * n
         assert LangevinStepper.memory_estimate(grid, 0.01) == \
             half + 8 * n * n + arrays
-        assert LangevinStepper.memory_estimate(grid, 0.01) == 12_886_212_608
+        assert LangevinStepper.memory_estimate(grid, 0.01) == 10_738_466_816
         assert LangevinStepper.memory_estimate(grid, 0.0) == half + arrays
 
     def test_estimate_counts_the_spectrum_where_the_stack_cannot_hold_it(
             self):
         # 2^14 x 2^12: an (R, k_P) half spectrum holds N_R - N_P more
-        # complex values than the output half spectrum
+        # complex values than the resting half spectrum
         grid = build_grid(14, 12, (0.5, 4.5), (-340.0, 340.0))
         n_r, n_p = 1 << 14, 1 << 12
         half = 16 * ((n_r // 2 + 1) * n_p + n_r * (n_p // 2 + 1))
-        arrays = (2 * 16 * (n_r // 2 + 1) * n_p + 8 * (n_r + 2) * n_p
+        arrays = (16 * (n_r // 2 + 1) * n_p + 8 * (n_r + 2) * n_p
                   + 16 * n_r * (n_p // 2 + 1))
         assert LangevinStepper.memory_estimate(grid, 0.0) == half + arrays
 
@@ -741,10 +742,10 @@ class TestMemoryPreflight:
         with pytest.raises(MemoryBudgetError, match="GiB"):
             build(grid, pes, params)
 
-    def test_step_checks_its_two_half_spectra(self, monkeypatch):
-        # the constructor checks one half spectrum stepped in place;
-        # `step` holds its input's and its output's, which it checks
-        # before it allocates
+    def test_constructor_check_covers_step(self, monkeypatch):
+        # `step` advances its one fresh half spectrum in place, the
+        # working set that the constructor checks: at the estimate both
+        # pass, one byte below it the constructor refuses
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         params = calibrate(mu=918.0, gamma=0.02, dt=0.5,
                            t_phys=kelvin_to_hartree(947.0))
@@ -752,13 +753,17 @@ class TestMemoryPreflight:
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
         need = LangevinStepper.memory_estimate(grid, params.s)
         monkeypatch.setattr(kvnmd.propagator, "_available_memory",
-                            lambda: need - 1)
-        stepper = LangevinStepper(grid, pes, params)
-        with pytest.raises(MemoryBudgetError, match="LangevinStepper"):
-            stepper.step(st)
-        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need)
-        stepper.step(st)
+        stepper = LangevinStepper(grid, pes, params)
+        stepped, _ = stepper.step(st)
+        a = stepper.to_half_spectra(st.amplitudes)
+        fresh, _ = stepper.advance(a)
+        assert stepped.amplitudes.tobytes() == \
+            stepper.from_half_spectra(fresh).tobytes()
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                            lambda: need - 1)
+        with pytest.raises(MemoryBudgetError, match="LangevinStepper"):
+            LangevinStepper(grid, pes, params)
 
     def test_estimate_at_the_limit_passes(self, monkeypatch):
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))

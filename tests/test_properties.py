@@ -40,11 +40,12 @@ from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
                               LangevinStepper, NvePropagator, _RowDilation,
                               _dilate, _phase_tables, calibrate,
-                              corrected_internal_temperature, diffusion_step)
+                              corrected_internal_temperature)
 from kvnmd.tst import TstConfig, tst_rate
 from kvnmd.vdos import prepare_branch_states
-from reference_steps import (dense_friction_table, dividing_surface_flux,
-                             friction_step, masked_friction_table, nve_step,
+from reference_steps import (dense_friction_table, diffusion_step,
+                             dividing_surface_flux, friction_step,
+                             masked_friction_table, minus_branch, nve_step,
                              one_expression_phase_tables, reactant_population,
                              step_autocorrelation, table_canonical_reference,
                              traced_peak)
@@ -349,7 +350,8 @@ def test_minus_branch_autocorrelation_is_conjugate(n_r, n_p, seed, dt,
     grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
     eq = np.abs(random_state(n_r, n_p, seed).amplitudes)
     state = KvnState(eq.astype(complex), Basis.RP, grid)
-    alpha_p, alpha_m, _ = prepare_branch_states(state, 0.02, MU)
+    alpha_p, _ = prepare_branch_states(state, 0.02, MU)
+    alpha_m, _ = minus_branch(state, 0.02, MU)
     prop = NvePropagator(grid, PES, MU, dt)
     c_plus = prop.autocorrelation(alpha_p.amplitudes, n_lags, stride)
     c_minus = prop.autocorrelation(alpha_m.amplitudes, n_lags, stride)

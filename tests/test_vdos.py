@@ -16,11 +16,12 @@ import kvnmd.propagator
 from kvnmd.propagator import NvePropagator
 from kvnmd.tst import analytic_canonical_state
 from kvnmd.vdos import (QpeConfig, _trajectory_correlation,
-                        aimd_reference_spectrum, branch_spectra, fejer_kernel,
-                        kvn_autocorrelation, prepare_branch_states,
-                        qpe_distribution, qpe_spectrum, reference_frequency)
-from reference_steps import (fejer_loop_reference, step_autocorrelation,
-                             traced_peak)
+                        aimd_reference_spectrum, branch_spectra,
+                        prepare_branch_states, qpe_distribution,
+                        reference_frequency)
+from reference_steps import (fejer_kernel, fejer_loop_reference,
+                             kvn_autocorrelation, minus_branch,
+                             qpe_spectrum, step_autocorrelation, traced_peak)
 
 MU = 918.0
 W0 = 0.02
@@ -59,8 +60,7 @@ class TestQpeConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(m=0, tau=1.0), dict(m=17, tau=1.0), dict(m=5, tau=0.0),
-        dict(m=5, tau=-2.0), dict(m=5, tau=1.0, branch="sideways"),
-        dict(m=5, tau=1.0, inner_steps=0),
+        dict(m=5, tau=-2.0), dict(m=5, tau=1.0, inner_steps=0),
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -122,19 +122,22 @@ class TestReferenceFrequency:
 
 class TestPrepareBranchStates:
     def test_weights_are_symmetric(self):
+        # the weight returned serves both branches: the minus branch,
+        # built directly, has it too
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         st = encode_gaussian(grid, 1.3, 1.5, 0.12, 2.0)
-        # put some phase structure on the state
-        st = KvnState(st.amplitudes * np.exp(0.4j * grid.R[:, None]
-                                             - 0.2j * grid.P[None, :]),
-                      Basis.RP, grid)
-        _, _, (w_plus, w_minus) = prepare_branch_states(st, W0, MU)
+        _, w_plus = prepare_branch_states(st, W0, MU)
+        _, w_minus = minus_branch(st, W0, MU)
         assert abs(w_plus - w_minus) < 1e-10 * w_plus
 
     def test_real_state_branches_share_density(self):
+        # the minus branch built directly is the conjugate of alpha_plus
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         st = thermal_state(grid, harmonic(), kelvin_to_hartree(300.0))
-        a_plus, a_minus, _ = prepare_branch_states(st, W0, MU)
+        a_plus, _ = prepare_branch_states(st, W0, MU)
+        a_minus, _ = minus_branch(st, W0, MU)
+        np.testing.assert_allclose(a_plus.amplitudes.conj(),
+                                   a_minus.amplitudes, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(np.abs(a_plus.amplitudes) ** 2,
                                    np.abs(a_minus.amplitudes) ** 2,
                                    atol=1e-14)
@@ -142,7 +145,7 @@ class TestPrepareBranchStates:
     def test_weight_matches_moment_quadrature(self):
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         st = encode_gaussian(grid, 1.5, 0.8, 0.15, 1.8)
-        _, _, (w_plus, _) = prepare_branch_states(st, W0, MU)
+        _, w_plus = prepare_branch_states(st, W0, MU)
         rho = np.abs(st.amplitudes) ** 2
         r_mean = np.sum(rho * grid.R[:, None]) * grid.cell
         q2 = np.sum(rho * (grid.R[:, None] - r_mean) ** 2) * grid.cell
@@ -213,7 +216,7 @@ class TestQpeDistribution:
         grid = build_grid(4, 4, (0.8, 2.0), (-9.0, 9.0))
         eq = thermal_state(grid, pes, kelvin_to_hartree(300.0))
         cfg = QpeConfig(m=4, tau=15.0, omega_shift=0.003, inner_steps=2)
-        alpha, _, _ = prepare_branch_states(eq, W0, MU)
+        alpha, _ = prepare_branch_states(eq, W0, MU)
         spec = qpe_spectrum(alpha, pes, MU, cfg)
 
         m_bins = cfg.n_bins
@@ -271,17 +274,30 @@ class TestQpeSpectrum:
 
     @pytest.mark.parametrize("phase", [0.0, 0.7])
     def test_branch_spectra_match_propagated_branches(self, phase):
-        # a real state reads the minus branch off the plus chain by
-        # conjugation; a state with a phase field is propagated branch by
-        # branch
+        # the minus branch is read off the plus chain by conjugation; here
+        # the conjugate of alpha_plus is propagated on its own chain. A
+        # phase field gives the table an imaginary part, which both calls
+        # refuse before their preflight and before one (R, P) table.
         cfg = QpeConfig(m=5, tau=20.0, inner_steps=2)
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         eq = thermal_state(grid, harmonic(), kelvin_to_hartree(300.0))
         field = np.cos(3.0 * grid.R[:, None] + 0.2 * grid.P[None, :])
         eq = KvnState(eq.amplitudes * np.exp(1j * phase * field), Basis.RP,
                       grid)
+        if phase:
+            def refused():
+                for call in (lambda: branch_spectra(eq, harmonic(), MU, cfg,
+                                                    omega_ref=W0),
+                             lambda: prepare_branch_states(eq, W0, MU)):
+                    with pytest.raises(ConfigurationError, match="imaginary"):
+                        call()
+
+            _, peak = traced_peak(refused)
+            assert peak < 8 * grid.shape[0] * grid.shape[1]
+            return
         plus, minus = branch_spectra(eq, harmonic(), MU, cfg, omega_ref=W0)
-        alpha_p, alpha_m, _ = prepare_branch_states(eq, W0, MU)
+        alpha_p, _ = prepare_branch_states(eq, W0, MU)
+        alpha_m = KvnState(alpha_p.amplitudes.conj(), Basis.RP, grid)
         direct_p = qpe_spectrum(alpha_p, harmonic(), MU, cfg)
         direct_m = qpe_spectrum(alpha_m, harmonic(), MU, cfg)
         np.testing.assert_allclose(plus.prob, direct_p.prob, atol=1e-12)
@@ -302,7 +318,7 @@ class TestQpeSpectrum:
         assert len(kicks) == cfg.n_bins // 2 * cfg.inner_steps
         monkeypatch.undo()
 
-        alpha_p, _, _ = prepare_branch_states(eq, W0, MU)
+        alpha_p, _ = prepare_branch_states(eq, W0, MU)
         prop = NvePropagator(grid, harmonic(), MU, cfg.tau / cfg.inner_steps)
 
         def power(s):
@@ -338,28 +354,51 @@ class TestBranchSpectraMemory:
         return grid, eq
 
     @staticmethod
-    def count(grid, kind):
-        # the chain's estimate plus the equilibrium table: float64 for the
-        # canonical state; a complex one also holds alpha_minus, whose own
-        # chain runs after the plus chain
+    def count(grid):
+        # the chain's estimate plus the float64 equilibrium table
         n = grid.shape[0] * grid.shape[1]
-        held = 8 * n if kind == "real" else 2 * 16 * n
-        return NvePropagator.memory_estimate(grid) + held
+        return NvePropagator.memory_estimate(grid) + 8 * n
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_peaks_within_preflight_count(self, kind):
+    def test_peaks_within_preflight_count(self, kind, monkeypatch):
         grid, eq = self.equilibrium(kind)
         cfg = QpeConfig(m=3, tau=20.0)
+        if kind == "complex":
+            # refused before the preflight, which would refuse any run
+            # here, and before one (R, P) table
+            monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                                lambda: 0)
+
+            def refused():
+                with pytest.raises(ConfigurationError, match="imaginary"):
+                    branch_spectra(eq, harmonic(), MU, cfg, W0)
+
+            _, peak = traced_peak(refused)
+            assert peak < 8 * grid.shape[0] * grid.shape[1]
+            return
         branch_spectra(eq, harmonic(), MU, cfg, W0)  # warms the FFT plans
         _, peak = traced_peak(branch_spectra, eq, harmonic(), MU, cfg, W0)
         # eq_state exists before tracing starts; numpy's fixed ufunc
         # buffers (3 x 8192 complex items) come on top of any count
-        assert eq.amplitudes.nbytes + peak <= self.count(grid, kind) + 2 ** 19
+        assert eq.amplitudes.nbytes + peak <= self.count(grid) + 2 ** 19
+
+    def test_complex_zero_phase_gives_the_real_spectra(self):
+        grid, eq = self.equilibrium("real")
+        cfg = QpeConfig(m=4, tau=20.0, inner_steps=2)
+        real = branch_spectra(eq, harmonic(), MU, cfg, W0)
+        # imaginary parts of +0 and -0
+        for amps in (eq.amplitudes.astype(complex),
+                     eq.amplitudes.astype(complex).conj()):
+            spectra = branch_spectra(KvnState(amps, Basis.RP, grid),
+                                     harmonic(), MU, cfg, W0)
+            for ours, theirs in zip(spectra, real):
+                assert ours.prob.tobytes() == theirs.prob.tobytes()
+                assert ours.branch_weight == theirs.branch_weight
 
     def test_preflight_counts_the_equilibrium_table(self, monkeypatch):
         grid, eq = self.equilibrium("real")
         cfg = QpeConfig(m=3, tau=20.0)
-        need = self.count(grid, "real")
+        need = self.count(grid)
         monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
         with pytest.raises(MemoryBudgetError, match="branch_spectra"):
