@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     if peak is not None:
         # the kernel's stored mark can lag a phase's live reading, so the
         # run's peak is the largest of them all
-        memory["peak_rss_bytes"] = max(peak, *clock.peak_rss.values())
+        memory["peak_rss_bytes"] = max([peak, *clock.peak_rss.values()])
         memory["phase_peak_rss_bytes"] = clock.peak_rss
     _write_manifest(out_dir, cfg, code, error, derived, outputs, wall,
                     clock.seconds, memory, list(tally.summary.values()))

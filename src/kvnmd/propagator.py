@@ -627,11 +627,11 @@ def _filtered(x: np.ndarray, friction: np.ndarray | _RowDilation | None,
 
 def _real_table(amplitudes: np.ndarray) -> np.ndarray:
     """The real part of an (R, P) table; ConfigurationError unless its
-    imaginary part is all zero: the Langevin step relaxes sqrt(rho)."""
+    imaginary part is all zero: relax and vdos both take sqrt(rho)."""
     if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
         raise ConfigurationError(
-            "the Langevin step takes a real (R, P) table such as "
-            "sqrt(rho); this one has a nonzero imaginary part")
+            "expected a real (R, P) table such as sqrt(rho); this one "
+            "has a nonzero imaginary part")
     return amplitudes.real
 
 

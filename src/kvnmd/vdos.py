@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,9 +201,10 @@ def branch_spectra(eq_state: KvnState, pes: PesModel, mu: float,
     a real operator, so alpha_minus = conj(alpha_plus) and
     c_minus(d) = conj(c_plus(d)). A table with a nonzero imaginary part
     raises ConfigurationError before the memory preflight, which counts
-    `branch_memory_estimate`.
+    `branch_memory_estimate`; the float64 table it checks is what
+    `prepare_branch_states` receives, so that one skips the scan.
     """
-    _real_table(eq_state.amplitudes)
+    eq_state = replace(eq_state, amplitudes=_real_table(eq_state.amplitudes))
     _preflight("branch_spectra", branch_memory_estimate(eq_state.grid))
     if omega_ref is None:
         omega_ref = reference_frequency(pes, mu, eq_state.grid.R)

@@ -17,7 +17,8 @@ import kvnmd.cli
 import kvnmd.propagator
 from kvnmd.cli import PHASES, main
 from kvnmd.errors import (BoundaryLeakWarning, FilterBandWarning,
-                          FilterCollapseError, NonFiniteAmplitudeError)
+                          FilterCollapseError, NonFiniteAmplitudeError,
+                          SingularityError)
 from kvnmd.config import load_config, parse_config
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.grid import build_grid
@@ -738,6 +739,24 @@ class TestExitCodes:
         assert not (out / "vdos_meta.json").exists()
         assert manifest["timings"]["tables"] > 0.0
         assert manifest["timings"]["write"] == 0.0
+
+    def test_failure_before_the_first_phase_writes_its_peak(
+            self, tmp_path, monkeypatch, capsys):
+        # the reference frequency is read before any phase laps, so the
+        # run's peak is the final reading alone
+        def flat(*args, **kwargs):
+            raise SingularityError("no positive curvature at the minimum")
+
+        monkeypatch.setattr(kvnmd.cli, "reference_frequency", flat)
+        code, out = run_cli(tmp_path, VDOS_SMALL)
+        assert code == 3
+        assert "no positive curvature" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 3
+        assert manifest["error"]["type"] == "SingularityError"
+        memory = manifest["memory"]
+        assert memory["phase_peak_rss_bytes"] == {}
+        assert memory["peak_rss_bytes"] > 0
 
     def test_memory_budget_error_is_exit_2(self, tmp_path, monkeypatch,
                                            capsys):
