@@ -42,9 +42,8 @@ from .config import MODES, RunConfig, load_config
 from .constants import (WAVENUMBER_PER_HARTREE, angstrom_to_bohr,
                         hartree_to_kelvin, kelvin_to_hartree)
 from .diagnostics import relax, relax_memory_estimate
-from .errors import (BasisMismatchError, ConfigurationError, DomainError,
-                     KvnError, MemoryBudgetError, ResolutionError,
-                     TableFormatError)
+from .errors import (ConfigurationError, DomainError, KvnError,
+                     MemoryBudgetError, ResolutionError, TableFormatError)
 from .grid import build_grid, encode_gaussian
 from .oracles import canonical_sampler, cos_filter_stationary_bias, \
     langevin_ensemble, langevin_memory_estimate, sampler_memory_estimate, \
@@ -64,8 +63,7 @@ BIAS_TOLERANCE_LAW = 0.10
 BIAS_TOLERANCE_ORACLE = 0.01
 
 _CONFIG_CLASS_ERRORS = (ConfigurationError, ResolutionError, DomainError,
-                        TableFormatError, BasisMismatchError,
-                        MemoryBudgetError)
+                        TableFormatError, MemoryBudgetError)
 PHASES = ("tables", "propagate", "readout", "write")
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .constants import (FS_PER_AU_TIME, bohr_to_angstrom, hartree_to_kelvin)
 from .electronic import PesModel, tabulate_pes
 from .errors import FilterCollapseError
-from .grid import Basis, KvnState, PhaseSpaceGrid, density
+from .grid import KvnState, PhaseSpaceGrid, density
 from .propagator import (LangevinParams, LangevinStepper, _preflight,
                          _real_table, _rp_table)
 
@@ -203,8 +203,6 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     from before it: the trace ends at its last record, records the
     collapsing step in `collapsed_at_step`, and the final state is None.
     """
-    if initial.basis is not Basis.RP:
-        raise ValueError("relaxation starts from the (R, P) representation")
     grid = initial.grid
     table = _real_table(initial.amplitudes)
     _preflight("relax", relax_memory_estimate(grid, params, n_steps,
@@ -257,5 +255,5 @@ def relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     del stepper, rho
     if trace.collapsed:
         return trace, None, snapshots
-    final = KvnState(_rp_table(a, grid.shape[0]), Basis.RP, grid)
+    final = KvnState(_rp_table(a, grid.shape[0]), grid)
     return trace, final, snapshots

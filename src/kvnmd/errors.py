@@ -13,10 +13,6 @@ class ResolutionError(KvnError):
     """A requested feature is too narrow for the current grid."""
 
 
-class BasisMismatchError(KvnError):
-    """An operation received a state stored in the wrong representation."""
-
-
 class DomainError(KvnError):
     """Evaluation outside the tabulated/parameterized coordinate range."""
 

@@ -3,30 +3,23 @@
 A state is an amplitude table psi[j, l] over a centered (R, P)
 rectangle with 2**n_r x 2**n_p points, complex in general and float64
 where it is real, as for a zero-phase packet. Densities are |psi|^2 and all
-quadrature is the plain Riemann sum with weight dR*dP. The conjugate
-(k_R, k_P) axes follow FFT-natural ordering. Fourier transforms are
-orthonormal, so sum|psi|^2 is exactly preserved across representations.
+quadrature is the plain Riemann sum with weight dR*dP. A state always
+lives in (R, P): every basis change happens inside the operator that
+needs it, and `fourier_R` / `fourier_P` return a bare array, never a
+state. The conjugate (k_R, k_P) axes follow FFT-natural ordering. Fourier
+transforms are orthonormal, so sum|psi|^2 is exactly preserved.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BasisMismatchError, ConfigurationError, ResolutionError
+from .errors import ConfigurationError, ResolutionError
 
 MIN_QUBITS = 3
 MAX_QUBITS = 14
-
-
-class Basis(enum.Enum):
-    """Which pair of axes the amplitude table currently refers to."""
-
-    RP = "(R,P)"
-    KR_P = "(k_R,P)"
-    R_KP = "(R,k_P)"
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,9 @@ class PhaseSpaceGrid:
 
 @dataclass
 class KvnState:
-    """Amplitude table tagged with the representation it lives in."""
+    """Amplitude table psi[j, l] on the (R, P) nodes of its grid."""
 
     amplitudes: np.ndarray
-    basis: Basis
     grid: PhaseSpaceGrid
 
     def copy(self) -> "KvnState":
@@ -100,7 +92,7 @@ def build_grid(n_r: int, n_p: int,
 
 
 def norm_squared(state: KvnState) -> float:
-    """sum |psi|^2 dR dP (the same weight is kept in every representation)."""
+    """sum |psi|^2 dR dP."""
     g = state.grid
     return float(np.sum(np.abs(state.amplitudes) ** 2) * g.cell)
 
@@ -109,7 +101,7 @@ def normalize(state: KvnState) -> KvnState:
     n2 = norm_squared(state)
     if n2 <= 0.0:
         raise ValueError("cannot normalize a zero state")
-    return KvnState(state.amplitudes / np.sqrt(n2), state.basis, state.grid)
+    return KvnState(state.amplitudes / np.sqrt(n2), state.grid)
 
 
 def encode_gaussian(grid: PhaseSpaceGrid, r0: float, p0: float,
@@ -129,34 +121,19 @@ def encode_gaussian(grid: PhaseSpaceGrid, r0: float, p0: float,
             f"spacings ({2 * grid.dR:.3g}, {2 * grid.dP:.3g})")
     rr = (grid.R[:, None] - r0) ** 2 / (4.0 * s_r ** 2)
     pp = (grid.P[None, :] - p0) ** 2 / (4.0 * s_p ** 2)
-    return normalize(KvnState(np.exp(-(rr + pp)), Basis.RP, grid))
+    return normalize(KvnState(np.exp(-(rr + pp)), grid))
 
 
-def fourier_R(state: KvnState) -> KvnState:
-    """Toggle between (R,P) and (k_R,P) with an orthonormal FFT on axis 0."""
-    if state.basis is Basis.RP:
-        amp = np.fft.fft(state.amplitudes, axis=0, norm="ortho")
-        return KvnState(amp, Basis.KR_P, state.grid)
-    if state.basis is Basis.KR_P:
-        amp = np.fft.ifft(state.amplitudes, axis=0, norm="ortho")
-        return KvnState(amp, Basis.RP, state.grid)
-    raise BasisMismatchError(f"fourier_R undefined for basis {state.basis}")
+def fourier_R(state: KvnState) -> np.ndarray:
+    """The (k_R, P) table of a state: its orthonormal FFT along R."""
+    return np.fft.fft(state.amplitudes, axis=0, norm="ortho")
 
 
-def fourier_P(state: KvnState) -> KvnState:
-    """Toggle between (R,P) and (R,k_P) with an orthonormal FFT on axis 1."""
-    if state.basis is Basis.RP:
-        amp = np.fft.fft(state.amplitudes, axis=1, norm="ortho")
-        return KvnState(amp, Basis.R_KP, state.grid)
-    if state.basis is Basis.R_KP:
-        amp = np.fft.ifft(state.amplitudes, axis=1, norm="ortho")
-        return KvnState(amp, Basis.RP, state.grid)
-    raise BasisMismatchError(f"fourier_P undefined for basis {state.basis}")
+def fourier_P(state: KvnState) -> np.ndarray:
+    """The (R, k_P) table of a state: its orthonormal FFT along P."""
+    return np.fft.fft(state.amplitudes, axis=1, norm="ortho")
 
 
 def density(state: KvnState) -> np.ndarray:
     """|psi|^2 on the (R, P) rectangle. Integrates to 1 with weight dR*dP."""
-    if state.basis is not Basis.RP:
-        raise BasisMismatchError(
-            f"density requires the (R,P) representation, got {state.basis}")
     return np.abs(state.amplitudes) ** 2

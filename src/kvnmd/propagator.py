@@ -80,11 +80,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electronic import PesModel, tabulate_pes
-from .errors import (BasisMismatchError, BoundaryLeakWarning,
-                     ConfigurationError, ConvergenceError, FilterBandWarning,
-                     FilterCollapseError, MemoryBudgetError,
-                     NonFiniteAmplitudeError)
-from .grid import Basis, KvnState, PhaseSpaceGrid
+from .errors import (BoundaryLeakWarning, ConfigurationError,
+                     ConvergenceError, FilterBandWarning, FilterCollapseError,
+                     MemoryBudgetError, NonFiniteAmplitudeError)
+from .grid import KvnState, PhaseSpaceGrid
 
 BOUNDARY_LEAK_TOLERANCE = 1e-3
 FILTER_COLLAPSE_FLOOR = 1e-6
@@ -288,13 +287,10 @@ class NvePropagator:
         return x
 
     def step(self, state: KvnState) -> KvnState:
-        if state.basis is not Basis.RP:
-            raise BasisMismatchError(
-                f"transport expects the (R, P) basis, got {state.basis}")
         a = np.fft.fft(state.amplitudes, axis=0, norm="ortho")
         self.transport(a, out=a)
         np.fft.ifft(a, axis=0, norm="ortho", out=a)
-        return KvnState(a, Basis.RP, state.grid)
+        return KvnState(a, state.grid)
 
     def _time_symmetric(self, amplitudes: np.ndarray) -> bool:
         """Whether ||T psi - conj(psi)|| <= TIME_REVERSAL_TOLERANCE ||psi||
@@ -442,15 +438,13 @@ class FrictionOperator:
 
     def apply(self, state: KvnState) -> tuple[KvnState, float]:
         """The renormalized state and the boundary leak |1 - norm^2|."""
-        if state.basis is not Basis.RP:
-            raise ConfigurationError("friction acts in the (R, P) representation")
         if self.matrix is None:
             return state.copy(), 0.0
         b = _dilate(state.amplitudes.astype(np.complex128), self.matrix)
         n2, leak = _friction_norm(
             b, np.full(state.grid.shape[0], state.grid.cell))
         b *= 1.0 / math.sqrt(n2)
-        return KvnState(b, Basis.RP, state.grid), leak
+        return KvnState(b, state.grid), leak
 
 
 def _friction_table_bytes(grid: PhaseSpaceGrid, s: float) -> int:
@@ -757,13 +751,9 @@ class LangevinStepper:
         """One step of a real (R, P) state; the result is float64. Its
         fresh half spectrum is stepped in place, so it holds the one that
         the constructor's preflight counts."""
-        if state.basis is not Basis.RP:
-            raise BasisMismatchError(
-                f"the step expects the (R, P) basis, got {state.basis}")
         a = self.to_half_spectra(state.amplitudes)
         a, report = self.advance(a, out=a)
-        return KvnState(self.from_half_spectra(a), Basis.RP,
-                        state.grid), report
+        return KvnState(self.from_half_spectra(a), state.grid), report
 
 
 def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,

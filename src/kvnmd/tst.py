@@ -28,7 +28,7 @@ from .constants import SECONDS_PER_AU_TIME, kelvin_to_hartree
 from .diagnostics import CanonicalDensity
 from .electronic import PesModel
 from .errors import ConfigurationError, ResolutionError, SingularityError
-from .grid import Basis, KvnState, PhaseSpaceGrid
+from .grid import KvnState, PhaseSpaceGrid
 from .oracles import (_BLOCK, canonical_sampler, sampler_memory_estimate,
                       verlet_blocks, verlet_blocks_memory_estimate)
 from .propagator import _preflight
@@ -86,7 +86,7 @@ def analytic_canonical_state(grid: PhaseSpaceGrid, pes: PesModel, mu: float,
     """Boltzmann amplitudes sqrt(rho_eq) with zero phase, normalized: a
     real float64 table, the outer product of the marginals' roots."""
     return KvnState(CanonicalDensity(grid, pes, mu, t_phys).amplitudes(),
-                    Basis.RP, grid)
+                    grid)
 
 
 def _check_surface(grid: PhaseSpaceGrid, cfg: TstConfig) -> None:

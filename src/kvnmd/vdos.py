@@ -41,7 +41,7 @@ from .constants import WAVENUMBER_PER_HARTREE
 from .electronic import PesModel, tabulate_pes
 from .errors import (ConfigurationError, DomainError, NonFiniteAmplitudeError,
                      SingularityError)
-from .grid import Basis, KvnState, PhaseSpaceGrid
+from .grid import KvnState, PhaseSpaceGrid
 from .oracles import TrajectoryEnsemble
 from .propagator import NvePropagator, _preflight, _real_table
 
@@ -66,8 +66,8 @@ class QpeConfig:
     def __post_init__(self):
         if not 1 <= self.m <= 16:
             raise ConfigurationError(f"ancilla count m={self.m} outside [1, 16]")
-        if self.tau <= 0.0:
-            raise ConfigurationError("tau must be positive")
+        if not math.isfinite(self.tau) or self.tau <= 0.0:
+            raise ConfigurationError("tau must be positive and finite")
         if self.inner_steps < 1:
             raise ConfigurationError("inner_steps must be >= 1")
 
@@ -142,8 +142,6 @@ def prepare_branch_states(eq_state: KvnState, omega_ref: float, mu: float):
     conj(alpha_plus), with the same weight. A table with a nonzero
     imaginary part raises ConfigurationError (see `_real_table`).
     """
-    if eq_state.basis is not Basis.RP:
-        raise ConfigurationError("branch preparation expects the (R, P) basis")
     table = _real_table(eq_state.amplitudes)
     if omega_ref <= 0.0 or mu <= 0.0:
         raise ConfigurationError("omega_ref and mu must be positive")
@@ -159,7 +157,7 @@ def prepare_branch_states(eq_state: KvnState, omega_ref: float, mu: float):
             "branch state has zero norm; the input carries no spread "
             "in either R or P")
     amps /= math.sqrt(w)
-    return KvnState(amps, Basis.RP, g), w
+    return KvnState(amps, g), w
 
 
 def qpe_distribution(corr: np.ndarray, cfg: QpeConfig) -> np.ndarray:

@@ -49,9 +49,8 @@ from kvnmd.diagnostics import (RelaxationTrace, kinetic_temperature,
                                kl_divergence, mean_R)
 from kvnmd.electronic import (PauliCoefficientTable, PesModel, _CubicTable,
                               tabulate_pes)
-from kvnmd.errors import (BasisMismatchError, ConfigurationError,
-                          ConvergenceError, FilterCollapseError)
-from kvnmd.grid import Basis, KvnState, PhaseSpaceGrid, density, fourier_P
+from kvnmd.errors import ConvergenceError, FilterCollapseError
+from kvnmd.grid import KvnState, PhaseSpaceGrid, density, fourier_P
 from kvnmd.oracles import (_BLOCK, TrajectoryEnsemble, canonical_sampler,
                            trajectory_stream, verlet_ensemble)
 from kvnmd.propagator import (FILTER_COLLAPSE_FLOOR, BiasResult,
@@ -87,15 +86,14 @@ def ideal_diffusion_step(state: KvnState, sigma_h: float) \
     With this kernel the calibrated fixed point <P^2> = mu*T_int holds
     exactly for Gaussian states.
     """
-    spec = fourier_P(state)
-    amp = spec.amplitudes * np.exp(-0.5 * (sigma_h * state.grid.k_P) ** 2)
+    amp = fourier_P(state) * np.exp(-0.5 * (sigma_h * state.grid.k_P) ** 2)
     p_success = float(np.sum(np.abs(amp) ** 2) * state.grid.cell)
     if p_success < FILTER_COLLAPSE_FLOOR:
         raise FilterCollapseError(
             f"filter success probability {p_success:.3e} below "
             f"{FILTER_COLLAPSE_FLOOR:.0e}")
-    out = fourier_P(KvnState(amp / np.sqrt(p_success), Basis.R_KP,
-                             state.grid))
+    out = KvnState(np.fft.ifft(amp / np.sqrt(p_success), axis=1,
+                               norm="ortho"), state.grid)
     return out, StepReport(success_probability=p_success,
                            log_success=math.log(p_success))
 
@@ -214,7 +212,7 @@ def table_relax(initial: KvnState, pes: PesModel, params: LangevinParams,
     log_cum = 0.0
 
     def to_rp() -> KvnState:
-        return KvnState(stepper.from_half_spectra(a), Basis.RP, grid)
+        return KvnState(stepper.from_half_spectra(a), grid)
 
     def record(step: int):
         trace.append(step * params.dt * FS_PER_AU_TIME,
@@ -473,14 +471,11 @@ def fejer_loop_reference(trajectories: TrajectoryEnsemble, cfg: QpeConfig,
 
 def diffusion_step(state: KvnState, sigma_h: float) -> tuple[KvnState, StepReport]:
     """Postselected cosine momentum filter (renormalization = postselection)."""
-    if state.basis is not Basis.RP:
-        raise BasisMismatchError(
-            f"the filter expects the (R, P) basis, got {state.basis}")
     g = state.grid
     amp, report = _filtered(state.amplitudes.astype(np.complex128), None,
                             np.cos(sigma_h * g.k_P),
                             np.full(g.shape[0], g.cell))
-    return KvnState(amp, Basis.RP, g), report
+    return KvnState(amp, g), report
 
 
 def qpe_spectrum(state: KvnState, pes: PesModel, mu: float, cfg: QpeConfig,
@@ -505,7 +500,7 @@ def minus_branch(state: KvnState, omega_ref: float, mu: float) \
     pi = (g.P / (mu * omega_ref))[None, :]
     amps = (q + 1j * pi) * state.amplitudes
     w = float(np.sum(np.abs(amps) ** 2) * g.cell)
-    return KvnState(amps / math.sqrt(w), Basis.RP, g), w
+    return KvnState(amps / math.sqrt(w), g), w
 
 
 def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,
@@ -515,8 +510,6 @@ def kvn_autocorrelation(eq_state: KvnState, pes: PesModel, mu: float,
     Entry n is <psi|Q U^n Q|psi> at t = n*dt; entry 0 is <Q^2>, real and
     nonnegative.
     """
-    if eq_state.basis is not Basis.RP:
-        raise ConfigurationError("autocorrelation expects the (R, P) basis")
     g = eq_state.grid
     rho = np.abs(eq_state.amplitudes) ** 2
     r_mean = float(np.sum(rho * g.R[:, None]) * g.cell)

@@ -158,7 +158,7 @@ def test_criterion_4_phase_estimation_kernel_fidelity():
     omega = cfg.bin_centers()[19] + 0.31 * cfg.bin_width
     phase = np.exp(-1j * omega * cfg.tau)
     corr = step_autocorrelation(
-        st, lambda s: KvnState(phase * s.amplitudes, s.basis, s.grid),
+        st, lambda s: KvnState(phase * s.amplitudes, s.grid),
         cfg.n_bins)
     prob = qpe_distribution(corr, cfg)
     ref = fejer_kernel((omega - cfg.bin_centers()) * cfg.tau,

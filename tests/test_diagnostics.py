@@ -13,8 +13,8 @@ from kvnmd.diagnostics import (canonical_reference, kinetic_temperature,
 from kvnmd.electronic import PesModel, morse_pes
 from kvnmd.errors import (ConfigurationError, FilterBandWarning,
                           FilterCollapseError, MemoryBudgetError)
-from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
-                        fourier_R, norm_squared)
+from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
+                        norm_squared)
 from kvnmd.oracles import canonical_sampler
 from kvnmd.propagator import LangevinParams, LangevinStepper, calibrate
 from reference_steps import mean_energy, table_relax, traced_peak
@@ -38,7 +38,7 @@ def flat_pes() -> PesModel:
 
 def canonical_state(grid, pes, mu, t):
     rho = canonical_reference(grid, pes, mu, t)
-    return KvnState(np.sqrt(rho).astype(complex), Basis.RP, grid)
+    return KvnState(np.sqrt(rho).astype(complex), grid)
 
 
 class TestMeanR:
@@ -211,7 +211,7 @@ class TestRelax:
         # an exact phase rotation leaves every monitor bit-identical
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        rotated = KvnState(phase * st.amplitudes, st.basis, st.grid)
+        rotated = KvnState(phase * st.amplitudes, st.grid)
         pes = h2_like_pes()
         assert mean_R(rotated) == mean_R(st)
         assert kinetic_temperature(rotated, MU) == kinetic_temperature(st, MU)
@@ -224,7 +224,7 @@ class TestRelax:
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         pes = h2_like_pes()
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        rotated = KvnState(-st.amplitudes, st.basis, st.grid)
+        rotated = KvnState(-st.amplitudes, st.grid)
         trace_a, _, _ = relax(st, pes, self.params(), 30)
         trace_b, _, _ = relax(rotated, pes, self.params(), 30)
         assert trace_a.mean_r_angstrom == trace_b.mean_r_angstrom
@@ -238,7 +238,7 @@ class TestRelax:
         grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
         pes = h2_like_pes()
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        as_complex = KvnState(st.amplitudes.astype(complex), st.basis, grid)
+        as_complex = KvnState(st.amplitudes.astype(complex), grid)
         trace, final, snaps = relax(st, pes, self.params(), 3, 1, (0, 2))
         c_trace, c_final, c_snaps = relax(as_complex, pes, self.params(), 3,
                                           1, (0, 2))
@@ -264,7 +264,7 @@ class TestRelax:
         # before the stepper's tables or the half spectrum exist
         grid = build_grid(9, 9, (0.5, 4.5), (-170.0, 170.0))
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        rotated = KvnState(phase * st.amplitudes, st.basis, grid)
+        rotated = KvnState(phase * st.amplitudes, grid)
 
         def refused():
             with pytest.raises(ConfigurationError, match="imaginary"):
@@ -280,7 +280,7 @@ class TestRelax:
         k_star = np.sort(grid.k_P)[3 * 32 // 4]
         amps = np.cos(k_star * grid.P)[None, :] * np.ones((16, 1))
         amps = amps / math.sqrt(np.sum(amps ** 2) * grid.cell)
-        st = KvnState(amps, Basis.RP, grid)
+        st = KvnState(amps, grid)
         params = LangevinParams(mu=MU, gamma=0.0, dt=0.5, t_phys=T_PHYS,
                                 t_int=T_PHYS,
                                 sigma_h=0.5 * math.pi / abs(k_star))
@@ -302,12 +302,6 @@ class TestRelax:
         assert snaps[0].shape == grid.shape
         assert np.sum(snaps[7]) * grid.cell == pytest.approx(1.0, abs=1e-12)
 
-    def test_requires_position_momentum_basis(self):
-        grid = build_grid(6, 6, (0.6, 2.6), (-22.0, 22.0))
-        st = fourier_R(encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5))
-        with pytest.raises(ValueError):
-            relax(st, h2_like_pes(), self.params(), 5)
-
 
 # the real table and a complex one with no imaginary part
 STACKS = {"real": lambda a: a, "complex-real": lambda a: a.astype(complex)}
@@ -325,7 +319,7 @@ class TestRelaxMatchesTableDriver:
     def hot_packet(self, stack):
         grid = build_grid(7, 7, (0.6, 2.6), (-42.5, 42.5))
         st = encode_gaussian(grid, MORSE["re"], 0.0, 0.1563, 2.8739)
-        return KvnState(STACKS[stack](st.amplitudes), Basis.RP, grid)
+        return KvnState(STACKS[stack](st.amplitudes), grid)
 
     def assert_same_run(self, run, reference):
         (trace, final, snaps), (ref, ref_final, ref_snaps) = run, reference
@@ -386,7 +380,7 @@ class TestRelaxWorkingSet:
     def setup_run(self, stack="real"):
         grid = build_grid(9, 9, (0.5, 4.5), (-170.0, 170.0))
         st = encode_gaussian(grid, 1.5, 0.0, 0.15, 2.5)
-        st = KvnState(STACKS[stack](st.amplitudes), Basis.RP, grid)
+        st = KvnState(STACKS[stack](st.amplitudes), grid)
         return st, h2_like_pes(), calibrate(mu=MU, gamma=0.02, dt=0.5,
                                             t_phys=T_PHYS)
 

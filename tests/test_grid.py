@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from kvnmd.errors import BasisMismatchError, ConfigurationError, ResolutionError
-from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
+from kvnmd.errors import ConfigurationError, ResolutionError
+from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
                         fourier_P, fourier_R, norm_squared, normalize)
 
 
 def random_state(grid, seed=0):
     rng = np.random.default_rng(seed)
     amp = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return normalize(KvnState(amp, Basis.RP, grid))
+    return normalize(KvnState(amp, grid))
 
 
 def test_grid_geometry():
@@ -116,21 +116,20 @@ def test_encode_gaussian_rejects_bad_requests():
 def test_fourier_round_trip_and_parseval(seed):
     g = build_grid(5, 6, (0.2, 5.0), (-7.0, 7.0))
     st = random_state(g, seed)
-    for toggle in (fourier_R, fourier_P):
-        once = toggle(st)
-        assert once.basis != Basis.RP
+    for axis, transform in enumerate((fourier_R, fourier_P)):
+        once = transform(st)
         # Parseval: the summed modulus squared is representation independent
-        assert norm_squared(once) == pytest.approx(norm_squared(st), abs=1e-12)
-        back = toggle(once)
-        assert back.basis is Basis.RP
-        assert np.max(np.abs(back.amplitudes - st.amplitudes)) < 1e-12
+        assert np.sum(np.abs(once) ** 2) * g.cell == pytest.approx(
+            norm_squared(st), abs=1e-12)
+        back = np.fft.ifft(once, axis=axis, norm="ortho")
+        assert np.max(np.abs(back - st.amplitudes)) < 1e-12
 
 
 def test_fourier_matches_direct_dft_sum():
     """Convention check against an explicitly summed DFT at N = 16."""
     g = build_grid(4, 3, (0.0, 4.0), (-2.0, 2.0))
     st = random_state(g, 7)
-    out = fourier_R(st).amplitudes
+    out = fourier_R(st)
     n = 16
     direct = np.zeros_like(out)
     for m in range(n):
@@ -144,17 +143,7 @@ def test_plane_wave_lands_on_matching_k_component():
     idx = 5
     k0 = g.k_R[idx]
     amp = np.exp(1j * k0 * g.R)[:, None] * np.exp(-g.P[None, :] ** 2)
-    st = normalize(KvnState(amp.astype(complex), Basis.RP, g))
-    spec = np.abs(fourier_R(st).amplitudes) ** 2
+    st = normalize(KvnState(amp.astype(complex), g))
+    spec = np.abs(fourier_R(st)) ** 2
     weights = spec.sum(axis=1)
     assert weights[idx] == pytest.approx(weights.sum(), rel=1e-12)
-
-
-def test_basis_mismatch_raises():
-    g = build_grid(4, 4, (0.0, 2.0), (-2.0, 2.0))
-    st = random_state(g)
-    in_kr = fourier_R(st)
-    with pytest.raises(BasisMismatchError):
-        fourier_P(in_kr)
-    with pytest.raises(BasisMismatchError):
-        density(in_kr)

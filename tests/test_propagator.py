@@ -13,8 +13,8 @@ from kvnmd.errors import (BoundaryLeakWarning, ConfigurationError,
                           ConvergenceError, FilterBandWarning,
                           FilterCollapseError, MemoryBudgetError,
                           NonFiniteAmplitudeError)
-from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
-                        fourier_P, norm_squared)
+from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
+                        norm_squared)
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (FrictionOperator, LangevinStepper,
                               NvePropagator, _RowDilation, calibrate,
@@ -57,7 +57,7 @@ def maxwell_state(grid, mu, t):
     amp = np.ones(grid.shape, dtype=np.complex128)
     amp *= np.exp(-grid.P[None, :] ** 2 / (4.0 * mu * t))
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.cell)
-    return KvnState(amp, Basis.RP, grid)
+    return KvnState(amp, grid)
 
 
 class TestCalibrate:
@@ -236,12 +236,6 @@ class TestFriction:
         with pytest.warns(BoundaryLeakWarning):
             friction_step(st, 0.5)
 
-    def test_requires_position_momentum_representation(self):
-        grid = build_grid(4, 6, (0.0, 1.0), (-8.0, 8.0))
-        st = fourier_P(encode_gaussian(grid, 0.5, 0.0, 0.15, 0.8))
-        with pytest.raises(ConfigurationError):
-            friction_step(st, 0.1)
-
     def test_rejects_negative_strength(self):
         grid = build_grid(4, 6, (0.0, 1.0), (-8.0, 8.0))
         with pytest.raises(ConfigurationError):
@@ -307,7 +301,7 @@ class TestDiffusionFilter:
         k_star = np.sort(grid.k_P)[3 * len(grid.k_P) // 4]
         amp = np.exp(1j * k_star * grid.P)[None, :] \
             * np.ones((grid.shape[0], 1))
-        st = KvnState(amp.astype(np.complex128), Basis.RP, grid)
+        st = KvnState(amp.astype(np.complex128), grid)
         with pytest.raises(FilterCollapseError):
             diffusion_step(st, math.pi / (2.0 * k_star))
 
@@ -382,7 +376,7 @@ class TestThermostatedStep:
         pes = morse_pes(de=0.17, alpha=1.0, re=1.4)
         st = encode_gaussian(grid, 1.5, 0.0, 0.1, 2.5)
         stepper = LangevinStepper(grid, pes, params)
-        rotated = KvnState(phase * st.amplitudes, Basis.RP, grid)
+        rotated = KvnState(phase * st.amplitudes, grid)
 
         def refused():
             with pytest.raises(ConfigurationError, match="imaginary"):
@@ -391,7 +385,7 @@ class TestThermostatedStep:
         _, peak = traced_peak(refused)
         assert peak < 8 * grid.shape[0] * grid.shape[1]  # not one table
         real, _ = stepper.step(st)
-        as_complex = KvnState(st.amplitudes.astype(complex), Basis.RP, grid)
+        as_complex = KvnState(st.amplitudes.astype(complex), grid)
         stepped, _ = stepper.step(as_complex)
         assert stepped.amplitudes.dtype == np.float64
         assert stepped.amplitudes.tobytes() == real.amplitudes.tobytes()
@@ -463,8 +457,7 @@ class TestSharedScratch:
         # overwrites
         stepper, a = self.setup_run(*shape, 0.02, p_max)
         a, _ = stepper.advance(a)
-        table = KvnState(stepper.from_half_spectra(a), Basis.RP,
-                         stepper.grid)
+        table = KvnState(stepper.from_half_spectra(a), stepper.grid)
         rho = stepper.density(a)
         assert rho.tobytes() == density(table).tobytes()
         assert np.shares_memory(rho, stepper._planes()[0])

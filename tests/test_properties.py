@@ -34,7 +34,7 @@ from kvnmd.diagnostics import (KL_FLOOR, CanonicalDensity,
                                relax_memory_estimate)
 from kvnmd.electronic import morse_pes, tabulate_pes
 from kvnmd.errors import ResolutionError
-from kvnmd.grid import (Basis, KvnState, build_grid, density, encode_gaussian,
+from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
                         norm_squared)
 from kvnmd.oracles import cos_filter_stationary_bias
 from kvnmd.propagator import (TIME_REVERSAL_TOLERANCE, FrictionOperator,
@@ -63,7 +63,7 @@ def random_state(n_r, n_p, seed, p_max=22.0):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     amp /= math.sqrt(np.sum(np.abs(amp) ** 2) * grid.cell)
-    return KvnState(amp, Basis.RP, grid)
+    return KvnState(amp, grid)
 
 
 def l2_distance(a, b, cell):
@@ -76,7 +76,7 @@ def l2_distance(a, b, cell):
        dt=st.floats(min_value=0.1, max_value=2.0))
 def test_array_core_matches_composed_substeps(n_r, n_p, seed, gamma, dt):
     state = random_state(n_r, n_p, seed)
-    state = KvnState(np.abs(state.amplitudes), Basis.RP, state.grid)
+    state = KvnState(np.abs(state.amplitudes), state.grid)
     params = dataclasses.replace(
         calibrate(MU, 0.02, dt, kelvin_to_hartree(947.0)), gamma=gamma)
     composed = state
@@ -211,7 +211,7 @@ def time_symmetric_state(grid, seed, kind):
     even = even + even[:, -np.arange(n_p) % n_p]
     if kind == "branch":
         even[:, 0] = 0.0
-        eq = KvnState(even.astype(complex), Basis.RP, grid)
+        eq = KvnState(even.astype(complex), grid)
         return prepare_branch_states(eq, 0.02, MU)[0].amplitudes
     amp = (grid.R - grid.R.mean())[:, None] * even
     return amp / math.sqrt(np.sum(amp ** 2) * grid.cell)
@@ -256,7 +256,7 @@ def test_doubled_autocorrelation_matches_step_loop(n_r, n_p, seed, dt,
         amp = time_symmetric_state(grid, seed, kind)
     prop = NvePropagator(grid, PES, MU, dt)
     corr, n_steps = counted_autocorrelation(prop, amp, n_lags, stride)
-    unfused = step_autocorrelation(KvnState(amp, Basis.RP, grid),
+    unfused = step_autocorrelation(KvnState(amp, grid),
                                    power_of(prop, stride), n_lags)
     np.testing.assert_allclose(corr, unfused, rtol=0.0, atol=1e-12)
     doubled = centered and kind != "random"
@@ -280,7 +280,7 @@ def test_time_symmetry_tolerance_picks_the_chain(n_r, n_p, seed, dt, n_lags,
         0.5 * np.sum(amp.real ** 2))
     prop = NvePropagator(grid, PES, MU, dt)
     corr, n_steps = counted_autocorrelation(prop, amp, n_lags, stride)
-    unfused = step_autocorrelation(KvnState(amp, Basis.RP, grid),
+    unfused = step_autocorrelation(KvnState(amp, grid),
                                    power_of(prop, stride), n_lags)
     np.testing.assert_allclose(corr, unfused, rtol=0.0, atol=1e-12)
     n_powers = n_lags - 1 if margin > 1.0 else n_lags // 2
@@ -303,7 +303,7 @@ def test_conservative_chain_preserves_norm(n_r, n_p, seed, dt):
 
 
 def conjugate(state):
-    return KvnState(state.amplitudes.conj(), state.basis, state.grid)
+    return KvnState(state.amplitudes.conj(), state.grid)
 
 
 @PROPERTY_SETTINGS
@@ -326,15 +326,14 @@ def test_langevin_step_commutes_with_a_sign_flip(n_r, n_p, seed, gamma, dt):
     # odd in its input, so the bits agree
     amp = random_state(n_r, n_p, seed).amplitudes.real
     grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
-    state = KvnState(amp / math.sqrt(np.sum(amp ** 2) * grid.cell),
-                     Basis.RP, grid)
+    state = KvnState(amp / math.sqrt(np.sum(amp ** 2) * grid.cell), grid)
     params = dataclasses.replace(
         calibrate(MU, 0.02, dt, kelvin_to_hartree(947.0)), gamma=gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stepper = LangevinStepper(grid, PES, params)
         of_flip, report_flip = stepper.step(
-            KvnState(-state.amplitudes, Basis.RP, grid))
+            KvnState(-state.amplitudes, grid))
         flip_of, report = stepper.step(state)
     assert of_flip.amplitudes.tobytes() == (-flip_of.amplitudes).tobytes()
     assert report_flip == report
@@ -349,7 +348,7 @@ def test_minus_branch_autocorrelation_is_conjugate(n_r, n_p, seed, dt,
                                                    n_lags, stride):
     grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
     eq = np.abs(random_state(n_r, n_p, seed).amplitudes)
-    state = KvnState(eq.astype(complex), Basis.RP, grid)
+    state = KvnState(eq.astype(complex), grid)
     alpha_p, _ = prepare_branch_states(state, 0.02, MU)
     alpha_m, _ = minus_branch(state, 0.02, MU)
     prop = NvePropagator(grid, PES, MU, dt)
@@ -411,7 +410,7 @@ def test_canonical_product_matches_the_tables(n_r, n_p, t_kelvin, r_frac,
     cfg = TstConfig(0.6 + 4.0 * r_frac)
     t = kelvin_to_hartree(t_kelvin)
     rho = table_canonical_reference(grid, PES, MU, t)
-    table = KvnState(np.sqrt(rho), Basis.RP, grid)
+    table = KvnState(np.sqrt(rho), grid)
     try:
         flux = dividing_surface_flux(table, MU, cfg)
     except ResolutionError:
@@ -449,8 +448,7 @@ def test_relax_peak_stays_within_its_estimate(n_r, n_p, kind, n_steps,
     # on top: a real 2^7 x 2^7 run peaks 142 KiB over the estimate
     grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0, 22.0))
     packet = encode_gaussian(grid, 1.6, 0.0, 3.0 * grid.dR, 3.0 * grid.dP)
-    initial = KvnState(INITIAL_TABLES[kind](packet.amplitudes), Basis.RP,
-                       grid)
+    initial = KvnState(INITIAL_TABLES[kind](packet.amplitudes), grid)
     params = calibrate(mu=MU, gamma=0.02, dt=0.5,
                        t_phys=kelvin_to_hartree(947.0))
     snapshots = tuple(sorted({0, n_steps} | more_steps))

@@ -11,7 +11,7 @@ from kvnmd.diagnostics import (CanonicalDensity, canonical_reference,
 from kvnmd.electronic import PesModel, bundled_h2_table, morse_pes, pauli_pes
 from kvnmd.errors import (ConfigurationError, MemoryBudgetError,
                           ResolutionError)
-from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian
+from kvnmd.grid import KvnState, build_grid, encode_gaussian
 from kvnmd.oracles import canonical_sampler, verlet_blocks
 import kvnmd.propagator
 from kvnmd.tst import (_BLOCK, TAIL_SHARE_LIMIT, ArrheniusFit, TstConfig,
@@ -199,7 +199,7 @@ class TestRate:
         cfg = TstConfig(r_dividing=0.0)
         rho = table_canonical_reference(grid, plateau_barrier(), MU,
                                         kelvin_to_hartree(5000.0))
-        scaled = KvnState(3.7 * np.sqrt(rho), Basis.RP, grid)
+        scaled = KvnState(3.7 * np.sqrt(rho), grid)
         k_scaled = dividing_surface_flux(scaled, MU, cfg) / (
             reactant_population(scaled, cfg))
         k = tst_rate(grid, plateau_barrier(), MU, 5000.0, cfg).k_au

@@ -8,7 +8,7 @@ from kvnmd.diagnostics import canonical_reference
 from kvnmd.electronic import PesModel, bundled_h2_table, morse_pes, pauli_pes
 from kvnmd.errors import (ConfigurationError, DomainError, MemoryBudgetError,
                           NonFiniteAmplitudeError, SingularityError)
-from kvnmd.grid import Basis, KvnState, build_grid, encode_gaussian, fourier_P
+from kvnmd.grid import KvnState, build_grid, encode_gaussian
 from kvnmd.oracles import (_BLOCK, TrajectoryEnsemble, canonical_sampler,
                            verlet_blocks, verlet_blocks_memory_estimate,
                            verlet_ensemble)
@@ -39,12 +39,12 @@ def harmonic() -> PesModel:
 
 def thermal_state(grid, pes, t):
     rho = canonical_reference(grid, pes, MU, t)
-    return KvnState(np.sqrt(rho).astype(complex), Basis.RP, grid)
+    return KvnState(np.sqrt(rho).astype(complex), grid)
 
 
 def diagonal_step(omega, tau):
     ph = np.exp(-1j * omega * tau)
-    return lambda s: KvnState(ph * s.amplitudes, s.basis, s.grid)
+    return lambda s: KvnState(ph * s.amplitudes, s.grid)
 
 
 class TestQpeConfig:
@@ -61,6 +61,7 @@ class TestQpeConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(m=0, tau=1.0), dict(m=17, tau=1.0), dict(m=5, tau=0.0),
         dict(m=5, tau=-2.0), dict(m=5, tau=1.0, inner_steps=0),
+        dict(m=5, tau=math.nan), dict(m=5, tau=math.inf),
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -157,15 +158,13 @@ class TestPrepareBranchStates:
         amps = np.zeros(grid.shape, dtype=complex)
         amps[10, 16] = 1.0 / math.sqrt(grid.cell)  # P node exactly at zero
         assert grid.P[16] == 0.0
-        st = KvnState(amps, Basis.RP, grid)
+        st = KvnState(amps, grid)
         with pytest.raises(SingularityError):
             prepare_branch_states(st, W0, MU)
 
     def test_input_validation(self):
         grid = build_grid(5, 5, (0.0, 2.0), (-4.0, 4.0))
         st = encode_gaussian(grid, 1.0, 0.0, 0.15, 1.0)
-        with pytest.raises(ConfigurationError):
-            prepare_branch_states(fourier_P(st), W0, MU)
         with pytest.raises(ConfigurationError):
             prepare_branch_states(st, 0.0, MU)
 
@@ -282,8 +281,7 @@ class TestQpeSpectrum:
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         eq = thermal_state(grid, harmonic(), kelvin_to_hartree(300.0))
         field = np.cos(3.0 * grid.R[:, None] + 0.2 * grid.P[None, :])
-        eq = KvnState(eq.amplitudes * np.exp(1j * phase * field), Basis.RP,
-                      grid)
+        eq = KvnState(eq.amplitudes * np.exp(1j * phase * field), grid)
         if phase:
             def refused():
                 for call in (lambda: branch_spectra(eq, harmonic(), MU, cfg,
@@ -297,7 +295,7 @@ class TestQpeSpectrum:
             return
         plus, minus = branch_spectra(eq, harmonic(), MU, cfg, omega_ref=W0)
         alpha_p, _ = prepare_branch_states(eq, W0, MU)
-        alpha_m = KvnState(alpha_p.amplitudes.conj(), Basis.RP, grid)
+        alpha_m = KvnState(alpha_p.amplitudes.conj(), grid)
         direct_p = qpe_spectrum(alpha_p, harmonic(), MU, cfg)
         direct_m = qpe_spectrum(alpha_m, harmonic(), MU, cfg)
         np.testing.assert_allclose(plus.prob, direct_p.prob, atol=1e-12)
@@ -349,8 +347,7 @@ class TestBranchSpectraMemory:
         eq = analytic_canonical_state(grid, harmonic(), MU,
                                       kelvin_to_hartree(300.0))
         if kind == "complex":
-            eq = KvnState(eq.amplitudes * np.exp(0.3j * grid.R[:, None]),
-                          Basis.RP, grid)
+            eq = KvnState(eq.amplitudes * np.exp(0.3j * grid.R[:, None]), grid)
         return grid, eq
 
     @staticmethod
@@ -389,7 +386,7 @@ class TestBranchSpectraMemory:
         # imaginary parts of +0 and -0
         for amps in (eq.amplitudes.astype(complex),
                      eq.amplitudes.astype(complex).conj()):
-            spectra = branch_spectra(KvnState(amps, Basis.RP, grid),
+            spectra = branch_spectra(KvnState(amps, grid),
                                      harmonic(), MU, cfg, W0)
             for ours, theirs in zip(spectra, real):
                 assert ours.prob.tobytes() == theirs.prob.tobytes()
@@ -432,8 +429,7 @@ class TestKvnAutocorrelation:
 
         rho = np.abs(eq.amplitudes) ** 2
         r_mean = np.sum(rho * grid.R[:, None]) * grid.cell
-        q_state = KvnState((grid.R - r_mean)[:, None] * eq.amplitudes,
-                           Basis.RP, grid)
+        q_state = KvnState((grid.R - r_mean)[:, None] * eq.amplitudes, grid)
         prop = NvePropagator(grid, harmonic(), MU, 2.0)
         np.testing.assert_allclose(
             series, step_autocorrelation(q_state, prop.step, 9), rtol=0.0,
