@@ -12,10 +12,13 @@ per output file, streamed in 1 MiB chunks once the run is done. Reruns
 with the same config and seed reproduce the CSVs byte for byte; timings
 and memory go only into the manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
-manifest records the exit status. A run stopped by a numerical error
-still writes one, with the error, the phase timings and memory booked
-until then and the warning tally, but no outputs.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure. A
+mode returns its outputs and `main` writes them, so a run stopped by an
+error (exit 2 or 3) leaves no output file; a relax collapse or a bias
+check FAIL returns, and exits 3 with its outputs written. The manifest
+records the exit status. A run stopped by a numerical error still
+writes one, with the error, the phase timings and memory booked until
+then and the warning tally, but no outputs.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ from .diagnostics import relax, relax_memory_estimate
 from .errors import (ConfigurationError, DomainError, KvnError,
                      MemoryBudgetError, ResolutionError, TableFormatError)
 from .grid import build_grid, encode_gaussian
-from .oracles import canonical_sampler, cos_filter_stationary_bias, \
-    langevin_ensemble, langevin_memory_estimate, sampler_memory_estimate, \
-    verlet_blocks, verlet_ensemble, verlet_memory_estimate
+from .oracles import bias_product_memory_estimate, canonical_sampler, \
+    cos_filter_stationary_bias, langevin_ensemble, langevin_memory_estimate, \
+    sampler_memory_estimate, verlet_blocks, verlet_blocks_memory_estimate, \
+    verlet_ensemble, verlet_memory_estimate
 from .propagator import (_RowDilation, _available_memory, _preflight,
-                         calibrate, momentum_bias_experiment)
+                         _proc_kb_bytes, calibrate, momentum_bias_experiment)
 from .tst import TstConfig, _surface_sigma, analytic_canonical_state, \
     arrhenius_sweep, crossing_memory_estimate, crossing_reference
 from .vdos import QpeConfig, aimd_reference_spectrum, branch_memory_estimate, \
@@ -129,8 +133,7 @@ def _grid_derived(grid) -> dict:
             "grid_shape": list(grid.shape)}
 
 
-def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
-               memory: dict):
+def _run_relax(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     lv = cfg.langevin
@@ -149,18 +152,13 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
         pes, params, rl.n_steps, rl.record_every, rl.snapshot_steps)
     clock.lap("propagate", readout=trace.monitor_seconds)
 
-    outputs = ["relax_trace.csv"]
-    _write_csv(out_dir / "relax_trace.csv",
-               "time_fs,mean_R_angstrom,T_kin_K,D_KL_nats,cum_success_prob",
-               _lines(zip(trace.time_fs, trace.mean_r_angstrom,
-                          trace.t_kin_kelvin, trace.d_kl_nats,
-                          trace.cum_success_prob)))
+    outputs = {"relax_trace.csv": (
+        "time_fs,mean_R_angstrom,T_kin_K,D_KL_nats,cum_success_prob",
+        _lines(zip(trace.time_fs, trace.mean_r_angstrom, trace.t_kin_kelvin,
+                   trace.d_kl_nats, trace.cum_success_prob)))}
     for step in sorted(snapshots):
-        name = f"snapshot_step{step:06d}.csv"
-        _write_csv(out_dir / name, "R_bohr,P_au,density",
-                   _density_lines(grid, snapshots[step]))
-        outputs.append(name)
-    clock.lap("write")
+        outputs[f"snapshot_step{step:06d}.csv"] = (
+            "R_bohr,P_au,density", _density_lines(grid, snapshots[step]))
 
     derived = {"s": params.s, "t_int_hartree": params.t_int,
                "t_int_kelvin": hartree_to_kelvin(params.t_int),
@@ -177,8 +175,7 @@ def _run_relax(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     return EXIT_OK, derived, outputs
 
 
-def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
-              memory: dict):
+def _run_vdos(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
@@ -188,6 +185,14 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     # refused before the equilibrium table is built
     memory["estimate_bytes"] = branch_memory_estimate(grid)
     _preflight("branch_spectra", memory["estimate_bytes"])
+    if v.aimd_reference:
+        # the equilibrium table stays live under the reference's sampler
+        # and R blocks, which preflight themselves
+        memory["estimate_bytes"] = max(
+            memory["estimate_bytes"],
+            8 * grid.shape[0] * grid.shape[1]
+            + sampler_memory_estimate(v.aimd_n_traj)
+            + verlet_blocks_memory_estimate(8 * base.n_bins, v.aimd_n_traj))
     eq = analytic_canonical_state(grid, pes, mu,
                                   kelvin_to_hartree(v.t_kelvin))
     omega_ref = (v.omega_ref_au if v.omega_ref_au is not None
@@ -218,9 +223,6 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
                     for j in range(len(spec.prob)))
         peaks[spec.branch] = {"bin": spec.peak_bin,
                               "omega_cm1": float(omega_cm1[spec.peak_bin])}
-    _write_csv(out_dir / "vdos_spectrum.csv", "omega_cm1,prob,branch",
-               _lines(rows))
-
     w_plus, w_minus = plus.branch_weight, minus.branch_weight
     total = w_plus + w_minus
     meta = {"m": v.m, "tau_au": v.tau_au, "omega_shift_au": v.omega_shift_au,
@@ -232,18 +234,15 @@ def _run_vdos(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
             "postselection_yield": {"plus": w_plus / total,
                                     "minus": w_minus / total},
             "peaks": peaks}
-    (out_dir / "vdos_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    clock.lap("write")
-
     derived = {"omega_ref_au": omega_ref,
                "omega_ref_cm1": omega_ref * WAVENUMBER_PER_HARTREE,
                **_grid_derived(grid)}
-    return EXIT_OK, derived, ["vdos_spectrum.csv", "vdos_meta.json"]
+    return EXIT_OK, derived, {
+        "vdos_spectrum.csv": ("omega_cm1,prob,branch", _lines(rows)),
+        "vdos_meta.json": (json.dumps(meta, indent=2, sort_keys=True), ())}
 
 
-def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
-             memory: dict):
+def _run_tst(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     grid = _grid_from(cfg)
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
@@ -256,13 +255,11 @@ def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     clock.lap("tables")
     fit = arrhenius_sweep(grid, pes, mu, tcfg)
     clock.lap("readout")
-    _write_csv(out_dir / "tst_rates.csv",
-               "T_kelvin,inv_T,flux_au,population,k_au,k_per_second,log_k",
-               _lines((r.t_kelvin, 1.0 / r.t_kelvin, r.flux_au,
-                       r.population, r.k_au, r.k_per_second, math.log(r.k_au))
-                      for r in fit.results))
-    clock.lap("write")
-    outputs = ["tst_rates.csv"]
+    outputs = {"tst_rates.csv": (
+        "T_kelvin,inv_T,flux_au,population,k_au,k_per_second,log_k",
+        _lines((r.t_kelvin, 1.0 / r.t_kelvin, r.flux_au, r.population,
+                r.k_au, r.k_per_second, math.log(r.k_au))
+               for r in fit.results))}
     derived = {"activation_energy_hartree": fit.activation_energy,
                "ln_prefactor": fit.ln_prefactor,
                "sigma_bohr": _surface_sigma(grid, tcfg),
@@ -274,16 +271,14 @@ def _run_tst(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
                                    (grid.r_min, grid.r_max),
                                    dt=t.crossing_dt_au)
         clock.lap("propagate")
-        _write_csv(out_dir / "crossing.csv", "N_cross,k_cross,k_min",
-                   _lines([(cross.n_cross, cross.k_cross, cross.k_min)]))
-        outputs.append("crossing.csv")
-        clock.lap("write")
+        outputs["crossing.csv"] = (
+            "N_cross,k_cross,k_min",
+            _lines([(cross.n_cross, cross.k_cross, cross.k_min)]))
         derived["crossing_t_kelvin"] = t_low
     return EXIT_OK, derived, outputs
 
 
-def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
-                    memory: dict):
+def _run_bias_check(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     b = cfg.bias_check
     t_phys = kelvin_to_hartree(b.t_kelvin)
     rows = []
@@ -293,7 +288,8 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
         p_max = 8.0 * math.sqrt(b.mu_au * params.t_int)
         grid = build_grid(3, b.n_p, (0.0, 1.0), (-p_max, p_max))
         memory["estimate_bytes"] = max(memory.get("estimate_bytes", 0),
-                                       _RowDilation.memory_estimate(grid))
+                                       _RowDilation.memory_estimate(grid),
+                                       bias_product_memory_estimate())
         clock.lap("tables")
         result = momentum_bias_experiment(grid, params)
         clock.lap("propagate")
@@ -310,19 +306,16 @@ def _run_bias_check(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
         rows.append((s, result.bias, predicted, oracle, err_law, err_oracle,
                      "PASS" if ok else "FAIL"))
         clock.lap("readout")
-    _write_csv(out_dir / "bias_check.csv",
-               "s,measured_bias,predicted_half_tanh,product_oracle,"
-               "rel_err_predicted,rel_err_oracle,status", _lines(rows))
-    clock.lap("write")
     derived = {"n_momentum_nodes": 1 << b.n_p,
                "tolerance_vs_law": BIAS_TOLERANCE_LAW,
                "tolerance_vs_oracle": BIAS_TOLERANCE_ORACLE}
-    return (EXIT_OK if all_pass else EXIT_NUMERICAL), derived, \
-        ["bias_check.csv"]
+    return (EXIT_OK if all_pass else EXIT_NUMERICAL), derived, {
+        "bias_check.csv": ("s,measured_bias,predicted_half_tanh,"
+                           "product_oracle,rel_err_predicted,rel_err_oracle,"
+                           "status", _lines(rows))}
 
 
-def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
-                memory: dict):
+def _run_oracle(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     o = cfg.oracle
     pes = cfg.pes.build()
     mu = cfg.pes.mu_au
@@ -349,23 +342,23 @@ def _run_oracle(cfg: RunConfig, out_dir: Path, clock: _PhaseClock,
     t_kin_kelvin = hartree_to_kelvin(
         np.array([np.mean(p ** 2) for p in ens.P]) / mu)
     clock.lap("readout")
-    _write_csv(out_dir / "oracle_summary.csv", "t_au,mean_R_bohr,T_kin_K",
-               _lines(zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin)))
-    outputs = ["oracle_summary.csv"]
+    outputs = {"oracle_summary.csv": (
+        "t_au,mean_R_bohr,T_kin_K",
+        _lines(zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin)))}
     if o.dump_trajectories:
         n_rec, n_traj = ens.R.shape
         ids = np.tile(np.arange(n_traj), n_rec)
         times = np.repeat(ens.times, n_traj)
-        _write_csv(out_dir / "trajectories.csv", "traj_id,t_au,R_bohr,P_au",
-                   _lines(zip(ids, times, ens.R.ravel(), ens.P.ravel())))
-        outputs.append("trajectories.csv")
-    clock.lap("write")
+        outputs["trajectories.csv"] = (
+            "traj_id,t_au,R_bohr,P_au",
+            _lines(zip(ids, times, ens.R.ravel(), ens.P.ravel())))
     return EXIT_OK, {"n_records": len(ens.times)}, outputs
 
 
 # each handler books its phases on the clock and any memory figures in
 # `memory` as it goes, so that a partial manifest keeps them, and returns
-# (exit code, derived quantities, output names)
+# (exit code, derived quantities, {file name: (header, lines)} in write
+# order); main writes the outputs once the handler has returned
 _HANDLERS = {"relax": _run_relax, "vdos": _run_vdos, "tst": _run_tst,
              "bias-check": _run_bias_check, "oracle": _run_oracle}
 
@@ -433,13 +426,9 @@ def _peak_rss_bytes() -> int | None:
     it. ru_maxrss is the fallback. On Linux it keeps the peak of the
     process that started this one by vfork, when that is larger.
     """
-    try:
-        with open(_STATUS) as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return 1024 * int(line.split()[1])  # in kB
-    except (OSError, ValueError, IndexError):
-        pass
+    peak = _proc_kb_bytes(_STATUS, "VmHWM:")
+    if peak is not None:
+        return peak
     if resource is None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -499,14 +488,16 @@ def main(argv=None) -> int:
         memory["available_bytes"] = available
     try:
         with _WarningTally() as tally:
-            code, derived, outputs = _HANDLERS[cfg.mode](cfg, out_dir, clock,
-                                                         memory)
+            code, derived, outputs = _HANDLERS[cfg.mode](cfg, clock, memory)
+            for name, (header, lines) in outputs.items():
+                _write_csv(out_dir / name, header, lines)
+            clock.lap("write")
     except _CONFIG_CLASS_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KvnError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        code, derived, outputs = EXIT_NUMERICAL, {}, []
+        code, derived, outputs = EXIT_NUMERICAL, {}, {}
         error = {"type": type(exc).__name__, "message": str(exc)}
     else:
         error = None
@@ -517,7 +508,7 @@ def main(argv=None) -> int:
         # run's peak is the largest of them all
         memory["peak_rss_bytes"] = max([peak, *clock.peak_rss.values()])
         memory["phase_peak_rss_bytes"] = clock.peak_rss
-    _write_manifest(out_dir, cfg, code, error, derived, outputs, wall,
+    _write_manifest(out_dir, cfg, code, error, derived, list(outputs), wall,
                     clock.seconds, memory, list(tally.summary.values()))
     return code
 

@@ -278,6 +278,13 @@ def canonical_sampler(pes: PesModel, mu: float, t: float, n_samples: int,
     return r_out, p
 
 
+def bias_product_memory_estimate(n_points: int = 1 << 17) -> int:
+    """Bytes that `cos_filter_stationary_bias` holds at its peak: five
+    float64 arrays of n_points + 1 values (kappa, the mirrored product,
+    and np.gradient's result and temporaries)."""
+    return 40 * (n_points + 1)
+
+
 def cos_filter_stationary_bias(s: float, n_terms: int = 200,
                                n_points: int = 1 << 17,
                                kappa_max: float = 10.0) -> float:

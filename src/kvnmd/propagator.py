@@ -144,18 +144,28 @@ def calibrate(mu: float, gamma: float, dt: float, t_phys: float,
 _MEMINFO = "/proc/meminfo"
 
 
+def _proc_kb_bytes(path: str, field: str) -> int | None:
+    """The kB figure of the first line of a /proc file that starts with
+    `field` (e.g. "VmHWM:"), in bytes; None where the file, the line or
+    its number cannot be read."""
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if line.startswith(field):
+                    return 1024 * int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _available_memory() -> int | None:
     """Bytes of memory available to a new computation: the host's
     MemAvailable where it reports one (Linux; it counts reclaimable cache,
     which MemFree and SC_AVPHYS_PAGES leave out), else its physical
     memory; None where neither can be read."""
-    try:
-        with open(_MEMINFO) as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return 1024 * int(line.split()[1])  # in kB
-    except (OSError, ValueError, IndexError):
-        pass
+    available = _proc_kb_bytes(_MEMINFO, "MemAvailable:")
+    if available is not None:
+        return available
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf on Windows

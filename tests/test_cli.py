@@ -22,8 +22,8 @@ from kvnmd.errors import (BoundaryLeakWarning, FilterBandWarning,
 from kvnmd.config import load_config, parse_config
 from kvnmd.constants import kelvin_to_hartree
 from kvnmd.grid import build_grid
-from kvnmd.oracles import (langevin_ensemble, langevin_memory_estimate,
-                           sampler_memory_estimate,
+from kvnmd.oracles import (bias_product_memory_estimate, langevin_ensemble,
+                           langevin_memory_estimate, sampler_memory_estimate,
                            verlet_blocks_memory_estimate,
                            verlet_memory_estimate)
 from kvnmd.propagator import LangevinStepper, _RowDilation
@@ -510,6 +510,19 @@ class TestCliVdos:
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         assert memory["estimate_bytes"] == branch_memory_estimate(grid)
 
+    def test_manifest_records_the_reference_estimate(self, tmp_path):
+        # the float64 equilibrium table stays live under the reference's
+        # sampler and R block, which outgrow the chain at 256 trajectories
+        text = VDOS_SMALL.replace("aimd_n_traj = 32", "aimd_n_traj = 256")
+        code, out = run_cli(tmp_path, text)
+        assert code == 0
+        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        reference = (8 * 2 ** 6 * 2 ** 6 + sampler_memory_estimate(256)
+                     + verlet_blocks_memory_estimate(8 * 32, 256))
+        grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
+        assert reference > branch_memory_estimate(grid)
+        assert memory["estimate_bytes"] == reference
+
 
 class TestCliTst:
     def test_rate_set_by_the_delta_tail_is_exit_2(self, tmp_path, capsys):
@@ -545,6 +558,18 @@ class TestCliTst:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["activation_energy_hartree"] > 0.0
 
+    def test_refused_crossing_leaves_no_output(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the rates are computed before the crossing reference's preflight
+        # refuses it; neither is written
+        need = crossing_memory_estimate(16, 500.0)
+        monkeypatch.setattr(kvnmd.propagator, "_available_memory",
+                            lambda: need - 1)
+        code, out = run_cli(tmp_path, TST_SMALL)
+        assert code == 2
+        assert "crossing_reference" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_manifest_records_the_crossing_estimate(self, tmp_path):
         code, out = run_cli(tmp_path, TST_SMALL)
         assert code == 0
@@ -577,9 +602,10 @@ class TestCliBiasCheck:
         assert code == 0
         memory = json.loads((out / "manifest.json").read_text())["memory"]
         assert set(memory) == MEMORY_KEYS
-        # the operator's size depends on N_P alone, not on s
+        # neither the operator's size nor the product oracle's depends on s
         grid = build_grid(3, 8, (0.0, 1.0), (-1.0, 1.0))
-        assert memory["estimate_bytes"] == _RowDilation.memory_estimate(grid)
+        assert memory["estimate_bytes"] == max(
+            _RowDilation.memory_estimate(grid), bias_product_memory_estimate())
 
     def test_preflight_is_exit_2(self, tmp_path, monkeypatch, capsys):
         need = _RowDilation.memory_estimate(
@@ -894,6 +920,19 @@ class TestShippedManifests:
         _, peak = traced_peak(langevin_ensemble, *args)
         assert peak <= langevin_memory_estimate(o.n_steps, o.n_traj,
                                                 o.record_every) + 2 ** 16
+
+
+@pytest.mark.parametrize("text", [RELAX_SMALL, VDOS_SMALL, TST_SMALL,
+                                  BIAS_SMALL, ORACLE_SMALL],
+                         ids=["relax", "vdos", "tst", "bias-check", "oracle"])
+def test_traced_run_stays_within_its_estimate(tmp_path, text):
+    # a first run imports what the run path needs; the allowance is the
+    # 1 MiB read chunk of the manifest's hashing plus 64 KiB
+    run_cli(tmp_path, text)
+    (code, out), peak = traced_peak(run_cli, tmp_path, text)
+    assert code == 0
+    memory = json.loads((out / "manifest.json").read_text())["memory"]
+    assert peak <= memory["estimate_bytes"] + 2 ** 20 + 2 ** 16
 
 
 def test_import_leaves_openssl_unloaded():
