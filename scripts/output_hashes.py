@@ -16,6 +16,14 @@ the ``src`` directory beside this script. Exits 1 when a run exits
 nonzero.
 
     python scripts/output_hashes.py configs/*.ini --seed 1
+
+``--pin FILE`` also writes the listing as JSON, with the environment the
+bytes were made under (numpy, its BLAS build, the machine). The tier-1
+tests compare their runs with the file pinned this way:
+
+    python scripts/output_hashes.py configs/relax_h2.ini configs/tst_h2.ini \
+        configs/bias_check.ini configs/oracle_morse.ini tests/vdos_256.ini \
+        --pin tests/output_hashes.json
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -40,9 +49,22 @@ def workload_configs(seed: int) -> list[tuple[str, str]]:
             for stem, text in workloads.configs(name, seed)]
 
 
-def run_hashes(name: str, ini: Path, out: Path) -> list[str]:
-    """Run one config into `out`; the hash lines of the outputs that its
-    manifest lists."""
+def environment() -> dict:
+    """What the output bytes may depend on besides the source: numpy, the
+    BLAS it was built with, the machine and Python."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_config": blas.get("openblas configuration"),
+            "machine": platform.machine(),
+            "python": platform.python_version()}
+
+
+def run_hashes(name: str, ini: Path, out: Path) -> list[tuple[str, str]]:
+    """Run one config into `out`; (<run>/<file>, hash) of each output that
+    its manifest lists."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
@@ -53,7 +75,7 @@ def run_hashes(name: str, ini: Path, out: Path) -> list[str]:
         tail = res.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
         raise RuntimeError(f"{name}: exit {res.returncode}: {tail[0]}")
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
-    return [f"{outputs[file]}  {name}/{file}" for file in sorted(outputs)]
+    return [(f"{name}/{file}", outputs[file]) for file in sorted(outputs)]
 
 
 def main(argv=None) -> int:
@@ -62,7 +84,11 @@ def main(argv=None) -> int:
                         help="INI configs to run")
     parser.add_argument("--seed", type=int,
                         help="also run the benchmark workloads at this seed")
+    parser.add_argument("--pin", type=Path,
+                        help="also write the hashes and the environment "
+                        "to this JSON file")
     args = parser.parse_args(argv)
+    pinned = {}
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(ini.stem, ini) for ini in args.configs]
         if args.seed is not None:
@@ -73,11 +99,17 @@ def main(argv=None) -> int:
                 runs.append((name, ini))
         try:
             for name, ini in runs:
-                for line in run_hashes(name, ini, Path(tmp, "out", name)):
-                    print(line, flush=True)
+                for output, digest in run_hashes(name, ini,
+                                                 Path(tmp, "out", name)):
+                    print(f"{digest}  {output}", flush=True)
+                    pinned[output] = digest
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
+    if args.pin is not None:
+        args.pin.write_text(json.dumps(
+            {"environment": environment(), "outputs": pinned}, indent=2)
+            + "\n")
     return 0
 
 

@@ -16,9 +16,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure. A
 mode returns its outputs and `main` writes them, so a run stopped by an
 error (exit 2 or 3) leaves no output file; a relax collapse or a bias
 check FAIL returns, and exits 3 with its outputs written. The manifest
-records the exit status. A run stopped by a numerical error still
-writes one, with the error, the phase timings and memory booked until
-then and the warning tally, but no outputs.
+records the exit status. A run stopped by an error (exit 2 or 3) still
+writes one, with the error, the timings and memory booked until then and
+the warning tally, but no outputs; a `load_config` error writes nothing.
 """
 
 from __future__ import annotations
@@ -122,20 +122,7 @@ def _write_csv(path: Path, header: str, lines) -> None:
         fh.writelines(lines)
 
 
-def _grid_from(cfg: RunConfig):
-    g = cfg.grid
-    return build_grid(g.n_r, g.n_p, (g.r_min_bohr, g.r_max_bohr),
-                      (g.p_min_au, g.p_max_au))
-
-
-def _grid_derived(grid) -> dict:
-    return {"dR_bohr": grid.dR, "dP_au": grid.dP,
-            "grid_shape": list(grid.shape)}
-
-
-def _run_relax(cfg: RunConfig, clock: _PhaseClock, memory: dict):
-    grid = _grid_from(cfg)
-    pes = cfg.pes.build()
+def _run_relax(cfg: RunConfig, grid, pes, clock: _PhaseClock, memory: dict):
     lv = cfg.langevin
     rl = cfg.relax
     params = calibrate(cfg.pes.mu_au, lv.gamma_au, lv.dt_au,
@@ -165,8 +152,7 @@ def _run_relax(cfg: RunConfig, clock: _PhaseClock, memory: dict):
                "sigma_h_au": params.sigma_h, "collapsed": trace.collapsed,
                "collapsed_at_step": trace.collapsed_at_step,
                "friction_leak_max": trace.friction_leak_max,
-               "filter_yield_min": trace.success_probability_min,
-               **_grid_derived(grid)}
+               "filter_yield_min": trace.success_probability_min}
     if trace.collapsed:
         print(f"numerical failure: the state collapsed at step "
               f"{trace.collapsed_at_step}; the trace ends at its last record",
@@ -175,9 +161,7 @@ def _run_relax(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     return EXIT_OK, derived, outputs
 
 
-def _run_vdos(cfg: RunConfig, clock: _PhaseClock, memory: dict):
-    grid = _grid_from(cfg)
-    pes = cfg.pes.build()
+def _run_vdos(cfg: RunConfig, grid, pes, clock: _PhaseClock, memory: dict):
     mu = cfg.pes.mu_au
     v = cfg.vdos
     base = QpeConfig(m=v.m, tau=v.tau_au, omega_shift=v.omega_shift_au,
@@ -186,12 +170,11 @@ def _run_vdos(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     memory["estimate_bytes"] = branch_memory_estimate(grid)
     _preflight("branch_spectra", memory["estimate_bytes"])
     if v.aimd_reference:
-        # the equilibrium table stays live under the reference's sampler
-        # and R blocks, which preflight themselves
+        # the reference's sampler and R blocks, which preflight themselves,
+        # run after the equilibrium table is released
         memory["estimate_bytes"] = max(
             memory["estimate_bytes"],
-            8 * grid.shape[0] * grid.shape[1]
-            + sampler_memory_estimate(v.aimd_n_traj)
+            sampler_memory_estimate(v.aimd_n_traj)
             + verlet_blocks_memory_estimate(8 * base.n_bins, v.aimd_n_traj))
     eq = analytic_canonical_state(grid, pes, mu,
                                   kelvin_to_hartree(v.t_kelvin))
@@ -199,6 +182,7 @@ def _run_vdos(cfg: RunConfig, clock: _PhaseClock, memory: dict):
                  else reference_frequency(pes, mu, grid.R))
     clock.lap("tables")
     plus, minus = branch_spectra(eq, pes, mu, base, omega_ref)
+    del eq  # the aimd reference does not read it
     clock.lap("propagate")
 
     spectra = [spec for spec in (plus, minus)
@@ -235,16 +219,13 @@ def _run_vdos(cfg: RunConfig, clock: _PhaseClock, memory: dict):
                                     "minus": w_minus / total},
             "peaks": peaks}
     derived = {"omega_ref_au": omega_ref,
-               "omega_ref_cm1": omega_ref * WAVENUMBER_PER_HARTREE,
-               **_grid_derived(grid)}
+               "omega_ref_cm1": omega_ref * WAVENUMBER_PER_HARTREE}
     return EXIT_OK, derived, {
         "vdos_spectrum.csv": ("omega_cm1,prob,branch", _lines(rows)),
         "vdos_meta.json": (json.dumps(meta, indent=2, sort_keys=True), ())}
 
 
-def _run_tst(cfg: RunConfig, clock: _PhaseClock, memory: dict):
-    grid = _grid_from(cfg)
-    pes = cfg.pes.build()
+def _run_tst(cfg: RunConfig, grid, pes, clock: _PhaseClock, memory: dict):
     mu = cfg.pes.mu_au
     t = cfg.tst
     tcfg = TstConfig(r_dividing=t.r_dividing_bohr, sigma=t.sigma_bohr,
@@ -262,8 +243,7 @@ def _run_tst(cfg: RunConfig, clock: _PhaseClock, memory: dict):
                for r in fit.results))}
     derived = {"activation_energy_hartree": fit.activation_energy,
                "ln_prefactor": fit.ln_prefactor,
-               "sigma_bohr": _surface_sigma(grid, tcfg),
-               **_grid_derived(grid)}
+               "sigma_bohr": _surface_sigma(grid, tcfg)}
     if t.crossing:
         t_low = min(t.temperatures_kelvin)
         cross = crossing_reference(pes, mu, t_low, t.crossing_n_traj,
@@ -278,7 +258,8 @@ def _run_tst(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     return EXIT_OK, derived, outputs
 
 
-def _run_bias_check(cfg: RunConfig, clock: _PhaseClock, memory: dict):
+def _run_bias_check(cfg: RunConfig, grid, pes, clock: _PhaseClock,
+                    memory: dict):
     b = cfg.bias_check
     t_phys = kelvin_to_hartree(b.t_kelvin)
     rows = []
@@ -315,9 +296,8 @@ def _run_bias_check(cfg: RunConfig, clock: _PhaseClock, memory: dict):
                            "status", _lines(rows))}
 
 
-def _run_oracle(cfg: RunConfig, clock: _PhaseClock, memory: dict):
+def _run_oracle(cfg: RunConfig, grid, pes, clock: _PhaseClock, memory: dict):
     o = cfg.oracle
-    pes = cfg.pes.build()
     mu = cfg.pes.mu_au
     t_ha = kelvin_to_hartree(o.t_kelvin)
     if o.kind == "langevin":
@@ -355,10 +335,11 @@ def _run_oracle(cfg: RunConfig, clock: _PhaseClock, memory: dict):
     return EXIT_OK, {"n_records": len(ens.times)}, outputs
 
 
-# each handler books its phases on the clock and any memory figures in
-# `memory` as it goes, so that a partial manifest keeps them, and returns
-# (exit code, derived quantities, {file name: (header, lines)} in write
-# order); main writes the outputs once the handler has returned
+# each handler takes the config's grid and PES (None without [grid] or
+# [pes]), books its phases on the clock and any memory figures in `memory`
+# as it goes, so that a partial manifest keeps them, and returns (exit
+# code, derived quantities, {file name: (header, lines)} in write order);
+# main writes the outputs once the handler has returned
 _HANDLERS = {"relax": _run_relax, "vdos": _run_vdos, "tst": _run_tst,
              "bias-check": _run_bias_check, "oracle": _run_oracle}
 
@@ -488,16 +469,26 @@ def main(argv=None) -> int:
         memory["available_bytes"] = available
     try:
         with _WarningTally() as tally:
-            code, derived, outputs = _HANDLERS[cfg.mode](cfg, clock, memory)
+            # the clock books both builds to the handler's first lap, tables
+            g = cfg.grid
+            grid = None if g is None else build_grid(
+                g.n_r, g.n_p, (g.r_min_bohr, g.r_max_bohr),
+                (g.p_min_au, g.p_max_au))
+            pes = None if cfg.pes is None else cfg.pes.build()
+            code, derived, outputs = _HANDLERS[cfg.mode](cfg, grid, pes,
+                                                         clock, memory)
+            if grid is not None:
+                derived.update(dR_bohr=grid.dR, dP_au=grid.dP,
+                               grid_shape=list(grid.shape))
             for name, (header, lines) in outputs.items():
                 _write_csv(out_dir / name, header, lines)
             clock.lap("write")
-    except _CONFIG_CLASS_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except KvnError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        code, derived, outputs = EXIT_NUMERICAL, {}, {}
+        refused = isinstance(exc, _CONFIG_CLASS_ERRORS)
+        print(f"{'config error' if refused else 'numerical failure'}: {exc}",
+              file=sys.stderr)
+        code = EXIT_CONFIG if refused else EXIT_NUMERICAL
+        derived, outputs = {}, {}
         error = {"type": type(exc).__name__, "message": str(exc)}
     else:
         error = None

@@ -33,6 +33,9 @@ from reference_steps import traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = sorted((ROOT / "configs").glob("*.ini"))
+PINNED = json.loads((ROOT / "tests" / "output_hashes.json").read_text())
+sys.path.insert(0, str(ROOT / "scripts"))
+from output_hashes import environment  # noqa: E402  (scripts/: no package)
 MEMORY_KEYS = {"peak_rss_bytes", "estimate_bytes", "available_bytes",
                "phase_peak_rss_bytes"}
 
@@ -157,6 +160,22 @@ def run_cli(tmp_path, text, name="run.ini", extra=()):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_outputs_pinned(run, outputs):
+    """The manifest hashes of `run` equal tests/output_hashes.json. An
+    intended change of bytes re-pins them with scripts/output_hashes.py
+    --pin; another numpy or BLAS build may round differently, so a
+    mismatch names both environments."""
+    pinned = {path.split("/", 1)[1]: digest
+              for path, digest in PINNED["outputs"].items()
+              if path.split("/", 1)[0] == run}
+    if outputs != pinned:
+        changed = sorted(name for name in outputs.keys() | pinned.keys()
+                         if outputs.get(name) != pinned.get(name))
+        pytest.fail(f"{run}: {changed} differ from tests/output_hashes.json"
+                    f"\n  pinned under  {PINNED['environment']}"
+                    f"\n  running under {environment()}")
 
 
 class TestConfigValidation:
@@ -511,13 +530,13 @@ class TestCliVdos:
         assert memory["estimate_bytes"] == branch_memory_estimate(grid)
 
     def test_manifest_records_the_reference_estimate(self, tmp_path):
-        # the float64 equilibrium table stays live under the reference's
-        # sampler and R block, which outgrow the chain at 256 trajectories
+        # the reference's sampler and R block outgrow the chain at 256
+        # trajectories; the equilibrium table is released before they run
         text = VDOS_SMALL.replace("aimd_n_traj = 32", "aimd_n_traj = 256")
         code, out = run_cli(tmp_path, text)
         assert code == 0
         memory = json.loads((out / "manifest.json").read_text())["memory"]
-        reference = (8 * 2 ** 6 * 2 ** 6 + sampler_memory_estimate(256)
+        reference = (sampler_memory_estimate(256)
                      + verlet_blocks_memory_estimate(8 * 32, 256))
         grid = build_grid(6, 6, (0.4, 2.4), (-12.0, 12.0))
         assert reference > branch_memory_estimate(grid)
@@ -561,7 +580,8 @@ class TestCliTst:
     def test_refused_crossing_leaves_no_output(self, tmp_path, monkeypatch,
                                                capsys):
         # the rates are computed before the crossing reference's preflight
-        # refuses it; neither is written
+        # refuses it; neither is written, but the manifest keeps the figures
+        # that refused it
         need = crossing_memory_estimate(16, 500.0)
         monkeypatch.setattr(kvnmd.propagator, "_available_memory",
                             lambda: need - 1)
@@ -569,6 +589,27 @@ class TestCliTst:
         assert code == 2
         assert "crossing_reference" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"]["type"] == "MemoryBudgetError"
+        assert manifest["outputs"] == {}
+        assert manifest["memory"]["estimate_bytes"] == need
+        assert "available_bytes" in manifest["memory"]
+
+    def test_failed_pes_build_leaves_a_manifest(self, tmp_path, capsys):
+        # the table is read when main builds the PES, past load_config
+        absent = tmp_path / "absent.csv"
+        text = TST_SMALL.replace("kind = morse", f"kind = raw_table\n"
+                                 f"path = {absent}")
+        text = text[:text.index("[pes.morse]")] + text[text.index("[tst]"):]
+        code, out = run_cli(tmp_path, text)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read table {absent}:")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == 2
+        assert manifest["error"]["type"] == "TableFormatError"
+        assert manifest["outputs"] == {}
 
     def test_manifest_records_the_crossing_estimate(self, tmp_path):
         code, out = run_cli(tmp_path, TST_SMALL)
@@ -880,13 +921,25 @@ class TestShippedManifests:
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out)]) == \
             expected_code
-        memory = json.loads((out / "manifest.json").read_text())["memory"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        if expected_code == 0:
+            assert_outputs_pinned(path.stem, manifest["outputs"])
+        memory = manifest["memory"]
         assert set(memory) == MEMORY_KEYS
         assert memory["estimate_bytes"] > 0
         assert memory["available_bytes"] > 0
         phases = memory["phase_peak_rss_bytes"]
         assert phases and set(phases) <= set(PHASES)
         assert max(phases.values()) <= memory["peak_rss_bytes"]
+
+    def test_vdos_256_outputs_are_pinned(self, tmp_path):
+        # the vdos-256 workload at seed 1 stands in for vdos_h2, whose
+        # 2^10 chain is stopped above
+        out = tmp_path / "out"
+        assert main(["--config", str(ROOT / "tests" / "vdos_256.ini"),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert_outputs_pinned("vdos_256", manifest["outputs"])
 
     def test_tst_crossing_peak_stays_within_the_estimate(self):
         # the shipped crossing reference: 512 trajectories over 10 000
