@@ -106,13 +106,44 @@ def _lines(rows):
         yield ",".join(map(_cell, row)) + "\n"
 
 
+def _reprs(x: np.ndarray) -> list[str]:
+    """`repr` of each entry of a 1-D float64 array, in one C call.
+
+    orjson prints the same shortest round-trip digits as `repr` (Ryu)
+    and the same layout in the two magnitude bands tested below; outside
+    them (1e-5 to 1e-4 in fixed point, two-digit and positive exponents
+    without padding or sign, nan and inf as null) `repr` formats the
+    entry. orjson is imported here, so only a run that writes a CSV
+    through this loads it.
+    """
+    import orjson
+
+    x = np.ascontiguousarray(x, np.float64)
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    cells = text[1:-1].split(",") if x.size else []
+    a = np.abs(x)
+    # nan fails every comparison, so it falls in neither band
+    other = np.flatnonzero(~(((a >= 1.1e-4) & (a < 9e15)) | (a < 9e-10)))
+    for j, v in zip(other.tolist(), x[other].tolist()):
+        cells[j] = repr(v)
+    return cells
+
+
 def _density_lines(grid, rho: np.ndarray):
     """One chunk of (R, P, density) lines per R row; nodes formatted once."""
     p_cells = [_cell(p) for p in grid.P]
     for r, row in zip(grid.R, rho):
         r_cell = _cell(r)
-        yield "".join(f"{r_cell},{p},{v!r}\n"
-                      for p, v in zip(p_cells, row.tolist()))
+        yield "".join(f"{r_cell},{p},{v}\n"
+                      for p, v in zip(p_cells, _reprs(row)))
+
+
+def _trajectory_lines(ens):
+    """One chunk of (id, t, R, P) lines per record."""
+    ids = [str(j) for j in range(ens.R.shape[1])]
+    for t, r_row, p_row in zip(_reprs(ens.times), ens.R, ens.P):
+        yield "".join(f"{j},{t},{r},{p}\n"
+                      for j, r, p in zip(ids, _reprs(r_row), _reprs(p_row)))
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
@@ -326,12 +357,8 @@ def _run_oracle(cfg: RunConfig, grid, pes, clock: _PhaseClock, memory: dict):
         "t_au,mean_R_bohr,T_kin_K",
         _lines(zip(ens.times, np.mean(ens.R, axis=1), t_kin_kelvin)))}
     if o.dump_trajectories:
-        n_rec, n_traj = ens.R.shape
-        ids = np.tile(np.arange(n_traj), n_rec)
-        times = np.repeat(ens.times, n_traj)
-        outputs["trajectories.csv"] = (
-            "traj_id,t_au,R_bohr,P_au",
-            _lines(zip(ids, times, ens.R.ravel(), ens.P.ravel())))
+        outputs["trajectories.csv"] = ("traj_id,t_au,R_bohr,P_au",
+                                       _trajectory_lines(ens))
     return EXIT_OK, {"n_records": len(ens.times)}, outputs
 
 

@@ -15,9 +15,6 @@ HARTREE_PER_KELVIN = 3.166811563e-6
 
 WAVENUMBER_PER_HARTREE = 219474.6313632
 
-# Reduced mass of H2 in electron masses (config default, overridable)
-H2_REDUCED_MASS_AU = 918.0
-
 
 def kelvin_to_hartree(t_kelvin: float) -> float:
     return t_kelvin * HARTREE_PER_KELVIN

@@ -308,9 +308,11 @@ def morse_pes(de: float, alpha: float, re: float) -> PesModel:
         return np.exp(-alpha * (np.asarray(r, dtype=float) - re))
 
     def v(r):
+        model._check_domain(r)
         return de * (1.0 - u(r)) ** 2
 
     def f(r):
+        model._check_domain(r)
         uu = u(r)
         return -2.0 * de * alpha * uu * (1.0 - uu)
 
@@ -318,8 +320,9 @@ def morse_pes(de: float, alpha: float, re: float) -> PesModel:
         uu = u(r)
         return 2.0 * de * alpha ** 2 * (2.0 * uu ** 2 - uu)
 
-    return PesModel(kind="morse", domain=(0.0, np.inf),
-                    v=v, f=f, curvature=curvature)
+    model = PesModel(kind="morse", domain=(0.0, np.inf),
+                     v=v, f=f, curvature=curvature)
+    return model
 
 
 def tabulate_pes(pes: PesModel, r_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import kvnmd.cli
 import kvnmd.propagator
-from kvnmd.cli import PHASES, main
+from kvnmd.cli import PHASES, _cell, _density_lines, _reprs, main
 from kvnmd.errors import (BoundaryLeakWarning, FilterBandWarning,
                           FilterCollapseError, NonFiniteAmplitudeError,
                           SingularityError)
@@ -675,6 +678,24 @@ class TestCliOracle:
         assert len(dump) == 5 * 64
         assert {r["traj_id"] for r in dump} == {str(i) for i in range(64)}
 
+    def test_dump_is_the_rows_cell_by_cell(self, tmp_path, monkeypatch):
+        ensembles = []
+
+        def kept(*args):
+            ensembles.append(langevin_ensemble(*args))
+            return ensembles[-1]
+
+        monkeypatch.setattr(kvnmd.cli, "langevin_ensemble", kept)
+        code, out = run_cli(tmp_path, ORACLE_SMALL)
+        assert code == 0
+        ens, = ensembles
+        n_rec, n_traj = ens.R.shape
+        rows = zip(np.tile(np.arange(n_traj), n_rec),
+                   np.repeat(ens.times, n_traj), ens.R.ravel(), ens.P.ravel())
+        expected = "traj_id,t_au,R_bohr,P_au\n" + "".join(
+            ",".join(map(_cell, row)) + "\n" for row in rows)
+        assert (out / "trajectories.csv").read_text() == expected
+
     @pytest.mark.parametrize("kind", ["langevin", "verlet"])
     def test_manifest_records_what_it_preflights(self, tmp_path, kind):
         text = ORACLE_SMALL
@@ -718,6 +739,22 @@ class TestExitCodes:
                                    "sigma_r_bohr = 0.01")
         code, _ = run_cli(tmp_path, text)
         assert code == 2
+
+    def test_morse_grid_below_zero_is_exit_2(self, tmp_path, capsys):
+        # the Morse potential is declared on (0, inf); tabulating it at
+        # negative bond lengths used to pass and run
+        text = (RELAX_SMALL.replace("n_r = 6", "n_r = 5")
+                .replace("n_p = 6", "n_p = 5")
+                .replace("r_min_bohr = 0.6", "r_min_bohr = -1.0")
+                .replace("r_max_bohr = 2.6", "r_max_bohr = 3.0")
+                .replace("sigma_r_bohr = 0.16", "sigma_r_bohr = 0.3")
+                .replace("sigma_p_au = 2.9", "sigma_p_au = 3.0"))
+        code, out = run_cli(tmp_path, text)
+        assert code == 2
+        assert "morse domain" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "DomainError"
+        assert manifest["outputs"] == {}
 
     def test_bias_check_failure_is_exit_3(self, tmp_path, capsys):
         # s = 0.2 is far outside the first-order regime, so the measured
@@ -1000,6 +1037,65 @@ def test_import_leaves_openssl_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_orjson_unloaded():
+    # only a run that writes a snapshot or a trajectory dump formats
+    # through orjson; it is imported there
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kvnmd.cli; print('orjson' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def _repr_list(x):
+    return [repr(v) for v in np.asarray(x).tolist()]
+
+
+class TestReprs:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    @example(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                       -2.2250738585072014e-308, 1.23e-5, 1e-7, -1e16,
+                       9e15, 1.1e-4, 9e-10, 1e-9, 0.1, -1.5]))
+    def test_equals_repr(self, x):
+        assert _reprs(x) == _repr_list(x)
+
+    def test_powers_of_ten_and_random_bit_patterns(self):
+        # every power of ten with its neighbours one ulp away, both signs,
+        # and random doubles over the whole exponent range
+        tens = 10.0 ** np.arange(-320, 300)
+        tens = np.concatenate([tens, np.nextafter(tens, 0.0),
+                               np.nextafter(tens, np.inf)])
+        bits = np.random.default_rng(4).integers(
+            0, 2 ** 64, size=200_000, dtype=np.uint64).view(np.float64)
+        for x in (tens, -tens, bits):
+            assert _reprs(x) == _repr_list(x)
+
+    def test_non_contiguous_view(self):
+        table = np.random.default_rng(5).normal(size=(7, 5)) * 1e-5
+        column = table[:, 2]
+        assert not column.flags.c_contiguous
+        assert _reprs(column) == _repr_list(column)
+        assert _reprs(np.empty(0)) == []
+
+    def test_density_lines_equal_the_repr_form(self):
+        grid = build_grid(4, 3, (0.5, 2.5), (-10.0, 10.0))
+        rng = np.random.default_rng(6)
+        rho = rng.exponential(size=grid.shape) * 10.0 ** rng.integers(
+            -12, 17, size=grid.shape)
+        rho[0, :3] = [0.0, np.nan, np.inf]
+        p_cells = [_cell(p) for p in grid.P]
+        expected = ["".join(f"{_cell(r)},{p},{v!r}\n"
+                            for p, v in zip(p_cells, row.tolist()))
+                    for r, row in zip(grid.R, rho)]
+        assert list(_density_lines(grid, rho)) == expected
 
 
 class TestBenchmarkSetupProbe:
