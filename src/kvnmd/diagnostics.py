@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import (FS_PER_AU_TIME, bohr_to_angstrom, hartree_to_kelvin)
-from .electronic import PesModel, tabulate_pes
+from .electronic import PesModel
 from .errors import FilterCollapseError
 from .grid import KvnState, PhaseSpaceGrid, density
 from .propagator import (LangevinParams, LangevinStepper, _preflight,
@@ -122,7 +122,7 @@ class CanonicalDensity:
                  t: float):
         if t <= 0:
             raise ValueError("temperature must be positive")
-        v, _ = tabulate_pes(pes, grid.R)
+        v = pes.v(grid.R)
         self.grid = grid
         self.mu = mu
         self.p2 = grid.P ** 2

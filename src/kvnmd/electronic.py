@@ -1,6 +1,8 @@
 """Potential-energy surfaces for the nuclear dynamics.
 
-Three PES sources share one evaluator interface:
+Three PES sources share one interface, an energy V(R) and a force
+F(R) = -dV/dR: the force drives the Liouville kick, and the energy sets the
+canonical weight exp(-V/T).
 
 * ``pauli_pes`` -- a tabulated one-qubit electronic Hamiltonian
   H(R) = a(R) I + b(R) Z + c(R) X whose ground sheet is a - sqrt(b^2+c^2);
@@ -46,13 +48,13 @@ class PauliCoefficientTable:
 
 @dataclass(frozen=True)
 class PesModel:
-    """Ground-sheet evaluators. All three accept scalars or arrays."""
+    """Ground-sheet energy ``v`` and force ``f``. Both accept scalars or
+    arrays."""
 
     kind: str
     domain: tuple[float, float]
     v: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
-    curvature: Callable[[np.ndarray], np.ndarray]
 
     def _check_domain(self, r: np.ndarray) -> None:
         r = np.asarray(r)
@@ -177,10 +179,9 @@ class _CubicTable:
         the rows these need.
 
         The derivative rows are stored as 3 cubic, 2 quadratic and
-        linear, so (3cub h + 2quad) h + lin gives the bits of
-        `__call__`. They share the first three multiply-adds with the
-        value rows, which end with one more: ((cub h + quad) h + lin) h
-        + const.
+        linear, so a slope is (3cub h + 2quad) h + lin. The value rows
+        share those first three multiply-adds and end with one more:
+        ((cub h + quad) h + lin) h + const.
         """
         cub, quad, lin, const = self._coef.reshape(4, self._k, -1)
         values, slopes = list(values), list(slopes)
@@ -205,24 +206,6 @@ class _CubicTable:
 
         return evaluate
 
-    def __call__(self, r, order):
-        """Values and derivatives up to ``order`` (0, 1 or 2) at r.
-
-        Returns a list of order + 1 arrays of shape (k,) + shape(r). r must
-        lie in [x_0, x_{n-1}]; the end intervals serve their end knots.
-        """
-        r = np.asarray(r, dtype=float)
-        i = np.searchsorted(self._x[1:-1], r, side="right")
-        h = r - self._x[i]
-        cub, quad, lin, const = self._coef.take(i, axis=1).reshape(
-            (4, self._k) + r.shape)
-        out = [((cub * h + quad) * h + lin) * h + const]
-        if order >= 1:
-            out.append((3.0 * cub * h + 2.0 * quad) * h + lin)
-        if order >= 2:
-            out.append(6.0 * cub * h + 2.0 * quad)
-        return out
-
 
 def _gap(b, c):
     """sqrt(b^2 + c^2), raising where it vanishes (derivative undefined)."""
@@ -237,21 +220,22 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
     """Ground-sheet PES from not-a-knot cubic splines of a, b and c.
 
     One spline table holds the three coefficient columns, so each call
-    makes one interval search and one coefficient gather: ``v`` evaluates
-    values only and ``curvature`` values and two derivatives; ``f`` takes
-    only the value rows of b and c and the first-derivative rows of a, b
-    and c. The force uses the derivative of the closed-form
-    eigenvalue, F = -a' + (b b' + c c') / sqrt(b^2 + c^2), which keeps it
-    exactly consistent with the energy evaluator. A vanishing gap term
+    makes one interval search and one coefficient gather: ``v`` takes the
+    value rows of a, b and c; ``f`` takes only the value rows of b and c
+    and the first-derivative rows of a, b and c. The force uses the
+    derivative of the closed-form eigenvalue,
+    F = -a' + (b b' + c c') / sqrt(b^2 + c^2), which keeps it exactly
+    consistent with the energy evaluator. A vanishing gap term
     sqrt(b^2 + c^2) <= 1e-12 makes the derivative undefined and raises.
     """
     spline = _CubicTable(table.R, np.column_stack((table.a, table.b, table.c)))
     domain = (float(table.R[0]), float(table.R[-1]))
+    energy_terms = spline.first_order(values=(0, 1, 2))
     force_terms = spline.first_order(values=(1, 2), slopes=(0, 1, 2))
 
     def v(r):
         model._check_domain(r)
-        (a, b, c), = spline(r, 0)
+        (a, b, c), _ = energy_terms(r)
         return a - np.hypot(b, c)
 
     def f(r):
@@ -259,43 +243,30 @@ def pauli_pes(table: PauliCoefficientTable) -> PesModel:
         (b, c), (a1, b1, c1) = force_terms(r)
         return (b * b1 + c * c1) / _gap(b, c) - a1
 
-    def curvature(r):
-        model._check_domain(r)
-        (_, b, c), (a1, b1, c1), (a2, b2, c2) = spline(r, 2)
-        w = _gap(b, c)
-        w1 = (b * b1 + c * c1) / w
-        w2 = (b1 ** 2 + b * b2 + c1 ** 2 + c * c2 - w1 ** 2) / w
-        return a2 - w2
-
-    model = PesModel(kind="pauli_table", domain=domain,
-                     v=v, f=f, curvature=curvature)
+    model = PesModel(kind="pauli_table", domain=domain, v=v, f=f)
     return model
 
 
 def raw_pes(path) -> PesModel:
     """PES from a plain (R, V) table: a not-a-knot cubic spline of V.
 
-    The force is minus the spline's first derivative, the curvature its
-    second.
+    The force is minus the spline's first derivative.
     """
     data = _read_table(path, RAW_HEADER, 2)
     spline = _CubicTable(data[:, 0], data[:, 1])
     domain = (float(data[0, 0]), float(data[-1, 0]))
+    energy_terms = spline.first_order(values=(0,))
+    slope_terms = spline.first_order(slopes=(0,))
 
     def v(r):
         model._check_domain(r)
-        return spline(r, 0)[0][0]
+        return energy_terms(r)[0][0]
 
     def f(r):
         model._check_domain(r)
-        return -spline(r, 1)[1][0]
+        return -slope_terms(r)[1][0]
 
-    def curvature(r):
-        model._check_domain(r)
-        return spline(r, 2)[2][0]
-
-    model = PesModel(kind="raw_table", domain=domain,
-                     v=v, f=f, curvature=curvature)
+    model = PesModel(kind="raw_table", domain=domain, v=v, f=f)
     return model
 
 
@@ -316,16 +287,5 @@ def morse_pes(de: float, alpha: float, re: float) -> PesModel:
         uu = u(r)
         return -2.0 * de * alpha * uu * (1.0 - uu)
 
-    def curvature(r):
-        uu = u(r)
-        return 2.0 * de * alpha ** 2 * (2.0 * uu ** 2 - uu)
-
-    model = PesModel(kind="morse", domain=(0.0, np.inf),
-                     v=v, f=f, curvature=curvature)
+    model = PesModel(kind="morse", domain=(0.0, np.inf), v=v, f=f)
     return model
-
-
-def tabulate_pes(pes: PesModel, r_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (V, F) on the grid's R nodes; raises DomainError outside."""
-    r = np.asarray(r_nodes, dtype=float)
-    return np.asarray(pes.v(r), dtype=float), np.asarray(pes.f(r), dtype=float)

@@ -92,17 +92,12 @@ def verlet_memory_estimate(n_steps: int, n_traj: int,
 
 
 def verlet_ensemble(pes: PesModel, mu: float, r0, p0, dt: float,
-                    n_steps: int, record_every: int = 1,
-                    omega_ref: float | None = None) -> TrajectoryEnsemble:
+                    n_steps: int, record_every: int = 1) -> TrajectoryEnsemble:
     """Energy-conserving half-kick/drift/half-kick integration.
 
     The recorded R and P are preflighted against available memory before
     they are allocated.
     """
-    if omega_ref is not None and dt * omega_ref >= 0.1:
-        raise ValueError(
-            f"dt*omega_ref = {dt * omega_ref:.3f} too large for a faithful "
-            "reference trajectory (need < 0.1)")
     r, p = _own_copies(r0, p0)  # stepped in place
     _preflight("verlet_ensemble",
                verlet_memory_estimate(n_steps, len(r), record_every),

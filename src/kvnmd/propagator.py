@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electronic import PesModel, tabulate_pes
+from .electronic import PesModel
 from .errors import (BoundaryLeakWarning, ConfigurationError,
                      ConvergenceError, FilterBandWarning, FilterCollapseError,
                      MemoryBudgetError, NonFiniteAmplitudeError)
@@ -119,7 +119,6 @@ class StepReport:
 @dataclass(frozen=True)
 class BiasResult:
     bias: float
-    t_kin: float
     n_steps: int
 
 
@@ -267,7 +266,7 @@ class NvePropagator:
         self.grid = grid
         self.mu = mu
         self.dt = dt
-        _, self.force = tabulate_pes(pes, grid.R)
+        self.force = pes.f(grid.R)
         self.half_drift, self.kick = _phase_tables(grid, self.force, mu, dt,
                                                    half=False)
 
@@ -668,9 +667,8 @@ class LangevinStepper:
         _preflight("LangevinStepper", self.memory_estimate(grid, params.s))
         self.grid = grid
         self.params = params
-        _, force = tabulate_pes(pes, grid.R)
-        self.half_drift, self.kick = _phase_tables(grid, force, params.mu,
-                                                   params.dt, half=True)
+        self.half_drift, self.kick = _phase_tables(
+            grid, pes.f(grid.R), params.mu, params.dt, half=True)
         self.friction = FrictionOperator(grid, params.s)
         self.cos_filter = np.cos(params.sigma_h * grid.k_P)
         self.row_weights = grid.cell * _hermitian_weights(grid.shape[0])
@@ -798,6 +796,6 @@ def momentum_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
         if step > window:
             if abs(t_kin - history[0]) < rel_tol * t_kin:
                 bias = (t_kin - params.t_int) / params.t_int
-                return BiasResult(bias=bias, t_kin=t_kin, n_steps=step)
+                return BiasResult(bias=bias, n_steps=step)
     raise ConvergenceError(
         f"kinetic temperature not stationary after {n_steps_max} steps")

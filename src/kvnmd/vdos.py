@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import WAVENUMBER_PER_HARTREE
-from .electronic import PesModel, tabulate_pes
+from .electronic import PesModel
 from .errors import (ConfigurationError, DomainError, NonFiniteAmplitudeError,
                      SingularityError)
 from .grid import KvnState, PhaseSpaceGrid
@@ -121,7 +121,7 @@ def reference_frequency(pes: PesModel, mu: float, r_nodes: np.ndarray) -> float:
     Fits V over the 11 nodes centered on the sampled minimum; the minimum
     must sit at least 5 nodes away from either edge.
     """
-    v, _ = tabulate_pes(pes, r_nodes)
+    v = pes.v(r_nodes)
     i0 = int(np.argmin(v))
     if i0 < 5 or i0 > len(r_nodes) - 6:
         raise DomainError(

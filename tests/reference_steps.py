@@ -15,8 +15,10 @@ the product oracle mirrored by concatenation with numpy's gradient and
 trapezoid on fresh arrays. `table_relax` is
 the relaxation driver with one (R, P) state per record, each monitor
 read from its own density and D_KL taken against the canonical table.
-`two_step_pauli_force` is the coefficient-table force from the spline's
-full value and derivative rows, and `complex_bias_experiment` the bias
+`horner_spline` evaluates a spline's values and first derivatives by
+plain Horner passes over its whole coefficient table, and
+`two_step_pauli_pes` and `two_step_raw_pes` build the energy and force of
+both table kinds on it, and `complex_bias_experiment` the bias
 loop on a complex row. `fejer_loop_reference` bins a recorded
 ensemble's spectrum by evaluating the Fejer kernel on a zero-padded
 frequency grid, one bin at a time. `separate_buffer_advance` is the
@@ -47,8 +49,7 @@ from kvnmd.constants import (FS_PER_AU_TIME, bohr_to_angstrom,
                              hartree_to_kelvin, kelvin_to_hartree)
 from kvnmd.diagnostics import (RelaxationTrace, kinetic_temperature,
                                kl_divergence, mean_R)
-from kvnmd.electronic import (PauliCoefficientTable, PesModel, _CubicTable,
-                              tabulate_pes)
+from kvnmd.electronic import PauliCoefficientTable, PesModel, _CubicTable
 from kvnmd.errors import ConvergenceError, FilterCollapseError
 from kvnmd.grid import KvnState, PhaseSpaceGrid, density, fourier_P
 from kvnmd.oracles import (_BLOCK, TrajectoryEnsemble, canonical_sampler,
@@ -99,11 +100,9 @@ def ideal_diffusion_step(state: KvnState, sigma_h: float) \
 
 
 def verlet_trajectory(pes: PesModel, mu: float, r0: float, p0: float,
-                      dt: float, n_steps: int,
-                      omega_ref: float | None = None):
+                      dt: float, n_steps: int):
     """Single reference trajectory: returns (times, R, P) 1-D arrays."""
-    ens = verlet_ensemble(pes, mu, r0, p0, dt, n_steps, record_every=1,
-                          omega_ref=omega_ref)
+    ens = verlet_ensemble(pes, mu, r0, p0, dt, n_steps)
     return ens.times, ens.R[:, 0], ens.P[:, 0]
 
 
@@ -166,7 +165,7 @@ def table_canonical_reference(grid: PhaseSpaceGrid, pes: PesModel,
                               mu: float, t: float) -> np.ndarray:
     """Grid-normalized canonical density exp[-(P^2/2mu + V)/T] / Z from
     the full exponent table."""
-    v, _ = tabulate_pes(pes, grid.R)
+    v = pes.v(grid.R)
     exponent = -(grid.P[None, :] ** 2 / (2.0 * mu) + v[:, None]) / t
     exponent -= exponent.max()  # overflow guard; divides out in Z
     rho = np.exp(exponent)
@@ -391,17 +390,48 @@ def concatenated_filter_bias(s: float, n_terms: int = 200,
     return float(num / den - 1.0)
 
 
-def two_step_pauli_force(table: PauliCoefficientTable):
-    """F(r) = -a' + (b b' + c c') / sqrt(b^2 + c^2) from the values and
-    first derivatives of all three spline columns, with no domain or gap
-    check."""
-    spline = _CubicTable(table.R, np.column_stack((table.a, table.b, table.c)))
+def horner_spline(x, y):
+    """r -> (values, first derivatives) of every column of
+    `_CubicTable(x, y)`, by plain Horner passes over its whole coefficient
+    table: ((cub h + quad) h + lin) h + const and (3 cub h + 2 quad) h + lin.
+    """
+    spline = _CubicTable(x, y)
+
+    def terms(r):
+        r = np.asarray(r, dtype=float)
+        i = np.searchsorted(spline._x[1:-1], r, side="right")
+        h = r - spline._x[i]
+        cub, quad, lin, const = spline._coef.take(i, axis=1).reshape(
+            (4, spline._k) + r.shape)
+        return (((cub * h + quad) * h + lin) * h + const,
+                (3.0 * cub * h + 2.0 * quad) * h + lin)
+
+    return terms
+
+
+def two_step_pauli_pes(table: PauliCoefficientTable):
+    """(V, F) of the ground sheet: V = a - sqrt(b^2 + c^2) and
+    F = -a' + (b b' + c c') / sqrt(b^2 + c^2), from the values and first
+    derivatives of all three spline columns, with no domain or gap check."""
+    terms = horner_spline(table.R,
+                          np.column_stack((table.a, table.b, table.c)))
+
+    def v(r):
+        (a, b, c), _ = terms(r)
+        return a - np.hypot(b, c)
 
     def f(r):
-        (_, b, c), (a1, b1, c1) = spline(r, 1)
+        (_, b, c), (a1, b1, c1) = terms(r)
         return -a1 + (b * b1 + c * c1) / np.hypot(b, c)
 
-    return f
+    return v, f
+
+
+def two_step_raw_pes(r_nodes, v_nodes):
+    """(V, F) of the spline through a raw (R, V) table: its value and minus
+    its first derivative, with no domain check."""
+    terms = horner_spline(r_nodes, v_nodes)
+    return (lambda r: terms(r)[0][0]), (lambda r: -terms(r)[1][0])
 
 
 def complex_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
@@ -426,7 +456,7 @@ def complex_bias_experiment(grid: PhaseSpaceGrid, params: LangevinParams,
         if step > window:
             if abs(history[-1] - history[-1 - window]) < rel_tol * history[-1]:
                 bias = (t_kin - params.t_int) / params.t_int
-                return BiasResult(bias=bias, t_kin=t_kin, n_steps=step)
+                return BiasResult(bias=bias, n_steps=step)
     raise ConvergenceError(
         f"kinetic temperature not stationary after {n_steps_max} steps")
 
@@ -532,7 +562,7 @@ def fejer_kernel(theta, m: int):
 def mean_energy(state: KvnState, pes: PesModel, mu: float) -> float:
     """<P^2/2mu + V(R)> in hartree."""
     g = state.grid
-    v, _ = tabulate_pes(pes, g.R)
+    v = pes.v(g.R)
     rho = density(state)
     return float(np.sum(rho * (g.P[None, :] ** 2 / (2.0 * mu)
                                + v[:, None])) * g.cell)

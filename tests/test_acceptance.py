@@ -53,8 +53,7 @@ def harmonic_pes(mu, omega, re) -> PesModel:
     arr = lambda r: np.asarray(r, float)
     return PesModel(kind="harmonic", domain=(-math.inf, math.inf),
                     v=lambda r: 0.5 * k * (arr(r) - re) ** 2,
-                    f=lambda r: -k * (arr(r) - re),
-                    curvature=lambda r: k * np.ones_like(arr(r)))
+                    f=lambda r: -k * (arr(r) - re))
 
 
 def plateau_barrier(v_b=0.15, b=0.5) -> PesModel:
@@ -67,15 +66,8 @@ def plateau_barrier(v_b=0.15, b=0.5) -> PesModel:
         u = (r / b) ** 8
         return v_b * np.exp(-u) * 8.0 * r ** 7 / b ** 8
 
-    def curv(r):
-        r = np.asarray(r, float)
-        u = (r / b) ** 8
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r == 0.0, 0.0,
-                            v_b * np.exp(-u) * (64 * u * u - 56 * u) / r ** 2)
-
     return PesModel(kind="plateau-barrier", domain=(-math.inf, math.inf),
-                    v=v, f=f, curvature=curv)
+                    v=v, f=f)
 
 
 def closed_form_rate(pes, t_kelvin, r_lo, r_div, v_barrier):

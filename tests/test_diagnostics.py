@@ -32,8 +32,7 @@ def flat_pes() -> PesModel:
     arr = lambda r: np.asarray(r, float)
     return PesModel(kind="flat", domain=(-math.inf, math.inf),
                     v=lambda r: np.zeros_like(arr(r)),
-                    f=lambda r: np.zeros_like(arr(r)),
-                    curvature=lambda r: np.zeros_like(arr(r)))
+                    f=lambda r: np.zeros_like(arr(r)))
 
 
 def canonical_state(grid, pes, mu, t):

@@ -14,9 +14,10 @@ from scipy.interpolate import CubicSpline
 import kvnmd
 from kvnmd.electronic import (PAULI_HEADER, RAW_HEADER, PauliCoefficientTable,
                               _CubicTable, bundled_h2_table, load_pauli_table,
-                              morse_pes, pauli_pes, raw_pes, tabulate_pes)
+                              morse_pes, pauli_pes, raw_pes)
 from kvnmd.errors import DomainError, SingularityError, TableFormatError
-from reference_steps import ground_state_energy, two_step_pauli_force
+from reference_steps import (ground_state_energy, two_step_pauli_pes,
+                             two_step_raw_pes)
 
 
 def write_table(path, lines):
@@ -56,13 +57,17 @@ def test_pauli_pes_reproduces_nodes_exactly():
                                rtol=0, atol=1e-14)
 
 
-def test_force_is_minus_energy_derivative_bundled():
-    pes = pauli_pes(bundled_h2_table())
+def test_force_is_minus_energy_derivative_bundled(tmp_path):
+    # every PES kind: the bundled table, its ground sheet as a raw table,
+    # and the Morse fallback
+    table = bundled_h2_table()
     rng = np.random.default_rng(5)
     r = rng.uniform(0.6, 6.0, size=100)
     h = 1e-4
-    fd = -(pes.v(r + h) - pes.v(r - h)) / (2 * h)
-    np.testing.assert_allclose(pes.f(r), fd, rtol=1e-6, atol=1e-9)
+    raw = raw_pes(raw_table_of(table, tmp_path / "v.csv"))
+    for pes in (pauli_pes(table), raw, morse_pes(0.17, 1.02, 1.4)):
+        fd = -(pes.v(r + h) - pes.v(r - h)) / (2 * h)
+        np.testing.assert_allclose(pes.f(r), fd, rtol=1e-6, atol=1e-9)
 
 
 def test_force_is_minus_energy_derivative_synthetic():
@@ -71,16 +76,6 @@ def test_force_is_minus_energy_derivative_synthetic():
     h = 1e-4
     fd = -(pes.v(r + h) - pes.v(r - h)) / (2 * h)
     np.testing.assert_allclose(pes.f(r), fd, rtol=1e-6, atol=1e-9)
-
-
-def test_curvature_matches_second_difference():
-    pes = pauli_pes(bundled_h2_table())
-    r = np.linspace(1.0, 3.0, 17)
-    h = 1e-3
-    fd2 = (pes.v(r + h) - 2 * pes.v(r) + pes.v(r - h)) / h ** 2
-    # piecewise-cubic interpolant: third derivative jumps at the table nodes
-    # cap the finite-difference agreement near curvature zero crossings
-    np.testing.assert_allclose(pes.curvature(r), fd2, rtol=1e-3, atol=1e-5)
 
 
 def test_equilibrium_geometry_of_bundled_h2():
@@ -144,7 +139,6 @@ def test_morse_shape_and_derivatives():
     pes = morse_pes(de, alpha, re)
     assert pes.v(re) == pytest.approx(0.0, abs=1e-15)
     assert pes.f(re) == pytest.approx(0.0, abs=1e-12)
-    assert pes.curvature(re) == pytest.approx(2 * de * alpha ** 2, rel=1e-12)
     assert pes.v(60.0) == pytest.approx(de, rel=1e-6)
     r = np.linspace(0.8, 4.0, 40)
     h = 1e-5
@@ -168,11 +162,12 @@ def test_raw_table_pes(tmp_path):
 def test_tabulate_pes_checks_grid_domain():
     pes = pauli_pes(smooth_table(lo=1.0, hi=5.0))
     nodes = np.linspace(1.2, 4.8, 32)
-    v, f = tabulate_pes(pes, nodes)
-    np.testing.assert_allclose(v, pes.v(nodes), atol=0)
-    np.testing.assert_allclose(f, pes.f(nodes), atol=0)
-    with pytest.raises(DomainError):
-        tabulate_pes(pes, np.linspace(0.5, 4.0, 32))
+    for evaluate in (pes.v, pes.f):
+        table = evaluate(nodes)
+        assert table.shape == nodes.shape and table.dtype == np.float64
+        assert np.all(np.isfinite(table))
+        with pytest.raises(DomainError):
+            evaluate(np.linspace(0.5, 4.0, 32))
 
 
 def raw_table_of(table, path):
@@ -192,22 +187,12 @@ def test_cubic_table_matches_scipy_not_a_knot(n, k, seed):
     y = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3.0, 3.0, k)
     r = np.concatenate((rng.uniform(x[0], x[-1], 200), x))
     oracle = CubicSpline(x, y)
-    for order, ours in enumerate(_CubicTable(x, y)(r, 2)):
+    columns = range(k)
+    terms = _CubicTable(x, y).first_order(values=columns, slopes=columns)
+    for order, ours in enumerate(terms(r)):
         want = oracle(r, order).T
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(ours - want) <= 1e-12 * scale), order
-
-
-@pytest.mark.parametrize("source", ["bundled", "smooth"])
-def test_curvature_is_minus_force_derivative(source, tmp_path):
-    table = bundled_h2_table() if source == "bundled" else smooth_table()
-    h = 1e-5
-    r = np.linspace(table.R[0] + h, table.R[-1] - h, 401)
-    for pes in (pauli_pes(table), raw_pes(raw_table_of(table, tmp_path / "v.csv"))):
-        fd = -(pes.f(r + h) - pes.f(r - h)) / (2 * h)
-        curv = pes.curvature(r)
-        np.testing.assert_allclose(curv, fd, rtol=0,
-                                   atol=1e-7 * np.max(np.abs(curv)))
 
 
 def test_run_path_imports_no_scipy(tmp_path):
@@ -219,7 +204,7 @@ def test_run_path_imports_no_scipy(tmp_path):
         from kvnmd.electronic import bundled_h2_table, pauli_pes, raw_pes
         r = np.linspace(1.2, 4.8, 64)
         for pes in (pauli_pes(bundled_h2_table()), raw_pes({str(raw)!r})):
-            for evaluate in (pes.v, pes.f, pes.curvature):
+            for evaluate in (pes.v, pes.f):
                 assert np.all(np.isfinite(evaluate(r)))
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
@@ -234,28 +219,42 @@ def test_run_path_imports_no_scipy(tmp_path):
 PAULI_TABLES = {"bundled": bundled_h2_table(), "smooth": smooth_table()}
 
 
+@pytest.fixture(scope="module")
+def both_kinds(tmp_path_factory):
+    """source -> [(Pauli PES, its (V, F) oracle), (raw PES, its oracle)]."""
+    out = {}
+    for source, table in PAULI_TABLES.items():
+        path = raw_table_of(table, tmp_path_factory.mktemp(source) / "v.csv")
+        v = ground_state_energy(table.a, table.b, table.c)
+        out[source] = [(pauli_pes(table), two_step_pauli_pes(table)),
+                       (raw_pes(path), two_step_raw_pes(table.R, v))]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(source=st.sampled_from(sorted(PAULI_TABLES)),
        u=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=600),
        other_shapes=st.booleans())
-def test_force_is_bitwise_the_two_step_form(source, u, other_shapes):
+def test_force_is_bitwise_the_two_step_form(both_kinds, source, u,
+                                            other_shapes):
     # random points, every knot and both ends, in one shuffled call
     table = PAULI_TABLES[source]
     lo, hi = table.R[0], table.R[-1]
     r = np.clip(lo + np.array(u) * (hi - lo), lo, hi)
     r = np.concatenate((r, table.R, [lo, hi]))
     np.random.default_rng(len(u)).shuffle(r)
-    pes, oracle = pauli_pes(table), two_step_pauli_force(table)
-    assert np.array_equal(pes.f(r), oracle(r))
-    if other_shapes:
-        assert pes.f(r[0]) == oracle(r[0])
-        grid = r[:4].reshape(2, 2)
-        assert np.array_equal(pes.f(grid), oracle(grid))
+    for pes, oracles in both_kinds[source]:
+        for evaluate, oracle in zip((pes.v, pes.f), oracles):
+            assert np.array_equal(evaluate(r), oracle(r))
+            if other_shapes:
+                assert evaluate(r[0]) == oracle(r[0])
+                grid = r[:4].reshape(2, 2)
+                assert np.array_equal(evaluate(grid), oracle(grid))
 
 
 def test_force_passes_empty_and_nan_points():
     table = bundled_h2_table()
-    pes, oracle = pauli_pes(table), two_step_pauli_force(table)
+    pes, (_, oracle) = pauli_pes(table), two_step_pauli_pes(table)
     assert pes.f(np.array([])).shape == (0,)
     for r in (np.array([np.nan]), np.array([1.4, np.nan, 2.0])):
         assert np.array_equal(pes.f(r), oracle(r), equal_nan=True)

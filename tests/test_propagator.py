@@ -30,8 +30,7 @@ def linear_pes(slope: float) -> PesModel:
     arr = lambda r: np.asarray(r, float)
     return PesModel(kind="linear", domain=(-math.inf, math.inf),
                     v=lambda r: slope * arr(r),
-                    f=lambda r: -slope * np.ones_like(arr(r)),
-                    curvature=lambda r: np.zeros_like(arr(r)))
+                    f=lambda r: -slope * np.ones_like(arr(r)))
 
 
 def harmonic_pes(mu: float, omega: float, re: float) -> PesModel:
@@ -39,8 +38,7 @@ def harmonic_pes(mu: float, omega: float, re: float) -> PesModel:
     arr = lambda r: np.asarray(r, float)
     return PesModel(kind="harmonic", domain=(-math.inf, math.inf),
                     v=lambda r: 0.5 * k * (arr(r) - re) ** 2,
-                    f=lambda r: -k * (arr(r) - re),
-                    curvature=lambda r: k * np.ones_like(arr(r)))
+                    f=lambda r: -k * (arr(r) - re))
 
 
 def moments(state):
@@ -503,7 +501,6 @@ class TestMomentumBiasExperiment:
         assert res.bias == pytest.approx(cos_filter_stationary_bias(0.05),
                                          rel=1e-2)
         assert res.bias == pytest.approx(0.5 * math.tanh(0.05), rel=0.10)
-        assert res.t_kin == pytest.approx(params.t_int * (1.0 + res.bias))
 
     def test_raises_without_stationarity(self):
         params = calibrate(mu=1.0, gamma=0.01, dt=1.0, t_phys=1.0)

@@ -32,7 +32,7 @@ from kvnmd.diagnostics import (KL_FLOOR, CanonicalDensity,
                                canonical_reference, kinetic_temperature,
                                kl_divergence, mean_R, relax,
                                relax_memory_estimate)
-from kvnmd.electronic import morse_pes, tabulate_pes
+from kvnmd.electronic import morse_pes
 from kvnmd.errors import ResolutionError
 from kvnmd.grid import (KvnState, build_grid, density, encode_gaussian,
                         norm_squared)
@@ -152,7 +152,7 @@ def test_phase_tables_match_the_one_expression_tables(n_r, n_p, dt, p_shift,
                                                       half):
     # centred and off-centre P grids: the drift momenta differ there
     grid = build_grid(n_r, n_p, (0.6, 2.6), (-22.0 + p_shift, 22.0 + p_shift))
-    _, force = tabulate_pes(PES, grid.R)
+    force = PES.f(grid.R)
     got = _phase_tables(grid, force, MU, dt, half)
     expected = one_expression_phase_tables(grid, force, MU, dt, half)
     for table, oracle in zip(got, expected):

@@ -37,15 +37,8 @@ def plateau_barrier(v_b=0.15, b=0.5) -> PesModel:
         u = (r / b) ** 8
         return v_b * np.exp(-u) * 8.0 * r ** 7 / b ** 8
 
-    def curv(r):
-        r = np.asarray(r, float)
-        u = (r / b) ** 8
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r == 0.0, 0.0,
-                            v_b * np.exp(-u) * (64 * u * u - 56 * u) / r ** 2)
-
     return PesModel(kind="plateau-barrier", domain=(-math.inf, math.inf),
-                    v=v, f=f, curvature=curv)
+                    v=v, f=f)
 
 
 def double_well(v_b=0.01, a=1.0) -> PesModel:
@@ -56,18 +49,14 @@ def double_well(v_b=0.01, a=1.0) -> PesModel:
         r = np.asarray(r, float)
         return -4.0 * v_b * r * ((r / a) ** 2 - 1.0) / a ** 2
 
-    def curv(r):
-        r = np.asarray(r, float)
-        return v_b * (12.0 * r ** 2 / a ** 4 - 4.0 / a ** 2)
-
     return PesModel(kind="double-well", domain=(-math.inf, math.inf),
-                    v=v, f=f, curvature=curv)
+                    v=v, f=f)
 
 
 def flat_pes() -> PesModel:
     zero = lambda r: np.zeros_like(np.asarray(r, float))
     return PesModel(kind="flat", domain=(-math.inf, math.inf),
-                    v=zero, f=zero, curvature=zero)
+                    v=zero, f=zero)
 
 
 def closed_form_rate(pes, t_kelvin, r_lo, r_div, v_barrier):

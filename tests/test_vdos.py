@@ -33,8 +33,7 @@ def harmonic() -> PesModel:
     arr = lambda r: np.asarray(r, float)
     return PesModel(kind="harmonic", domain=(-math.inf, math.inf),
                     v=lambda r: 0.5 * k * (arr(r) - RE) ** 2,
-                    f=lambda r: -k * (arr(r) - RE),
-                    curvature=lambda r: k * np.ones_like(arr(r)))
+                    f=lambda r: -k * (arr(r) - RE))
 
 
 def thermal_state(grid, pes, t):
